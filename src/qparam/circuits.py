@@ -272,7 +272,7 @@ def encode_weight_witness(n: int, k: int, state: StateVector) -> StateVector:
     if state.num_qubits != n:
         raise InvalidInputError(f"state has {state.num_qubits} qubits, expected {n}")
     enum = WeightEnumeration(n, k)
-    indices = np.fromiter(enum.indices(), dtype=np.int64, count=enum.dim)
+    indices = enum.indices()
     off_support = np.abs(state.amplitudes).copy()
     off_support[indices] = 0.0
     if np.max(off_support, initial=0.0) > SUPPORT_TOL:
@@ -295,7 +295,7 @@ def decode_weight_witness(n: int, k: int, compressed: StateVector) -> StateVecto
         )
     if np.max(np.abs(compressed.amplitudes[enum.dim:]), initial=0.0) > SUPPORT_TOL:
         raise InvalidInputError("padded-index amplitude above tolerance")
-    indices = np.fromiter(enum.indices(), dtype=np.int64, count=enum.dim)
+    indices = enum.indices()
     out = np.zeros(2**n, dtype=complex)
     out[indices] = compressed.amplitudes[: enum.dim]
     return StateVector(n, out)

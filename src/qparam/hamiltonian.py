@@ -1,8 +1,9 @@
 """Local Hamiltonians, their weight-k restriction, and the slice decider.
 
 A Hamiltonian is a sum of Hermitian blocks, each supported on a few qubits.
-The weight-k restriction is assembled term by term over the C(n, k)
-fixed-weight basis without ever forming the full 2^n matrix.
+The weight-k restriction is assembled with vectorised bit operations over the
+C(n, k) fixed-weight basis, one term at a time, without ever forming the full
+2^n matrix.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
+from .circuits import apply_gate_matrix
 from .decision import Verdict
 from .errors import InvalidInputError, ResourceError
 from .linalg import DENSE_THRESHOLD, matrix_from_json, matrix_to_json, min_eigenvalue
@@ -19,6 +21,8 @@ from .states import StateVector
 from .weightenum import WeightEnumeration
 
 ASSEMBLE_LIMIT = 12
+# COO entries (row, col, value: 32 B each) one restriction may hold, about 1 GB
+RESTRICT_ENTRY_LIMIT = 2**25
 
 
 @dataclass(frozen=True)
@@ -102,14 +106,6 @@ class LocalHamiltonian:
             raise InvalidInputError(f"malformed Hamiltonian JSON: {exc}") from exc
 
 
-def _local_index(basis_index: int, n: int, qubits: tuple[int, ...]) -> int:
-    """Bits of a global basis index on the given qubits, first qubit = MSB."""
-    out = 0
-    for q in qubits:
-        out = (out << 1) | ((basis_index >> (n - 1 - q)) & 1)
-    return out
-
-
 def _replace_bits(basis_index: int, n: int, qubits: tuple[int, ...], local: int) -> int:
     out = basis_index
     for pos, q in enumerate(qubits):
@@ -147,37 +143,50 @@ def assemble_full(h: LocalHamiltonian) -> np.ndarray:
 def restrict_to_weight(h: LocalHamiltonian, k: int):
     """The Hamiltonian compressed to the weight-k sector, indexed by rank.
 
-    Returns a dense array when C(n, k) is small, a CSR matrix otherwise.
+    Each term acts on the whole sector at once. Its local index is read from
+    every basis state with shifts and masks. For each local input pattern and
+    each nonzero block entry with an output pattern of the same weight (any
+    other output leaves the sector), the states holding that input have the
+    differing term bits flipped and are ranked by binary search in the
+    increasing basis. The (row, col, value) triples of all terms form one
+    COO matrix whose duplicates are summed.
+
+    Returns a dense array when C(n, k) <= ``DENSE_THRESHOLD``, a CSR matrix
+    otherwise. Raises ``ResourceError`` before allocating anything when the
+    basis plus the candidate entries, C(n, k) * (1 + sum of 2^|support|),
+    exceed ``RESTRICT_ENTRY_LIMIT``.
     """
     enum = WeightEnumeration(h.n, k)
     dim = enum.dim
-    entries: dict[tuple[int, int], complex] = {}
-    indices = list(enum.indices())
-    rank_of = {x: r for r, x in enumerate(indices)}
+    size = dim * (1 + sum(2 ** len(term.qubits) for term in h.terms))
+    if size > RESTRICT_ENTRY_LIMIT:
+        raise ResourceError(
+            f"weight-{k} restriction of n={h.n} needs {size} entries, "
+            f"limit {RESTRICT_ENTRY_LIMIT}"
+        )
+    basis = enum.indices()
+    rows = [np.empty(0, dtype=np.intp)]
+    cols = [np.empty(0, dtype=np.intp)]
+    vals = [np.empty(0, dtype=complex)]
     for term in h.terms:
-        s = len(term.qubits)
-        for r, x in enumerate(indices):
-            ix = _local_index(x, h.n, term.qubits)
-            for iy in range(2**s):
-                v = term.block[ix, iy]
-                if v == 0:
-                    continue
-                y = _replace_bits(x, h.n, term.qubits, iy)
-                ry = rank_of.get(y)
-                if ry is None:  # weight changed, outside the sector
-                    continue
-                key = (r, ry)
-                entries[key] = entries.get(key, 0.0) + v
-    if dim <= DENSE_THRESHOLD:
-        out = np.zeros((dim, dim), dtype=complex)
-        for (i, j), v in entries.items():
-            out[i, j] = v
-        return out
-    keys = sorted(entries)
-    rows = [i for i, _ in keys]
-    cols = [j for _, j in keys]
-    vals = [entries[key] for key in keys]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+        local = np.zeros(dim, dtype=np.int64)
+        for q in term.qubits:  # first qubit = local MSB
+            local = (local << 1) | ((basis >> (h.n - 1 - q)) & 1)
+        for ix, iy in np.argwhere(term.block).tolist():
+            if ix.bit_count() != iy.bit_count():  # weight changed, outside the sector
+                continue
+            states = np.flatnonzero(local == ix)
+            flip = _replace_bits(0, h.n, term.qubits, ix ^ iy)
+            rows.append(states)
+            cols.append(
+                np.searchsorted(basis, basis[states] ^ flip) if flip else states
+            )
+            vals.append(np.full(len(states), term.block[ix, iy]))
+    coo = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim), dtype=complex,
+    )
+    return coo.toarray() if dim <= DENSE_THRESHOLD else coo.tocsr()
 
 
 def expectation_value(h: LocalHamiltonian, state: StateVector) -> float:
@@ -188,20 +197,9 @@ def expectation_value(h: LocalHamiltonian, state: StateVector) -> float:
     total = 0.0
     psi = state.amplitudes
     for term in h.terms:
-        applied = _apply_term(term, psi, h.n)
+        applied = apply_gate_matrix(psi, h.n, term.qubits, term.block)
         total += np.vdot(psi, applied).real
     return float(total)
-
-
-def _apply_term(term: LocalTerm, psi: np.ndarray, n: int) -> np.ndarray:
-    s = len(term.qubits)
-    tensor = psi.reshape([2] * n)
-    order = list(term.qubits) + [q for q in range(n) if q not in term.qubits]
-    moved = np.transpose(tensor, order).reshape(2**s, -1)
-    moved = term.block @ moved
-    moved = moved.reshape([2] * n)
-    inverse = np.argsort(order)
-    return np.transpose(moved, inverse).reshape(-1)
 
 
 @dataclass(frozen=True)

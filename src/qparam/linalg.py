@@ -1,12 +1,14 @@
 """Hermitian eigenvalue solvers and matrix (de)serialization.
 
 Matrices are plain numpy arrays (or scipy sparse matrices where noted).
-Dense full diagonalization is used up to ``DENSE_THRESHOLD``; above that a
-Lanczos iteration (ARPACK) computes the smallest eigenvalue.
+Up to ``DENSE_THRESHOLD`` the smallest eigenvalue comes from a dense solver
+that computes only that eigenvalue; above it a Lanczos iteration (ARPACK)
+computes it.
 """
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -44,20 +46,18 @@ def require_hermitian(matrix, tol: float = HERMITIAN_TOL):
 def min_eigenvalue(matrix, mode: str = "dense") -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
-    ``mode`` selects dense full diagonalization or a Lanczos iteration; the
-    two agree to 1e-8 on any valid input.
+    ``mode`` selects a dense solver for the lowest eigenvalue only or a
+    Lanczos iteration; the two agree to 1e-8 on any valid input.
     """
     m = require_hermitian(matrix)
     dim = m.shape[0]
-    if mode == "dense":
-        dense = m.toarray() if sp.issparse(m) else m
-        return float(np.linalg.eigvalsh(dense)[0])
-    if mode != "iterative":
+    if mode not in ("dense", "iterative"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    if dim <= 2:
+    if mode == "dense" or dim <= 2:
         # ARPACK needs k < dim; trivial sizes are cheaper dense anyway
         dense = m.toarray() if sp.issparse(m) else m
-        return float(np.linalg.eigvalsh(dense)[0])
+        vals = sla.eigh(dense, eigvals_only=True, subset_by_index=[0, 0])
+        return float(vals[0])
     try:
         vals = spla.eigsh(
             m, k=1, which="SA", tol=LANCZOS_TOL, maxiter=10 * dim,

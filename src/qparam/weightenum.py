@@ -2,14 +2,21 @@
 
 The order is lexicographic on the bitstrings (equivalently, increasing as
 unsigned integers), and ranks are computed with binomial-coefficient prefix
-sums, so both directions run in O(n).
+sums, so both directions run in O(n). The whole basis in rank order is one
+increasing ``int64`` array, so a basis index is ranked by binary search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from math import comb
 
-from .errors import InvalidInputError
+import numpy as np
+
+from .errors import InvalidInputError, ResourceError
+
+# basis indices are int64, so qubit 0 (bit n - 1) must stay below the sign bit
+INDEX_BITS = 63
 
 
 def rank_weight_string(n: int, k: int, bitstring: str) -> int:
@@ -86,6 +93,21 @@ class WeightEnumeration:
         """All weight-k strings in rank order."""
         return (self.unrank(i) for i in range(self.dim))
 
-    def indices(self):
-        """All weight-k basis indices (qubit 0 = MSB) in rank order."""
-        return (int(self.unrank(i), 2) for i in range(self.dim))
+    def indices(self) -> np.ndarray:
+        """All weight-k basis indices (qubit 0 = MSB) in rank order.
+
+        An increasing ``int64`` array of length ``dim``, built from the
+        k-subsets of qubit positions: ``itertools.combinations`` lists them
+        lexicographically, which is decreasing integer order, so the summed
+        bit weights are reversed.
+        """
+        if self.n > INDEX_BITS:
+            raise ResourceError(
+                f"n={self.n} exceeds the {INDEX_BITS}-bit basis index limit"
+            )
+        weights = np.int64(1) << np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        positions = np.fromiter(
+            chain.from_iterable(combinations(range(self.n), self.k)),
+            dtype=np.intp, count=self.dim * self.k,
+        ).reshape(self.dim, self.k)
+        return weights[positions].sum(axis=1)[::-1].copy()

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ class TestErrorPaths:
         path.write_text(json.dumps(braid))
         code, _ = run(capsys, "jones-exact", "--input", str(path), "--k", "5")
         assert code == 4
+
+    def test_oversized_sector_refused_up_front(self, capsys, tmp_path):
+        # C(200, 100) ~ 9e58 states: refused before any allocation
+        data = {
+            "n": 200, "locality": 1, "a": 0.0, "b": 1.0,
+            "terms": [{"qubits": [i], "matrix": Z_JSON} for i in range(4)],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code = main(["ham-decide", "--input", str(path), "--k", "100"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 4
+        assert elapsed < 1.0
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestEstimatorCommands:

@@ -1,10 +1,15 @@
+from math import comb
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_hermitian, random_state
+from qparam.circuits import apply_gate_matrix
 from qparam.decision import Verdict
 from qparam.errors import InvalidInputError, ResourceError
 from qparam.hamiltonian import (
+    RESTRICT_ENTRY_LIMIT,
     LocalHamiltonian,
     LocalTerm,
     assemble_full,
@@ -29,6 +34,23 @@ def random_two_local(rng, n, num_terms=5, a=0.0, b=1.0):
         i, j = sorted(rng.choice(n, size=2, replace=False))
         terms.append(LocalTerm((int(i), int(j)), random_hermitian(rng, 4)))
     return LocalHamiltonian(n, 2, a, b, tuple(terms))
+
+
+def random_mixed_local(rng, n, num_terms=8):
+    """Terms on random supports of one, two and three qubits."""
+    terms = []
+    for t in range(num_terms):
+        size = (2, 3, 1)[t % 3]
+        qubits = sorted(int(q) for q in rng.choice(n, size=size, replace=False))
+        terms.append(LocalTerm(tuple(qubits), random_hermitian(rng, 2**size)))
+    return LocalHamiltonian(n, 3, 0.0, 1.0, tuple(terms))
+
+
+def sector_vector(rng, n, idx):
+    """A random 2^n vector supported on the given basis indices."""
+    out = np.zeros(2**n, dtype=complex)
+    out[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    return out
 
 
 class TestConstruction:
@@ -132,6 +154,46 @@ class TestRestrictToWeight:
 
     def test_dimension_is_binomial(self):
         assert restrict_to_weight(sum_z(6), 3).shape == (20, 20)
+
+    def test_three_local_against_submatrix_oracle(self, rng):
+        # [DERIVED] brute-force submatrix of the full assembly
+        h = random_mixed_local(rng, 9)
+        idx = list(WeightEnumeration(9, 4).indices())
+        sub = assemble_full(h)[np.ix_(idx, idx)]
+        restricted = restrict_to_weight(h, 4)
+        assert isinstance(restricted, np.ndarray)
+        assert np.allclose(restricted, sub, atol=1e-10)
+
+    def test_weight_n(self, rng):
+        # the one all-ones state: its diagonal entry of the full matrix
+        h = random_mixed_local(rng, 6)
+        restricted = restrict_to_weight(h, 6)
+        assert restricted.shape == (1, 1)
+        assert restricted[0, 0] == pytest.approx(assemble_full(h)[-1, -1])
+
+    def test_sparse_sector_bilinear_form(self, rng):
+        # dim C(14, 6) = 3003 is past the dense threshold, so the CSR branch
+        n, k = 14, 6
+        h = random_mixed_local(rng, n, num_terms=9)
+        idx = WeightEnumeration(n, k).indices()
+        restricted = restrict_to_weight(h, k)
+        assert sp.issparse(restricted)
+        assert restricted.shape == (comb(n, k), comb(n, k))
+        assert abs(restricted - restricted.conj().T).max() < 1e-12
+        for _ in range(3):
+            psi = sector_vector(rng, n, idx)
+            phi = sector_vector(rng, n, idx)
+            # ⟨ψ|H|φ⟩ by applying each term to the full 2^n vector
+            expected = sum(
+                np.vdot(psi, apply_gate_matrix(phi, n, t.qubits, t.block))
+                for t in h.terms
+            )
+            got = np.vdot(psi[idx], restricted @ phi[idx])
+            assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_entry_limit_admits_n40_k4_with_60_pair_terms(self):
+        # the basis plus four candidate entries per state and term
+        assert comb(40, 4) * (1 + 60 * 4) <= RESTRICT_ENTRY_LIMIT
 
 
 class TestExpectationValue:

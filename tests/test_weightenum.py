@@ -1,7 +1,11 @@
+from math import comb
+
+import numpy as np
 import pytest
 
-from qparam.errors import InvalidInputError
+from qparam.errors import InvalidInputError, ResourceError
 from qparam.weightenum import (
+    INDEX_BITS,
     WeightEnumeration,
     rank_weight_index,
     rank_weight_string,
@@ -91,6 +95,23 @@ class TestWeightEnumeration:
     def test_indices_match_strings(self):
         enum = WeightEnumeration(5, 2)
         assert [int(s, 2) for s in enum.strings()] == list(enum.indices())
+
+    def test_indices_match_unrank_for_every_rank(self):
+        for n, k in [(1, 0), (1, 1), (6, 0), (6, 6), (7, 3), (10, 4), (12, 9)]:
+            indices = WeightEnumeration(n, k).indices()
+            assert isinstance(indices, np.ndarray)
+            assert indices.dtype == np.int64
+            assert indices.tolist() == [
+                unrank_weight_index(n, k, r) for r in range(comb(n, k))
+            ]
+
+    def test_indices_at_the_int64_limit(self):
+        n = INDEX_BITS
+        assert WeightEnumeration(n, 1).indices().tolist() == [
+            1 << i for i in range(n)
+        ]
+        with pytest.raises(ResourceError):
+            WeightEnumeration(n + 1, 1).indices()
 
     def test_extreme_weights(self):
         assert list(WeightEnumeration(4, 0).strings()) == ["0000"]
