@@ -10,6 +10,7 @@ from .circuits import (
     Gate,
     QuantumCircuit,
     REJECT,
+    accept_projected_columns,
     acceptance_probability,
     circuit_metrics,
     decode_weight_witness,
@@ -25,7 +26,6 @@ from .errors import ConvergenceError, InvalidInputError, ResourceError
 from .estimators import (
     EstimateReport,
     GapInstance,
-    SampleSchedule,
     amplify_gap,
     decide_hamming_weight_qcs_exact,
     decide_weight_qcs_exact,

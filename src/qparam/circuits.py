@@ -7,17 +7,17 @@ the most significant bit of the gate's local matrix index.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import ceil, comb, log2
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import matrix_from_json, matrix_to_json
+from .linalg import matrix_from_json, matrix_to_json, require_unitary
 from .states import StateVector
 from .weightenum import WeightEnumeration
 
-UNITARY_TOL = 1e-10
 SUPPORT_TOL = 1e-12
 
 _SQ = 1 / np.sqrt(2)
@@ -39,6 +39,22 @@ NAMED_2Q = {
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     ),
 }
+# gates with one nonzero per column; the rest (H, UNITARY) are dense
+MONOMIAL_GATES = frozenset(
+    ("X", "Y", "Z", "S", "SDG", "T", "CX", "CZ", "SWAP", "TOFFOLI")
+)
+_DIAGONAL_PHASE = {
+    "Z": -1 + 0j, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4), "CZ": -1 + 0j
+}
+# witness columns evolved at once, which bounds the block to 2^total × 64
+WITNESS_CHUNK = 64
+
+
+def _json_int(value, what: str) -> int:
+    """An integer field of circuit JSON; floats, strings and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -72,15 +88,13 @@ class Gate:
             if self.controls or not self.targets or self.matrix is None:
                 raise InvalidInputError("UNITARY needs targets and a matrix")
             m = np.asarray(self.matrix, dtype=complex)
-            object.__setattr__(self, "matrix", m)
             dim = 2 ** len(self.targets)
             if m.shape != (dim, dim):
                 raise InvalidInputError(
                     f"UNITARY matrix shape {m.shape} does not fit "
                     f"{len(self.targets)} targets"
                 )
-            if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > UNITARY_TOL:
-                raise InvalidInputError("UNITARY matrix is not unitary within 1e-10")
+            object.__setattr__(self, "matrix", require_unitary(m))
         else:
             raise InvalidInputError(f"unknown gate name {self.name!r}")
 
@@ -120,15 +134,18 @@ class Gate:
     @classmethod
     def from_json(cls, data: dict) -> "Gate":
         try:
+            name = str(data["name"])
+            controls = tuple(data.get("controls", ()))
+            targets = tuple(data.get("targets", ()))
             matrix = data.get("matrix")
-            return cls(
-                str(data["name"]),
-                tuple(data.get("controls", ())),
-                tuple(data.get("targets", ())),
-                matrix_from_json(matrix) if matrix is not None else None,
-            )
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed gate JSON: {exc}") from exc
+        return cls(
+            name,
+            tuple(_json_int(w, "gate wire") for w in controls),
+            tuple(_json_int(w, "gate wire") for w in targets),
+            matrix_from_json(matrix) if matrix is not None else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -166,28 +183,108 @@ class QuantumCircuit:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuantumCircuit":
+        keys = ("witness_qubits", "ancilla_qubits", "accept_qubit")
         try:
-            return cls(
-                int(data["witness_qubits"]),
-                int(data["ancilla_qubits"]),
-                tuple(Gate.from_json(g) for g in data["gates"]),
-                int(data["accept_qubit"]),
-            )
+            witness, ancilla, accept = (data[key] for key in keys)
+            gates = list(data["gates"])
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed circuit JSON: {exc}") from exc
+        return cls(
+            _json_int(witness, keys[0]),
+            _json_int(ancilla, keys[1]),
+            tuple(Gate.from_json(g) for g in gates),
+            _json_int(accept, keys[2]),
+        )
 
 
 def apply_gate_matrix(
     amplitudes: np.ndarray, num_qubits: int, wires: tuple[int, ...], matrix: np.ndarray
 ) -> np.ndarray:
-    """Apply a 2^|wires| matrix on the given wires (first wire = local MSB)."""
+    """Apply a 2^|wires| matrix on the given wires (first wire = local MSB).
+
+    ``amplitudes`` is one state, shape (2^num_qubits,), or a block of states
+    in its columns, shape (2^num_qubits, W); the result has the same shape.
+    """
     s = len(wires)
-    tensor = amplitudes.reshape([2] * num_qubits)
-    order = list(wires) + [q for q in range(num_qubits) if q not in wires]
-    moved = np.transpose(tensor, order).reshape(2**s, -1)
-    moved = matrix @ moved
-    moved = moved.reshape([2] * num_qubits)
-    return np.transpose(moved, np.argsort(order)).reshape(-1)
+    first = min(wires)
+    shape = amplitudes.shape
+    tensor_shape = [2] * num_qubits + list(shape[1:])
+    # The wires before the first gate wire stay in front as a batch axis, so
+    # a gate on an ascending run of adjacent wires is applied without a
+    # transposed copy. The column axis is never a wire, so it stays last.
+    rest = [q for q in range(len(tensor_shape)) if q not in wires]
+    order = rest[:first] + list(wires) + rest[first:]
+    moved = np.transpose(amplitudes.reshape(tensor_shape), order)
+    moved = (matrix @ moved.reshape(2**first, 2**s, -1)).reshape(tensor_shape)
+    return np.transpose(moved, np.argsort(order)).reshape(shape)
+
+
+def _monomial_map(gate: Gate, index: np.ndarray, num_qubits: int):
+    """A monomial gate as (source, phase) over all basis indices.
+
+    The gate maps amplitudes as out[i] = phase[i] · in[source[i]]; ``None``
+    stands for the identity source or a unit phase.
+    """
+    def bit(wire):
+        return 1 << (num_qubits - 1 - wire)
+
+    if gate.name in _DIAGONAL_PHASE:
+        # the phase applies where every wire of the gate reads 1
+        mask = sum(bit(w) for w in gate.wires)
+        return None, np.where((index & mask) == mask, _DIAGONAL_PHASE[gate.name], 1)
+    if gate.name == "SWAP":
+        a, b = (bit(w) for w in gate.targets)
+        differ = ((index & a) == 0) != ((index & b) == 0)
+        return np.where(differ, index ^ (a | b), index), None
+    # X, Y, CX, TOFFOLI flip the target where every control reads 1
+    target = bit(gate.targets[0])
+    controls = sum(bit(w) for w in gate.controls)
+    source = np.where((index & controls) == controls, index ^ target, index)
+    if gate.name == "Y":
+        return source, np.where((index & target) != 0, 1j, -1j)
+    return source, None
+
+
+def _compile(circuit: QuantumCircuit) -> Iterator[tuple]:
+    """The circuit as steps (source, phase, dense gate), generated lazily.
+
+    A step gathers the block's rows by ``source``, scales them by ``phase``
+    (either may be ``None``), then applies its dense gate, if any. Each run
+    of monomial gates between two dense gates folds into one index map, so it
+    costs O(2^total) once rather than O(2^total · W) per block. Each map
+    holds O(2^total) memory, so one block consumes the steps as they come.
+    """
+    n = circuit.total_qubits
+    index = np.arange(2**n)
+    source = phase = None
+    for gate in circuit.gates:
+        if gate.name not in MONOMIAL_GATES:
+            yield source, phase, gate
+            source = phase = None
+            continue
+        g_source, g_phase = _monomial_map(gate, index, n)
+        if g_source is not None:
+            source = g_source if source is None else source[g_source]
+            phase = None if phase is None else phase[g_source]
+        if g_phase is not None:
+            phase = g_phase if phase is None else g_phase * phase
+    yield source, phase, None
+
+
+def _evolve(steps: Iterable[tuple], block: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Apply compiled steps to every column of a (2^num_qubits, W) block.
+
+    The block is scaled in place, so the caller hands over its ownership.
+    """
+    for source, phase, gate in steps:
+        if source is not None:
+            block = block[source]
+        if phase is not None:
+            # in place: a fresh broadcast product costs several times more
+            block *= phase[:, None]
+        if gate is not None:
+            block = apply_gate_matrix(block, num_qubits, gate.wires, gate.local_matrix())
+    return block
 
 
 def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
@@ -198,13 +295,32 @@ def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
             f"{circuit.witness_qubits} witness qubits"
         )
     n = circuit.total_qubits
-    amps = np.zeros(2**n, dtype=complex)
+    block = np.zeros((2**n, 1), dtype=complex)
     # witness wires are the most significant bits, ancillas trail as |0>
-    step = 2**circuit.ancilla_qubits
-    amps[np.arange(2**circuit.witness_qubits) * step] = input_state.amplitudes
-    for gate in circuit.gates:
-        amps = apply_gate_matrix(amps, n, gate.wires, gate.local_matrix())
-    return StateVector(n, amps)
+    block[:: 2**circuit.ancilla_qubits, 0] = input_state.amplitudes
+    return StateVector(n, _evolve(_compile(circuit), block, n)[:, 0])
+
+
+def accept_projected_columns(
+    circuit: QuantumCircuit, witness_indices: np.ndarray
+) -> np.ndarray:
+    """Columns Π₁·U|w, 0...0⟩ for witness basis indices w, shape (2^total, W).
+
+    Π₁ keeps the amplitudes whose accept qubit reads 1. The circuit is
+    compiled once, holding one index map per dense gate, and the columns are
+    evolved ``WITNESS_CHUNK`` at a time.
+    """
+    n = circuit.total_qubits
+    rows = np.asarray(witness_indices, dtype=np.int64) << circuit.ancilla_qubits
+    accept = ((np.arange(2**n) >> (n - 1 - circuit.accept_qubit)) & 1) == 1
+    steps = list(_compile(circuit))
+    out = np.zeros((2**n, len(rows)), dtype=complex)
+    for start in range(0, len(rows), WITNESS_CHUNK):
+        chunk = rows[start:start + WITNESS_CHUNK]
+        block = np.zeros((2**n, len(chunk)), dtype=complex)
+        block[chunk, np.arange(len(chunk))] = 1.0
+        out[accept, start:start + len(chunk)] = _evolve(steps, block, n)[accept]
+    return out
 
 
 def acceptance_probability(circuit: QuantumCircuit, input_state: StateVector) -> float:
@@ -250,11 +366,10 @@ def project_weight_k(state: StateVector, k: int) -> tuple[StateVector, float]:
     Probability 0 yields the (unnormalizable) zero vector as the flag state.
     """
     n = state.num_qubits
-    weights = np.array(
-        [bin(x).count("1") for x in range(2**n)], dtype=np.int64
-    )
-    mask = weights == k
-    projected = np.where(mask, state.amplitudes, 0)
+    projected = np.zeros(2**n, dtype=complex)
+    if 0 <= k <= n:
+        indices = WeightEnumeration(n, k).indices()
+        projected[indices] = state.amplitudes[indices]
     prob = float(np.sum(np.abs(projected) ** 2))
     if prob == 0.0:
         return StateVector(n, np.zeros(2**n, dtype=complex)), 0.0
@@ -362,8 +477,7 @@ def hadamard_test_circuit(
     num_sys = int(round(log2(dim)))
     if 2**num_sys != dim:
         raise InvalidInputError(f"unitary dimension {dim} is not a power of two")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > UNITARY_TOL:
-        raise InvalidInputError("matrix is not unitary within 1e-10")
+    require_unitary(u)
     if part not in ("real", "imag"):
         raise InvalidInputError(f"part must be 'real' or 'imag', got {part!r}")
     gates = [Gate("H", targets=(0,))]

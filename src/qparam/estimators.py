@@ -8,7 +8,7 @@ any execution order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, comb, log
 
 import numpy as np
@@ -16,9 +16,9 @@ import numpy as np
 from .circuits import (
     QuantumCircuit,
     StateVector,
+    accept_projected_columns,
     acceptance_probability,
     hadamard_test_circuit,
-    simulate,
 )
 from .decision import Verdict
 from .errors import InvalidInputError, ResourceError
@@ -45,17 +45,6 @@ def sample_count(tau: float, delta: float) -> int:
     if not 0 < delta < 1:
         raise InvalidInputError(f"delta must lie in (0,1), got {delta}")
     return ceil(2 * log(2 / delta) / tau**2)
-
-
-@dataclass(frozen=True)
-class SampleSchedule:
-    tau: float
-    delta: float
-    seed: int
-    samples: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", sample_count(self.tau, self.delta))
 
 
 @dataclass(frozen=True)
@@ -238,21 +227,12 @@ def estimate_gap(
     )
 
 
-def _accept_projected_columns(
-    circuit: QuantumCircuit, witness_states: list[StateVector]
-) -> np.ndarray:
-    """Matrix whose columns are Π₁ · (circuit unitary) |w, 0...0⟩."""
-    total = circuit.total_qubits
-    cols = np.zeros((2**total, len(witness_states)), dtype=complex)
-    tensor_shape = [2] * total
-    for j, w in enumerate(witness_states):
-        out = simulate(circuit, w).amplitudes.reshape(tensor_shape)
-        projected = np.zeros(tensor_shape, dtype=complex)
-        idx = [slice(None)] * total
-        idx[circuit.accept_qubit] = 1
-        projected[tuple(idx)] = out[tuple(idx)]
-        cols[:, j] = projected.reshape(-1)
-    return cols
+def _require_qubit_limit(circuit: QuantumCircuit) -> None:
+    """Refuse a circuit too large for the witness block, before allocating."""
+    if circuit.total_qubits > QMAK_QUBIT_LIMIT:
+        raise ResourceError(
+            f"circuit has {circuit.total_qubits} qubits, limit {QMAK_QUBIT_LIMIT}"
+        )
 
 
 def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
@@ -262,13 +242,8 @@ def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
         raise InvalidInputError(
             f"verifier has {verifier.witness_qubits} witness qubits, expected {k}"
         )
-    if verifier.total_qubits > QMAK_QUBIT_LIMIT:
-        raise ResourceError(
-            f"verifier has {verifier.total_qubits} qubits, "
-            f"limit {QMAK_QUBIT_LIMIT}"
-        )
-    witnesses = [StateVector.basis(k, w) for w in range(2**k)]
-    phi = _accept_projected_columns(verifier, witnesses)
+    _require_qubit_limit(verifier)
+    phi = accept_projected_columns(verifier, np.arange(2**k))
     q = phi.conj().T @ phi
     return q, float(np.trace(q).real)
 
@@ -365,12 +340,8 @@ def decide_weight_qcs_exact(
     enum = WeightEnumeration(n, k)
     if enum.dim > WQCS_DIM_LIMIT:
         raise ResourceError(f"C({n},{k})={enum.dim} exceeds limit {WQCS_DIM_LIMIT}")
-    if circuit.total_qubits > QMAK_QUBIT_LIMIT:
-        raise ResourceError(
-            f"circuit has {circuit.total_qubits} qubits, limit {QMAK_QUBIT_LIMIT}"
-        )
-    witnesses = [StateVector.basis(n, x) for x in enum.indices()]
-    phi = _accept_projected_columns(circuit, witnesses)
+    _require_qubit_limit(circuit)
+    phi = accept_projected_columns(circuit, enum.indices())
     gram = phi.conj().T @ phi
     lam_max = float(full_spectrum(gram)[-1])
     return SliceDecision(_slice_verdict(lam_max, a, b), lam_max, a, b, k)
@@ -386,8 +357,10 @@ def decide_hamming_weight_qcs_exact(
     enum = WeightEnumeration(n, k)
     if enum.dim > HWQCS_DIM_LIMIT:
         raise ResourceError(f"C({n},{k})={enum.dim} exceeds limit {HWQCS_DIM_LIMIT}")
-    table = {}
-    for bits in enum.strings():
-        table[bits] = acceptance_probability(circuit, StateVector.from_bits(bits))
+    _require_qubit_limit(circuit)
+    phi = accept_projected_columns(circuit, enum.indices())
+    # squared column norms: the diagonal of the Gram matrix wqcs diagonalises
+    accept = np.sum(np.abs(phi) ** 2, axis=0)
+    table = dict(zip(enum.strings(), accept.tolist()))
     best = max(table.values())
     return SliceDecision(_slice_verdict(best, a, b), float(best), a, b, k, table)

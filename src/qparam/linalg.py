@@ -16,6 +16,7 @@ from .errors import ConvergenceError, InvalidInputError, ResourceError
 
 DENSE_THRESHOLD = 2048
 HERMITIAN_TOL = 1e-12
+UNITARY_TOL = 1e-10
 LANCZOS_TOL = 1e-10
 
 
@@ -40,6 +41,19 @@ def require_hermitian(matrix, tol: float = HERMITIAN_TOL):
     m = _as_operator(matrix)
     if not is_hermitian(m, tol):
         raise InvalidInputError("matrix is not Hermitian within tolerance")
+    return m
+
+
+def require_unitary(matrix, tol: float = UNITARY_TOL) -> np.ndarray:
+    """The matrix as a complex array, if max|U†U − I| <= tol.
+
+    Written as ``<= tol`` so that NaN and Inf entries fail the check.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    with np.errstate(invalid="ignore"):  # Inf entries give NaN products
+        error = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+    if not error <= tol:
+        raise InvalidInputError(f"matrix is not unitary within {tol:g}")
     return m
 
 

@@ -139,6 +139,45 @@ def random_circuit(rng, total_qubits: int, num_gates: int,
     return QuantumCircuit(total_qubits, 0, tuple(gates), accept)
 
 
+def all_kinds_circuit(rng, witness: int, ancilla: int, accept: int,
+                      num_random: int = 12) -> QuantumCircuit:
+    """Random gates plus one gate of each of the twelve kinds, shuffled.
+
+    Among the fixed gates are Y, a TOFFOLI with three controls and UNITARY
+    blocks on one, two and three wires; needs at least four qubits.
+    """
+    total = witness + ancilla
+
+    def pick(count):
+        return tuple(int(x) for x in rng.choice(total, size=count, replace=False))
+
+    gates = list(random_circuit(rng, total, num_random).gates)
+    gates += [Gate(name, targets=pick(1))
+              for name in ("H", "X", "Y", "Z", "S", "SDG", "T")]
+    for name in ("CX", "CZ"):
+        control, target = pick(2)
+        gates.append(Gate(name, controls=(control,), targets=(target,)))
+    gates.append(Gate("SWAP", targets=pick(2)))
+    *controls, target = pick(4)
+    gates.append(Gate("TOFFOLI", controls=tuple(controls), targets=(target,)))
+    for size in (1, 2, 3):
+        gates.append(Gate("UNITARY", targets=pick(size),
+                          matrix=random_unitary(rng, 2**size)))
+    order = rng.permutation(len(gates))
+    return QuantumCircuit(witness, ancilla, tuple(gates[i] for i in order), accept)
+
+
+def accept_projected_oracle(circuit: QuantumCircuit) -> np.ndarray:
+    """Π₁·U: the oracle unitary with the rows whose accept qubit reads 0
+    zeroed. Column ``w << ancilla_qubits`` belongs to witness w."""
+    n = circuit.total_qubits
+    full = circuit_unitary_oracle(circuit)
+    for x in range(2**n):
+        if not (x >> (n - 1 - circuit.accept_qubit)) & 1:
+            full[x] = 0
+    return full
+
+
 # --- Temperley-Lieb diagram-algebra bracket oracle ------------------------
 
 def _tl_identity(strands: int):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    accept_projected_oracle,
+    all_kinds_circuit,
     circuit_unitary_oracle,
     dag_metrics_oracle,
     random_circuit,
@@ -9,9 +11,11 @@ from conftest import (
     random_unitary,
 )
 from qparam.circuits import (
+    WITNESS_CHUNK,
     Gate,
     QuantumCircuit,
     REJECT,
+    accept_projected_columns,
     acceptance_probability,
     circuit_metrics,
     decode_weight_witness,
@@ -43,6 +47,15 @@ class TestGate:
     def test_non_unitary_block_rejected(self):
         with pytest.raises(InvalidInputError):
             Gate("UNITARY", targets=(0,), matrix=np.array([[1, 0], [0, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_unitary_rejected(self, bad):
+        # max|U†U − I| is NaN for such a matrix, and NaN > tol is False
+        m = np.array([[bad, 0], [0, 1]], dtype=complex)
+        with pytest.raises(InvalidInputError):
+            Gate("UNITARY", targets=(0,), matrix=m)
+        with pytest.raises(InvalidInputError):
+            hadamard_test_circuit(m)
 
     def test_json_roundtrip(self, rng):
         gate = Gate("UNITARY", targets=(0, 2), matrix=random_unitary(rng, 4))
@@ -82,6 +95,20 @@ class TestSimulate:
         c = QuantumCircuit(2, 0, (), 0)
         with pytest.raises(InvalidInputError):
             simulate(c, StateVector.zero(3))
+
+
+class TestAcceptProjectedColumns:
+    @pytest.mark.parametrize("accept", [3, 8], ids=["witness", "ancilla"])
+    def test_against_unitary_oracle(self, rng, accept):
+        # [DERIVED] columns of the dense product of embedded gate unitaries
+        c = all_kinds_circuit(rng, 8, 1, accept)
+        expected = accept_projected_oracle(c)
+        assert WITNESS_CHUNK < 130  # the largest block spans two chunks
+        for count in (1, 5, 130):
+            witnesses = rng.choice(2**8, size=count, replace=False)
+            got = accept_projected_columns(c, witnesses)
+            assert got.shape == (2**9, count)
+            assert np.allclose(got, expected[:, witnesses << 1], atol=1e-10)
 
 
 class TestAcceptance:

@@ -97,6 +97,58 @@ class TestErrorPaths:
         assert captured.out == ""
 
 
+class TestCircuitInputErrors:
+    CIRCUIT = {
+        "witness_qubits": 2, "ancilla_qubits": 1, "accept_qubit": 2,
+        "gates": [{"name": "CX", "controls": [0], "targets": [2]}],
+    }
+
+    def run_hwqcs(self, capsys, tmp_path, circuit):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(circuit))
+        start = time.perf_counter()
+        code = main(["hwqcs-decide", "--input", str(path),
+                     "--k", "1", "--a", "0.1", "--b", "0.9"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        return code, elapsed
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_unitary_is_usage_error(self, capsys, tmp_path, bad):
+        circuit = dict(self.CIRCUIT, gates=[{
+            "name": "UNITARY", "targets": [0],
+            "matrix": [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        }])
+        code, _ = self.run_hwqcs(capsys, tmp_path, circuit)
+        assert code == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("targets", [1.5]), ("targets", [True]), ("controls", ["0"]),
+        ("witness_qubits", "four"), ("ancilla_qubits", 1.0),
+        ("accept_qubit", False),
+    ], ids=["float-target", "bool-target", "string-control", "string-count",
+            "float-count", "bool-accept"])
+    def test_non_integer_wire_or_count_is_usage_error(
+        self, capsys, tmp_path, field, value
+    ):
+        circuit = json.loads(json.dumps(self.CIRCUIT))
+        if field in ("targets", "controls"):
+            circuit["gates"][0][field] = value
+        else:
+            circuit[field] = value
+        code, _ = self.run_hwqcs(capsys, tmp_path, circuit)
+        assert code == 3
+
+    def test_oversized_circuit_refused_up_front(self, capsys, tmp_path):
+        # 2^40 amplitudes would need 16 TiB
+        circuit = dict(self.CIRCUIT, ancilla_qubits=38, accept_qubit=39)
+        code, elapsed = self.run_hwqcs(capsys, tmp_path, circuit)
+        assert code == 4
+        assert elapsed < 1.0
+
+
 class TestEstimatorCommands:
     def test_amp_estimate(self, capsys, tmp_path):
         path = tmp_path / "amp.json"

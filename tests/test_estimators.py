@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_circuit, random_unitary
-from qparam.circuits import Gate, QuantumCircuit, simulate
+from conftest import (
+    accept_projected_oracle,
+    all_kinds_circuit,
+    random_circuit,
+    random_unitary,
+)
+from qparam.circuits import Gate, QuantumCircuit, acceptance_probability, simulate
 from qparam.decision import Verdict
 from qparam.errors import InvalidInputError, ResourceError
 from qparam.estimators import (
@@ -266,6 +271,20 @@ class TestQmak:
         with pytest.raises(ResourceError):
             qmak_operator(accept_verifier(3, ancillas=10), 3)
 
+    @pytest.mark.parametrize("accept", [1, 4], ids=["witness", "ancilla"])
+    def test_trace_is_sum_of_witness_acceptances(self, rng, accept):
+        # [DERIVED] per-witness acceptance from the dense oracle unitary
+        verifier = all_kinds_circuit(rng, 3, 2, accept)
+        _, trace = qmak_operator(verifier, 3)
+        phi = accept_projected_oracle(verifier)
+        oracle = sum(np.linalg.norm(phi[:, w << 2]) ** 2 for w in range(8))
+        simulated = sum(
+            acceptance_probability(verifier, StateVector.basis(3, w))
+            for w in range(8)
+        )
+        assert trace == pytest.approx(oracle, abs=1e-10)
+        assert trace == pytest.approx(simulated, abs=1e-10)
+
 
 class TestAmplifyGap:
     def test_single_repetition(self):
@@ -336,6 +355,24 @@ class TestSliceDeciders:
         assert decision.verdict is Verdict.YES
         assert decision.table["100"] == pytest.approx(1.0)
         assert decision.table["001"] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("accept", [2, 5], ids=["witness", "ancilla"])
+    def test_hamming_table_is_per_string_acceptance(self, rng, accept):
+        # [DERIVED] per-string acceptance from the dense oracle unitary
+        circuit = all_kinds_circuit(rng, 5, 1, accept)
+        decision = decide_hamming_weight_qcs_exact(circuit, 2, 0.0, 1.0)
+        assert list(decision.table) == list(WeightEnumeration(5, 2).strings())
+        phi = accept_projected_oracle(circuit)
+        for bits, value in decision.table.items():
+            column = phi[:, int(bits, 2) << 1]
+            assert value == pytest.approx(
+                np.linalg.norm(column) ** 2, abs=1e-10
+            )
+            assert value == pytest.approx(
+                acceptance_probability(circuit, StateVector.from_bits(bits)),
+                abs=1e-10,
+            )
+        assert decision.max_acceptance == max(decision.table.values())
 
     def test_superposition_dominates_basis(self, rng):
         for _ in range(5):
