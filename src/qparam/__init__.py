@@ -35,6 +35,7 @@ from .estimators import (
     exact_gap,
     qmak_decide,
     qmak_operator,
+    sample_amplitude,
     sample_count,
 )
 from .hamiltonian import (

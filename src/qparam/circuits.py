@@ -14,7 +14,7 @@ from math import ceil, comb, log2
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import matrix_from_json, matrix_to_json, require_unitary
+from .linalg import json_int, matrix_from_json, matrix_to_json, require_unitary
 from .states import StateVector
 from .weightenum import WeightEnumeration
 
@@ -48,13 +48,6 @@ _DIAGONAL_PHASE = {
 }
 # witness columns evolved at once, which bounds the block to 2^total × 64
 WITNESS_CHUNK = 64
-
-
-def _json_int(value, what: str) -> int:
-    """An integer field of circuit JSON; floats, strings and bools are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -142,8 +135,8 @@ class Gate:
             raise InvalidInputError(f"malformed gate JSON: {exc}") from exc
         return cls(
             name,
-            tuple(_json_int(w, "gate wire") for w in controls),
-            tuple(_json_int(w, "gate wire") for w in targets),
+            tuple(json_int(w, "gate wire") for w in controls),
+            tuple(json_int(w, "gate wire") for w in targets),
             matrix_from_json(matrix) if matrix is not None else None,
         )
 
@@ -190,10 +183,10 @@ class QuantumCircuit:
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed circuit JSON: {exc}") from exc
         return cls(
-            _json_int(witness, keys[0]),
-            _json_int(ancilla, keys[1]),
+            json_int(witness, keys[0]),
+            json_int(ancilla, keys[1]),
             tuple(Gate.from_json(g) for g in gates),
-            _json_int(accept, keys[2]),
+            json_int(accept, keys[2]),
         )
 
 
@@ -460,6 +453,26 @@ def one_hot_block_decode(num_blocks: int, block_size: int, bits: str):
     return "".join(out)
 
 
+def hadamard_test_unitary(
+    unitary: np.ndarray, prep: QuantumCircuit | None = None
+) -> tuple[np.ndarray, int]:
+    """The unitary as a complex array and its qubit count, if a Hadamard test
+    can run on it: square, of power-of-two dimension, unitary within
+    ``UNITARY_TOL`` (NaN and Inf fail), and as wide as the prep circuit."""
+    u = np.asarray(unitary, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise InvalidInputError(f"expected a square unitary, got shape {u.shape}")
+    dim = u.shape[0]
+    if dim < 1 or dim & (dim - 1):
+        raise InvalidInputError(f"unitary dimension {dim} is not a power of two")
+    num_sys = dim.bit_length() - 1
+    require_unitary(u)
+    if prep is not None and prep.total_qubits != num_sys:
+        raise InvalidInputError(f"prep circuit acts on {prep.total_qubits} "
+                                f"qubits, unitary needs {num_sys}")
+    return u, num_sys
+
+
 def hadamard_test_circuit(
     unitary: np.ndarray, part: str = "real", prep: QuantumCircuit | None = None
 ) -> QuantumCircuit:
@@ -470,23 +483,12 @@ def hadamard_test_circuit(
     the accept qubit measures 1, so the probability of accepting is the
     complement.
     """
-    u = np.asarray(unitary, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise InvalidInputError(f"expected a square unitary, got shape {u.shape}")
+    u, num_sys = hadamard_test_unitary(unitary, prep)
     dim = u.shape[0]
-    num_sys = int(round(log2(dim)))
-    if 2**num_sys != dim:
-        raise InvalidInputError(f"unitary dimension {dim} is not a power of two")
-    require_unitary(u)
     if part not in ("real", "imag"):
         raise InvalidInputError(f"part must be 'real' or 'imag', got {part!r}")
     gates = [Gate("H", targets=(0,))]
     if prep is not None:
-        if prep.total_qubits != num_sys:
-            raise InvalidInputError(
-                f"prep circuit acts on {prep.total_qubits} qubits, "
-                f"unitary needs {num_sys}"
-            )
         for g in prep.gates:
             gates.append(
                 Gate(

@@ -80,8 +80,6 @@ def build_parser() -> _Parser:
             a_b=False, mode=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=False, help="input JSON path")
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON (always on; accepted for scripting)")
         if tau:
             p.add_argument("--tau", type=float, default=0.05)
         if delta:
@@ -135,7 +133,10 @@ def build_parser() -> _Parser:
 def _require_input(args) -> dict:
     if not args.input:
         raise InvalidInputError("--input is required for this command")
-    return _load_json(args.input)
+    data = _load_json(args.input)
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{args.input} must hold a JSON object")
+    return data
 
 
 def _config(args, **extra) -> dict:

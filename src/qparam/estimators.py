@@ -2,14 +2,14 @@
 witness decision procedure.
 
 Sampling is emulated: each Hadamard-test outcome is a Bernoulli draw from the
-exactly computed outcome probability. Randomness comes from a counter-based
-Philox generator keyed by (seed, stream), so results are reproducible under
-any execution order.
+exactly computed outcome probability, (1 + Re or Im ⟨ψ|U|ψ⟩)/2. Randomness
+comes from a counter-based Philox generator keyed by (seed, stream), so
+results are reproducible under any execution order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, log
+from math import ceil, comb, inf, log, ulp
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .circuits import (
     QuantumCircuit,
     StateVector,
     accept_projected_columns,
-    acceptance_probability,
-    hadamard_test_circuit,
+    hadamard_test_unitary,
+    simulate,
 )
 from .decision import Verdict
 from .errors import InvalidInputError, ResourceError
@@ -30,6 +30,8 @@ QMAK_QUBIT_LIMIT = 12
 WQCS_DIM_LIMIT = 2048
 HWQCS_DIM_LIMIT = 4096
 CLASSICAL_GATES = ("X", "CX", "TOFFOLI")
+# samples one estimate may draw (8 B each per part), refused before allocating
+SAMPLE_LIMIT = 2**24
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
@@ -39,12 +41,15 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
 
 def sample_count(tau: float, delta: float) -> int:
     """Hoeffding sample count for a mean of ±1 variables: additive error tau
-    with failure probability delta."""
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
+    with failure probability delta; ``ResourceError`` past ``SAMPLE_LIMIT``."""
+    if not 0 < tau < inf:
+        raise InvalidInputError(f"tau must be positive and finite, got {tau}")
     if not 0 < delta < 1:
         raise InvalidInputError(f"delta must lie in (0,1), got {delta}")
-    return ceil(2 * log(2 / delta) / tau**2)
+    count = 2 * log(2 / delta) / max(tau**2, ulp(0.0))  # tau**2 may underflow
+    if count > SAMPLE_LIMIT:
+        raise ResourceError(f"{count:.3g} samples exceed limit {SAMPLE_LIMIT}")
+    return ceil(count)
 
 
 @dataclass(frozen=True)
@@ -78,19 +83,21 @@ class EstimateReport:
         return out
 
 
-def _hadamard_part(
-    unitary: np.ndarray, prep: QuantumCircuit | None, part: str,
-    m: int, rng: np.random.Generator,
-) -> float:
-    """Sampled estimate of Re or Im ⟨ψ|U|ψ⟩ from m Hadamard-test shots."""
-    circuit = hadamard_test_circuit(unitary, part=part, prep=prep)
-    p_zero = 1.0 - acceptance_probability(
-        circuit, StateVector.zero(circuit.witness_qubits)
+def sample_amplitude(q: complex, tau: float, delta: float, seed: int) -> EstimateReport:
+    """Estimate of a known amplitude q = ⟨ψ|U|ψ⟩ from emulated Hadamard tests;
+    |q̃ − q| ≤ τ·√2 except with probability 2δ. A test measures 0 with
+    probability (1 + Re q)/2, or (1 + Im q)/2 with S† before the last H; each
+    part is the mean of m(τ, δ) outcomes ±1, on stream 0 (Re) or 1 (Im)."""
+    m = sample_count(tau, delta)
+    parts = []
+    for stream, part in enumerate((q.real, q.imag)):
+        p_zero = min(1.0, max(0.0, (1.0 + part) / 2))
+        zeros = rng_stream(seed, stream).random(m) < p_zero
+        parts.append(float(np.mean(np.where(zeros, 1.0, -1.0))))
+    return EstimateReport(
+        value=complex(*parts), tau=tau, delta=delta, samples=m,
+        seed=seed, mode="additive", bound=tau * np.sqrt(2.0),
     )
-    p_zero = min(1.0, max(0.0, p_zero))
-    zeros = rng.random(m) < p_zero
-    x = np.where(zeros, 1.0, -1.0)  # E[X] = 2*Pr[0] - 1 = the estimated part
-    return float(np.mean(x))
 
 
 def estimate_amplitude(
@@ -100,18 +107,14 @@ def estimate_amplitude(
     delta: float,
     seed: int,
 ) -> EstimateReport:
-    """Estimate q = ⟨ψ|U|ψ⟩; |q̃ − q| ≤ τ·√2 except with probability 2δ.
-
-    Real and imaginary parts are estimated independently with m(τ, δ)
-    Hadamard-test samples each, on streams 0 and 1 of the seed.
-    """
-    m = sample_count(tau, delta)
-    re = _hadamard_part(unitary, prep, "real", m, rng_stream(seed, 0))
-    im = _hadamard_part(unitary, prep, "imag", m, rng_stream(seed, 1))
-    return EstimateReport(
-        value=complex(re, im), tau=tau, delta=delta, samples=m,
-        seed=seed, mode="additive", bound=tau * np.sqrt(2.0),
-    )
+    """Estimate q = ⟨ψ|U|ψ⟩, ψ the prep circuit's output on |0…0⟩ (|0…0⟩
+    itself without one); |q̃ − q| ≤ τ·√2 except with probability 2δ."""
+    u, num_sys = hadamard_test_unitary(unitary, prep)
+    if prep is None:
+        psi = StateVector.zero(num_sys).amplitudes
+    else:
+        psi = simulate(prep, StateVector.zero(prep.witness_qubits)).amplitudes
+    return sample_amplitude(complex(np.vdot(psi, u @ psi)), tau, delta, seed)
 
 
 def estimate_amplitude_multiplicative(

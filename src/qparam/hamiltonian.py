@@ -16,7 +16,8 @@ import scipy.sparse as sp
 from .circuits import apply_gate_matrix
 from .decision import Verdict
 from .errors import InvalidInputError, ResourceError
-from .linalg import DENSE_THRESHOLD, matrix_from_json, matrix_to_json, min_eigenvalue
+from .linalg import (DENSE_THRESHOLD, is_hermitian, json_finite, json_int,
+                     matrix_from_json, matrix_to_json, min_eigenvalue)
 from .states import StateVector
 from .weightenum import WeightEnumeration
 
@@ -47,7 +48,7 @@ class LocalTerm:
             raise InvalidInputError(
                 f"block shape {block.shape} does not match support size {len(qs)}"
             )
-        if np.max(np.abs(block - block.conj().T)) > 1e-12:
+        if not is_hermitian(block):  # NaN and Inf fail too
             raise InvalidInputError("term block is not Hermitian within 1e-12")
         if self.norm_bound is not None:
             spec = float(np.linalg.norm(block, 2))
@@ -95,12 +96,13 @@ class LocalHamiltonian:
     def from_json(cls, data: dict) -> "LocalHamiltonian":
         try:
             terms = tuple(
-                LocalTerm(tuple(t["qubits"]), matrix_from_json(t["matrix"]))
+                LocalTerm(tuple(json_int(q, "term qubit") for q in t["qubits"]),
+                          matrix_from_json(t["matrix"]))
                 for t in data["terms"]
             )
             return cls(
-                int(data["n"]), int(data["locality"]),
-                float(data["a"]), float(data["b"]), terms,
+                json_int(data["n"], "n"), json_int(data["locality"], "locality"),
+                json_finite(data["a"], "a"), json_finite(data["b"], "b"), terms,
             )
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed Hamiltonian JSON: {exc}") from exc

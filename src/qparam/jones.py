@@ -13,14 +13,15 @@ Conventions (fixed project-wide and validated end-to-end):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import ceil, cos, log2, pi, sin, sqrt
+from dataclasses import dataclass, field, replace
+from math import cos, pi, sin, sqrt
 
 import numpy as np
+import scipy.sparse as sp
 
-from .circuits import Gate, QuantumCircuit
 from .errors import InvalidInputError, ResourceError
-from .estimators import EstimateReport, estimate_amplitude
+from .estimators import EstimateReport, sample_amplitude
+from .linalg import json_int
 
 BRACKET_CROSSING_LIMIT = 16
 PATH_MODEL_DIM_LIMIT = 4096
@@ -57,7 +58,8 @@ class BraidWord:
     @classmethod
     def from_json(cls, data: dict) -> "BraidWord":
         try:
-            return cls(int(data["strands"]), tuple(data["word"]))
+            return cls(json_int(data["strands"], "strands"),
+                       tuple(json_int(g, "braid letter") for g in data["word"]))
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed braid JSON: {exc}") from exc
 
@@ -94,13 +96,6 @@ class LinkDiagram:
     strands: int
     crossings: tuple[tuple[int, int], ...]  # (position i, sign ±1)
     components: int
-
-    def to_json(self) -> dict:
-        return {
-            "strands": self.strands,
-            "crossings": [list(c) for c in self.crossings],
-            "components": self.components,
-        }
 
 
 def plat_closure(braid: BraidWord) -> LinkDiagram:
@@ -173,7 +168,12 @@ def jones_exact(braid: BraidWord, k: int) -> complex:
 
 @dataclass(frozen=True)
 class PathModel:
-    """Walks of length `strands` on {1..k-1} starting at 1, steps ±1."""
+    """Walks of length `strands` on {1..k-1} starting at 1, steps ±1.
+
+    The walks are extended one step at a time, and no step lowers their
+    number, so a model with more than ``PATH_MODEL_DIM_LIMIT`` walks is
+    refused with ``ResourceError`` as soon as one step exceeds it.
+    """
 
     strands: int
     k: int
@@ -186,24 +186,17 @@ class PathModel:
             raise InvalidInputError(
                 f"strand count must be even and positive, got {self.strands}"
             )
-        walks = []
-
-        def extend(path):
-            if len(path) == self.strands + 1:
-                walks.append(tuple(path))
-                return
-            for step in (1, -1):
-                v = path[-1] + step
-                if 1 <= v <= self.k - 1:
-                    path.append(v)
-                    extend(path)
-                    path.pop()
-
-        extend([1])
+        walks = [(1,)]
+        for _ in range(self.strands):
+            walks = [w + (w[-1] + step,) for w in walks for step in (1, -1)
+                     if 1 <= w[-1] + step <= self.k - 1]
+            if len(walks) > PATH_MODEL_DIM_LIMIT:
+                raise ResourceError(
+                    f"path model on {self.strands} strands at k={self.k} has "
+                    f"more than {PATH_MODEL_DIM_LIMIT} walks"
+                )
         object.__setattr__(self, "basis", tuple(walks))
         object.__setattr__(self, "dim", len(walks))
-        if self.dim == 0:
-            raise InvalidInputError("empty path basis")
 
     def index(self, walk: tuple[int, ...]) -> int:
         return self.basis.index(walk)
@@ -213,11 +206,12 @@ class PathModel:
         return tuple((2 if j % 2 == 1 else 1) for j in range(self.strands + 1))
 
 
-def _tl_generator(model: PathModel, i: int) -> np.ndarray:
-    """Temperley-Lieb generator E_i on the path basis."""
+def _generator_unitary(model: PathModel, i: int) -> sp.csr_matrix:
+    """U_i = i·e^{3iπ/k}·(a·I − a^{-1}·E_i) with E_i the Temperley-Lieb
+    generator on the path basis, which has at most two nonzeros per row."""
     k = model.k
     index = {p: j for j, p in enumerate(model.basis)}
-    e = np.zeros((model.dim, model.dim), dtype=complex)
+    rows, cols, vals = [], [], []
     for p in model.basis:
         before, at, after = p[i - 1], p[i], p[i + 1]
         if before != after:
@@ -227,44 +221,43 @@ def _tl_generator(model: PathModel, i: int) -> np.ndarray:
                 q = p[:i] + (new,) + p[i + 1:]
                 col = index.get(q)
                 if col is not None:
-                    e[col, index[p]] = (
-                        sqrt(sin(pi * at / k) * sin(pi * new / k))
-                        / sin(pi * before / k)
-                    )
-    return e
+                    rows.append(col)
+                    cols.append(index[p])
+                    vals.append(sqrt(sin(pi * at / k) * sin(pi * new / k))
+                                / sin(pi * before / k))
+    e = sp.csr_matrix((vals, (rows, cols)), shape=(model.dim, model.dim))
+    a = np.exp(-1j * pi / (2 * k))
+    gamma = 1j * np.exp(3j * pi / k)
+    return gamma * (a * sp.identity(model.dim, format="csr") - (1 / a) * e)
 
 
-def _generator_unitary(model: PathModel, i: int) -> np.ndarray:
-    a = np.exp(-1j * pi / (2 * model.k))
-    gamma = 1j * np.exp(3j * pi / model.k)
-    return gamma * (a * np.eye(model.dim) - (1 / a) * _tl_generator(model, i))
+def _apply_braid(model: PathModel, word: tuple[int, ...], block: np.ndarray):
+    """ρ(b)·block: the letters' generator images applied from the last letter."""
+    cache: dict[int, sp.csr_matrix] = {}
+    for g in reversed(word):
+        i = abs(g)
+        if i not in cache:
+            cache[i] = _generator_unitary(model, i)
+        gen = cache[i] if g > 0 else cache[i].conj().T
+        block = gen @ block
+    return block
 
 
 def ajl_braid_unitary(braid: BraidWord, k: int) -> np.ndarray:
     """ρ(b): the product of generator images on the path basis."""
     model = PathModel(braid.strands, k)
-    if model.dim > PATH_MODEL_DIM_LIMIT:
-        raise ResourceError(
-            f"path-model dimension {model.dim} exceeds {PATH_MODEL_DIM_LIMIT}"
-        )
-    out = np.eye(model.dim, dtype=complex)
-    cache: dict[int, np.ndarray] = {}
-    for g in braid.word:
-        i = abs(g)
-        if i not in cache:
-            cache[i] = _generator_unitary(model, i)
-        gen = cache[i] if g > 0 else cache[i].conj().T
-        out = out @ gen
-    return out
+    return _apply_braid(model, braid.word, np.eye(model.dim, dtype=complex))
 
 
 def plat_amplitude(braid: BraidWord, k: int) -> complex:
-    """q(b) = (-1)^{n-1}·⟨cap|ρ(b)|cap⟩ for a 2n-strand braid."""
+    """q(b) = (-1)^{n-1}·⟨cap|ρ(b)|cap⟩ for a 2n-strand braid, from ρ(b)
+    applied to the cap vector alone."""
     model = PathModel(braid.strands, k)
-    rho = ajl_braid_unitary(braid, k)
     cap = model.index(model.cap_walk())
+    vector = np.zeros(model.dim, dtype=complex)
+    vector[cap] = 1.0
     n = braid.strands // 2
-    return complex((-1) ** (n - 1) * rho[cap, cap])
+    return complex((-1) ** (n - 1) * _apply_braid(model, braid.word, vector)[cap])
 
 
 def jones_from_amplitude(amplitude: complex, w: int, n: int, k: int) -> complex:
@@ -280,41 +273,18 @@ def jones_via_path_model(braid: BraidWord, k: int) -> complex:
     )
 
 
-def _embed_unitary(matrix: np.ndarray) -> np.ndarray:
-    """Pad a d-dimensional unitary to the next power of two with identity."""
-    d = matrix.shape[0]
-    m = max(1, ceil(log2(d))) if d > 1 else 1
-    full = np.eye(2**m, dtype=complex)
-    full[:d, :d] = matrix
-    return full
-
-
 def estimate_jones(
     braid: BraidWord, k: int, tau: float, delta: float, seed: int
 ) -> EstimateReport:
     """Sampled Jones value with additive bound τ·√2·(2cos π/k)^{n-1}.
 
-    The plat amplitude is estimated by Hadamard tests on ρ(b) embedded into
-    the smallest enclosing qubit register, with the cap basis state prepared
-    by X gates; the estimate is then rescaled like the exact pipeline.
+    The plat amplitude is estimated by emulated Hadamard tests on ρ(b) with
+    the cap walk as the input state; the estimate is then rescaled like the
+    exact pipeline.
     """
-    model = PathModel(braid.strands, k)
     n = braid.strands // 2
-    rho = ajl_braid_unitary(braid, k)
-    # fold the (-1)^{n-1} amplitude sign into the (still unitary) block
-    embedded = _embed_unitary((-1) ** (n - 1) * rho)
-    num_sys = int(log2(embedded.shape[0]))
-    cap = model.index(model.cap_walk())
-    prep_gates = [
-        Gate("X", targets=(q,))
-        for q in range(num_sys)
-        if (cap >> (num_sys - 1 - q)) & 1
-    ]
-    prep = QuantumCircuit(num_sys, 0, tuple(prep_gates), 0)
-    base = estimate_amplitude(embedded, prep, tau, delta, seed)
-    value = jones_from_amplitude(base.value, writhe(braid), n, k)
-    bound = tau * sqrt(2.0) * (2 * cos(pi / k)) ** (n - 1)
-    return EstimateReport(
-        value=value, tau=tau, delta=delta, samples=base.samples,
-        seed=seed, mode="additive", bound=bound,
+    base = sample_amplitude(plat_amplitude(braid, k), tau, delta, seed)
+    return replace(
+        base, value=jones_from_amplitude(base.value, writhe(braid), n, k),
+        bound=tau * sqrt(2.0) * (2 * cos(pi / k)) ** (n - 1),
     )

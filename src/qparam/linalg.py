@@ -1,4 +1,4 @@
-"""Hermitian eigenvalue solvers and matrix (de)serialization.
+"""Hermitian eigenvalue solvers, matrix (de)serialization and JSON field checks.
 
 Matrices are plain numpy arrays (or scipy sparse matrices where noted).
 Up to ``DENSE_THRESHOLD`` the smallest eigenvalue comes from a dense solver
@@ -6,6 +6,8 @@ that computes only that eigenvalue; above it a Lanczos iteration (ARPACK)
 computes it.
 """
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import scipy.linalg as sla
@@ -95,6 +97,22 @@ def full_spectrum(matrix) -> np.ndarray:
         )
     dense = m.toarray() if sp.issparse(m) else m
     return np.sort(np.linalg.eigvalsh(dense))
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of input JSON; floats, strings and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_finite(value, what: str) -> float:
+    """A real-number field of input JSON; strings, bools, NaN, Inf and
+    integers beyond the float range are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def matrix_to_json(matrix) -> list:

@@ -3,8 +3,9 @@
 Every oracle here is implemented from first principles with a different
 algorithm than the library code it checks: dense Kronecker embeddings for
 gate application, exhaustive DAG traversal for weft, a Temperley-Lieb
-diagram-algebra evaluation for the bracket, and permutation-cycle counting
-for link components.
+diagram-algebra evaluation for the bracket, permutation-cycle counting
+for link components, and simulated controlled-U Hadamard-test circuits for
+the amplitude sampler.
 """
 from __future__ import annotations
 
@@ -13,7 +14,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from qparam.circuits import Gate, QuantumCircuit
+from qparam.circuits import (
+    Gate,
+    QuantumCircuit,
+    acceptance_probability,
+    hadamard_test_circuit,
+)
+from qparam.estimators import rng_stream, sample_count
+from qparam.states import StateVector
 
 
 @pytest.fixture
@@ -179,6 +187,23 @@ def accept_projected_oracle(circuit: QuantumCircuit) -> np.ndarray:
 
 
 # --- Temperley-Lieb diagram-algebra bracket oracle ------------------------
+
+def hadamard_circuit_estimate(unitary, prep, tau, delta, seed):
+    """(Re, Im, samples) of ⟨ψ|U|ψ⟩ sampled from simulated Hadamard-test
+    circuits with a controlled-U: p₀ = 1 − Pr[accept], m(τ, δ) draws of
+    ``rng.random(m) < p₀`` on stream 0 (Re) and 1 (Im)."""
+    m = sample_count(tau, delta)
+    parts = []
+    for stream, part in enumerate(("real", "imag")):
+        circuit = hadamard_test_circuit(unitary, part=part, prep=prep)
+        p_zero = 1.0 - acceptance_probability(
+            circuit, StateVector.zero(circuit.witness_qubits)
+        )
+        p_zero = min(1.0, max(0.0, p_zero))
+        zeros = rng_stream(seed, stream).random(m) < p_zero
+        parts.append(float(np.mean(np.where(zeros, 1.0, -1.0))))
+    return parts[0], parts[1], m
+
 
 def _tl_identity(strands: int):
     return frozenset(frozenset({("t", i), ("b", i)}) for i in range(strands))

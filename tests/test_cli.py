@@ -29,6 +29,21 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_refused(capsys, tmp_path, document, *argv):
+    """(exit code, seconds) of a run on ``document`` that must end with an
+    error message and no report or traceback."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(document))
+    start = time.perf_counter()
+    code = main([argv[0], "--input", str(path), *argv[1:]])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    return code, elapsed
+
+
 class TestHamCommands:
     def test_ham_decide_yes(self, capsys, sum_z_file):
         code, out = run(capsys, "ham-decide", "--input", sum_z_file, "--k", "1")
@@ -95,6 +110,77 @@ class TestErrorPaths:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestInputDocumentErrors:
+    HAMILTONIAN = {
+        "n": 2, "locality": 1, "a": 0.0, "b": 1.0,
+        "terms": [{"qubits": [1], "matrix": Z_JSON}],
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["gapp-exact"], ["gapp-estimate", "--seed", "1"],
+        ["amp-estimate", "--seed", "1"], ["ham-decide", "--k", "1"],
+        ["jones", "--k", "5", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_non_object_document_is_usage_error(self, capsys, tmp_path, argv):
+        code, _ = run_refused(capsys, tmp_path, [1, 2], *argv)
+        assert code == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "four"), ("n", 3.5), ("locality", True), ("qubits", [1.0]),
+        ("a", "nan"), ("a", float("nan")), ("b", float("inf")),
+        # the NaN couples |0> and |1>, so it lies outside the weight-1 sector
+        ("matrix", [[[1.0, 0.0], [float("nan"), 0.0]],
+                    [[float("nan"), 0.0], [-1.0, 0.0]]]),
+    ], ids=["string-n", "float-n", "bool-locality", "float-qubit",
+            "string-a", "nan-a", "inf-b", "nan-off-sector-entry"])
+    def test_hamiltonian_field_is_usage_error(self, capsys, tmp_path, field, value):
+        data = json.loads(json.dumps(self.HAMILTONIAN))
+        if field in ("qubits", "matrix"):
+            data["terms"][0][field] = value
+        else:
+            data[field] = value
+        code, _ = run_refused(capsys, tmp_path, data, "ham-decide", "--k", "1")
+        assert code == 3
+
+    @pytest.mark.parametrize("braid", [
+        {"strands": "four", "word": []}, {"strands": 4.0, "word": [1]},
+        {"strands": 4, "word": [1.5]},
+    ], ids=["string-strands", "float-strands", "float-letter"])
+    def test_braid_field_is_usage_error(self, capsys, tmp_path, braid):
+        code, _ = run_refused(capsys, tmp_path, braid, "jones", "--k", "5",
+                              "--seed", "1")
+        assert code == 3
+
+
+class TestSamplerLimits:
+    AMP = {"unitary": matrix_to_json(np.eye(2))}
+    BRAID = {"strands": 4, "word": [1, -2]}
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["amp-estimate", "jones"])
+    def test_non_finite_tau_is_usage_error(self, capsys, tmp_path, command, tau):
+        document, extra = (self.AMP, []) if command == "amp-estimate" \
+            else (self.BRAID, ["--k", "5"])
+        code, _ = run_refused(capsys, tmp_path, document, command, *extra,
+                              "--tau", tau, "--seed", "1")
+        assert code == 3
+
+    def test_oversized_sample_count_refused_up_front(self, capsys, tmp_path):
+        # m(1e-5, 0.025) ~ 8.8e10 samples: 653 GiB of draws per part
+        code, elapsed = run_refused(capsys, tmp_path, self.AMP, "amp-estimate",
+                                    "--tau", "1e-5", "--seed", "1")
+        assert code == 4
+        assert elapsed < 1.0
+
+    def test_oversized_path_model_refused_up_front(self, capsys, tmp_path):
+        # C(30, 15) ~ 1.55e8 walks: refused once one step passes the limit
+        braid = {"strands": 30, "word": [1, 2, -3]}
+        code, elapsed = run_refused(capsys, tmp_path, braid, "jones", "--k", "31",
+                                    "--seed", "1")
+        assert code == 4
+        assert elapsed < 1.0
 
 
 class TestCircuitInputErrors:

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     accept_projected_oracle,
     all_kinds_circuit,
+    hadamard_circuit_estimate,
     random_circuit,
     random_unitary,
 )
@@ -13,6 +14,7 @@ from qparam.circuits import Gate, QuantumCircuit, acceptance_probability, simula
 from qparam.decision import Verdict
 from qparam.errors import InvalidInputError, ResourceError
 from qparam.estimators import (
+    SAMPLE_LIMIT,
     GapInstance,
     amplify_gap,
     decide_hamming_weight_qcs_exact,
@@ -41,11 +43,24 @@ class TestSampleCount:
         # [DERIVED] ceil(2·ln(e²)/1) = 4
         assert sample_count(1.0, 2 / math.e**2) == 4
 
-    def test_invalid_rejected(self):
+    @pytest.mark.parametrize("tau, delta", [
+        (0.0, 0.1), (0.1, 1.5), (math.nan, 0.1), (math.inf, 0.1),
+        (-math.inf, 0.1), (0.1, math.nan),
+    ], ids=["zero-tau", "delta-above-one", "nan-tau", "inf-tau", "minus-inf-tau",
+            "nan-delta"])
+    def test_invalid_rejected(self, tau, delta):
         with pytest.raises(InvalidInputError):
-            sample_count(0.0, 0.1)
-        with pytest.raises(InvalidInputError):
-            sample_count(0.1, 1.5)
+            sample_count(tau, delta)
+
+    def test_limit_admits_largest_benchmark_schedule(self):
+        # [DERIVED] ceil(2·ln(2000)/1e-4)
+        assert sample_count(0.01, 0.001) == 152019 <= SAMPLE_LIMIT
+
+    @pytest.mark.parametrize("tau, delta", [(1e-5, 0.025), (1e-200, 0.5),
+                                            (0.1, 1e-320)])
+    def test_over_limit_refused(self, tau, delta):
+        with pytest.raises(ResourceError):
+            sample_count(tau, delta)
 
 
 class TestEstimateAmplitude:
@@ -77,6 +92,17 @@ class TestEstimateAmplitude:
         b = estimate_amplitude(u, None, 0.1, 0.1, seed=99)
         assert a == b
         assert a.to_json() == b.to_json()
+
+    def test_matches_hadamard_circuit_route(self, rng):
+        # [DERIVED] simulated controlled-U Hadamard-test circuits
+        for seed in range(24):
+            qubits = int(rng.integers(2, 4))
+            u = random_unitary(rng, 2**qubits)
+            prep = random_circuit(rng, qubits, 4) if seed % 2 else None
+            report = estimate_amplitude(u, prep, 0.03, 0.01, seed=seed)
+            re, im, m = hadamard_circuit_estimate(u, prep, 0.03, 0.01, seed)
+            assert report.value == complex(re, im)
+            assert report.samples == m
 
     def test_report_schema(self):
         report = estimate_amplitude(np.eye(2), None, 0.1, 0.1, seed=0)

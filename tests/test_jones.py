@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import component_count_oracle, tl_bracket
+from conftest import component_count_oracle, hadamard_circuit_estimate, tl_bracket
+from qparam.circuits import Gate, QuantumCircuit
 from qparam.errors import InvalidInputError, ResourceError
 from qparam.jones import (
     BraidWord,
@@ -164,6 +165,17 @@ class TestPathModel:
             atol=1e-9,
         )
 
+    def test_plat_amplitude_is_cap_entry_of_braid_unitary(self, rng):
+        for strands in (4, 6, 8, 10, 12):
+            for k in (5, 7, 8):
+                braid = random_braid(rng, max_strands=strands, max_len=14)
+                braid = BraidWord(strands, braid.word)
+                model = PathModel(strands, k)
+                cap = model.index(model.cap_walk())
+                entry = ajl_braid_unitary(braid, k)[cap, cap]
+                sign = (-1) ** (strands // 2 - 1)
+                assert abs(plat_amplitude(braid, k) - sign * entry) <= 1e-12
+
     def test_unitarity(self, rng):
         braid = random_braid(rng)
         rho = ajl_braid_unitary(braid, 5)
@@ -234,6 +246,31 @@ class TestEstimateJones:
             if abs(report.value - exact) <= report.bound:
                 hits += 1
         assert hits / 40 >= 0.9
+
+    def test_matches_padded_hadamard_route(self, rng):
+        # [DERIVED] Hadamard-test circuits on (-1)^{n-1}ρ(b) padded with the
+        # identity to a power of two, the cap walk prepared by X gates
+        for seed in range(24):
+            braid = random_braid(rng, max_strands=8, max_len=10)
+            k = int(rng.choice([5, 7, 8]))
+            n = braid.strands // 2
+            rho = ajl_braid_unitary(braid, k)
+            d = rho.shape[0]
+            num_sys = max(1, math.ceil(math.log2(d)))
+            padded = np.eye(2**num_sys, dtype=complex)
+            padded[:d, :d] = (-1) ** (n - 1) * rho
+            model = PathModel(braid.strands, k)
+            cap = model.index(model.cap_walk())
+            prep = QuantumCircuit(num_sys, 0, tuple(
+                Gate("X", targets=(q,)) for q in range(num_sys)
+                if (cap >> (num_sys - 1 - q)) & 1
+            ), 0)
+            re, im, m = hadamard_circuit_estimate(padded, prep, 0.05, 0.01, seed)
+            report = estimate_jones(braid, k, 0.05, 0.01, seed=seed)
+            assert report.value == jones_from_amplitude(
+                complex(re, im), writhe(braid), n, k
+            )
+            assert report.samples == m
 
     def test_deterministic_given_seed(self):
         a = estimate_jones(TREFOIL, 5, 0.1, 0.05, seed=77)
