@@ -23,7 +23,7 @@ from .circuits import (
 from .decision import Verdict
 from .errors import InvalidInputError, ResourceError
 from .linalg import full_spectrum
-from .weightenum import WeightEnumeration
+from .weightenum import INDEX_BITS, WeightEnumeration
 
 EXACT_GAP_LIMIT = 20
 QMAK_QUBIT_LIMIT = 12
@@ -216,8 +216,11 @@ def estimate_gap(
     instance: GapInstance, tau_rel: float, delta: float, seed: int
 ) -> EstimateReport:
     """Unbiased g̃ = (2^p/m)·ΣX_i from uniformly sampled paths;
-    |g̃ − g| ≤ τ_rel·2^p except with probability δ."""
+    |g̃ − g| ≤ τ_rel·2^p except with probability δ. Paths are drawn as
+    int64 indices, so at most ``INDEX_BITS`` path bits are accepted."""
     p = instance.path_bits
+    if p > INDEX_BITS:
+        raise ResourceError(f"path_bits={p} exceeds limit {INDEX_BITS}")
     m = sample_count(tau_rel, delta)
     rng = rng_stream(seed, 0)
     indices = rng.integers(0, 2**p, size=m)

@@ -8,7 +8,6 @@ C(n, k) fixed-weight basis, one term at a time, without ever forming the full
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -229,12 +228,17 @@ class HamiltonianDecision:
 def decide_weight_k_local_hamiltonian(
     h: LocalHamiltonian, k: int, mode: str = "auto"
 ) -> HamiltonianDecision:
-    """Exact decision for the weight-k slice via the restricted matrix."""
-    restricted = restrict_to_weight(h, k)
-    dim = comb(h.n, k)
+    """Exact decision for the weight-k slice via the restricted matrix; a
+    dense sector over ``RESTRICT_ENTRY_LIMIT`` entries is refused first."""
+    dim = WeightEnumeration(h.n, k).dim
     if mode == "auto":
         mode = "dense" if dim <= DENSE_THRESHOLD else "iterative"
-    lam = min_eigenvalue(restricted, mode=mode)
+    if mode == "dense" and dim**2 > RESTRICT_ENTRY_LIMIT:
+        raise ResourceError(
+            f"dense weight-{k} sector of dimension {dim} has {dim**2} entries, "
+            f"limit {RESTRICT_ENTRY_LIMIT}"
+        )
+    lam = min_eigenvalue(restrict_to_weight(h, k), mode=mode)
     if lam <= h.a:
         verdict = Verdict.YES
     elif lam >= h.b:

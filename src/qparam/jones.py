@@ -1,5 +1,6 @@
 """Braid words, plat closures, the path-model braid representation at
-t = e^{2πi/k}, and an exact Kauffman-bracket oracle.
+t = e^{2πi/k}, and the exact Kauffman bracket of the plat closure by a
+Temperley-Lieb transfer over noncrossing matchings of the strand ends.
 
 Conventions (fixed project-wide and validated end-to-end):
   * A = e^{-iπ/(2k)}, the principal branch of t^{-1/4}.
@@ -13,6 +14,7 @@ Conventions (fixed project-wide and validated end-to-end):
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field, replace
 from math import cos, pi, sin, sqrt
 
@@ -23,7 +25,8 @@ from .errors import InvalidInputError, ResourceError
 from .estimators import EstimateReport, sample_amplitude
 from .linalg import json_int
 
-BRACKET_CROSSING_LIMIT = 16
+# matching entries (matchings × strands) the bracket transfer may hold
+BRACKET_ENTRY_LIMIT = 2**22
 PATH_MODEL_DIM_LIMIT = 4096
 
 
@@ -69,92 +72,78 @@ def writhe(braid: BraidWord) -> int:
     return sum(1 if g > 0 else -1 for g in braid.word)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def make(self, x: int):
-        self.parent[x] = x
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        self.parent[self.find(a)] = self.find(b)
-
-    def classes(self) -> int:
-        return len({self.find(x) for x in self.parent})
-
-
 @dataclass(frozen=True)
 class LinkDiagram:
     """Plat closure of a braid: ordered crossings plus caps on both ends."""
 
     strands: int
     crossings: tuple[tuple[int, int], ...]  # (position i, sign ±1)
-    components: int
 
 
 def plat_closure(braid: BraidWord) -> LinkDiagram:
-    """The plat-closed diagram, with its component count."""
-    uf = _UnionFind()
-    arcs = []
-    next_id = 0
-    for _ in range(braid.strands):
-        uf.make(next_id)
-        arcs.append(next_id)
-        next_id += 1
-    for j in range(0, braid.strands, 2):  # left caps
-        uf.union(arcs[j], arcs[j + 1])
-    crossings = []
-    for g in braid.word:
-        i = abs(g)
-        crossings.append((i, 1 if g > 0 else -1))
-        # strands pass through a crossing: swap positions, keep identities
-        arcs[i - 1], arcs[i] = arcs[i], arcs[i - 1]
-    for j in range(0, braid.strands, 2):  # right caps
-        uf.union(arcs[j], arcs[j + 1])
-    return LinkDiagram(braid.strands, tuple(crossings), uf.classes())
+    """The plat-closed diagram: the braid's crossings between the caps."""
+    return LinkDiagram(braid.strands,
+                       tuple((abs(g), 1 if g > 0 else -1) for g in braid.word))
+
+
+def _require_entries(matchings: int, strands: int):
+    if matchings * strands > BRACKET_ENTRY_LIMIT:
+        raise ResourceError(
+            f"bracket transfer holds {matchings} matchings of {strands} "
+            f"strand ends, more than {BRACKET_ENTRY_LIMIT} entries"
+        )
+
+
+def _closed_loops(partner: tuple[int, ...]) -> int:
+    """Loops formed when the right caps (j, j ^ 1) close a matching."""
+    seen, loops = bytearray(len(partner)), 0
+    for start in range(len(partner)):
+        if not seen[start]:
+            loops += 1
+            j = start
+            while not seen[j]:
+                seen[j] = seen[partner[j]] = 1
+                j = partner[j] ^ 1
+    return loops
 
 
 def kauffman_bracket(diagram: LinkDiagram, a_value: complex) -> complex:
-    """State sum over all smoothings, with a single loop normalized to 1."""
-    c = len(diagram.crossings)
-    if c > BRACKET_CROSSING_LIMIT:
-        raise ResourceError(
-            f"{c} crossings exceeds bracket limit {BRACKET_CROSSING_LIMIT}"
-        )
+    """Bracket of the plat closure, with a single loop normalized to 1.
+
+    A Temperley-Lieb transfer: ``partner[j]`` is the end joined to strand end
+    j by the crossings read so far, starting from the left caps. A crossing
+    (i, sign) keeps each matching with weight A^sign and joins ends i-1 and i
+    with weight A^-sign, closing a loop (factor δ) if they were partners.
+    At most min(2^c, Catalan(strands/2)) matchings are held; more than
+    ``BRACKET_ENTRY_LIMIT`` entries, or a value beyond the float range, raise
+    ``ResourceError``.
+    """
+    strands = diagram.strands
+    _require_entries(1, strands)
     a = complex(a_value)
     delta = -(a**2) - a ** (-2)
-    total = 0.0 + 0.0j
-    for choice in range(2**c):
-        uf = _UnionFind()
-        arcs = []
-        next_id = 0
-        for _ in range(diagram.strands):
-            uf.make(next_id)
-            arcs.append(next_id)
-            next_id += 1
-        for j in range(0, diagram.strands, 2):
-            uf.union(arcs[j], arcs[j + 1])
-        exponent = 0
-        for bit, (i, sign) in enumerate(diagram.crossings):
-            if (choice >> bit) & 1 == 0:  # vertical smoothing
-                exponent += sign
-            else:  # cup-cap smoothing
-                exponent -= sign
-                uf.union(arcs[i - 1], arcs[i])
-                uf.make(next_id)
-                uf.make(next_id + 1)
-                uf.union(next_id, next_id + 1)
-                arcs[i - 1], arcs[i] = next_id, next_id + 1
-                next_id += 2
-        for j in range(0, diagram.strands, 2):
-            uf.union(arcs[j], arcs[j + 1])
-        total += a**exponent * delta ** (uf.classes() - 1)
+    states = {tuple(j ^ 1 for j in range(strands)): 1.0 + 0.0j}
+    for i, sign in diagram.crossings:
+        keep, join = (a, 1 / a) if sign > 0 else (1 / a, a)
+        out = {}
+        for partner, coeff in states.items():
+            out[partner] = out.get(partner, 0.0) + keep * coeff
+            p, q = partner[i - 1], partner[i]
+            if p == i:
+                joined, coeff = partner, coeff * delta
+            else:
+                new = list(partner)
+                new[p], new[q], new[i - 1], new[i] = q, p, i, i - 1
+                joined = tuple(new)
+            out[joined] = out.get(joined, 0.0) + join * coeff
+        states = out
+        _require_entries(len(states), strands)
+    try:  # the right caps close each matching into loops
+        total = sum(c * delta ** (_closed_loops(m) - 1) for m, c in states.items())
+    except OverflowError:
+        total = cmath.inf
+    if not cmath.isfinite(total):
+        raise ResourceError("bracket value is beyond the float range")
     return total
 
 

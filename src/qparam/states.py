@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .linalg import json_int
 
 NORM_TOL = 1e-10
 
@@ -72,6 +73,6 @@ class StateVector:
     def from_json(cls, data: dict) -> "StateVector":
         try:
             amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-            return cls(int(data["num_qubits"]), amps)
+            return cls(json_int(data["num_qubits"], "num_qubits"), amps)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed state JSON: {exc}") from exc

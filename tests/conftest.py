@@ -3,9 +3,9 @@
 Every oracle here is implemented from first principles with a different
 algorithm than the library code it checks: dense Kronecker embeddings for
 gate application, exhaustive DAG traversal for weft, a Temperley-Lieb
-diagram-algebra evaluation for the bracket, permutation-cycle counting
-for link components, and simulated controlled-U Hadamard-test circuits for
-the amplitude sampler.
+diagram-algebra evaluation and a 2^c state sum with union-find loop counts
+for the bracket, and simulated controlled-U Hadamard-test circuits for the
+amplitude sampler.
 """
 from __future__ import annotations
 
@@ -315,32 +315,59 @@ def tl_bracket(strands: int, word, a_value: complex) -> complex:
     return total
 
 
-def component_count_oracle(strands: int, word) -> int:
-    """Components of the plat closure by cycle-walking the braid permutation
-    and the cap involutions."""
-    perm = list(range(strands))
-    for g in word:
-        i = abs(g)
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    # left position p flows to right position right_of[p]
-    right_of = [0] * strands
-    for right_pos, left_origin in enumerate(perm):
-        right_of[left_origin] = right_pos
-    cap = lambda j: j + 1 if j % 2 == 0 else j - 1
-    seen = set()
-    components = 0
-    for start in range(strands):
-        if start in seen:
-            continue
-        components += 1
-        p = start
-        while True:
-            seen.add(p)
-            q = right_of[p]  # traverse braid left -> right
-            q2 = cap(q)  # right cap
-            p2 = perm[q2]  # traverse braid right -> left
-            seen.add(p2)
-            p = cap(p2)  # left cap
-            if p == start:
-                break
-    return components
+# --- State-sum bracket oracle ----------------------------------------------
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+
+    def make(self, x: int):
+        self.parent[x] = x
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int):
+        self.parent[self.find(a)] = self.find(b)
+
+    def classes(self) -> int:
+        return len({self.find(x) for x in self.parent})
+
+
+def state_sum_bracket(diagram, a_value: complex) -> complex:
+    """Kauffman bracket of a plat-closed diagram as a sum over all 2^c
+    smoothings, counting each state's loops with a union-find over arcs.
+    Single loop normalized to 1."""
+    c = len(diagram.crossings)
+    a = complex(a_value)
+    delta = -(a**2) - a ** (-2)
+    total = 0.0 + 0.0j
+    for choice in range(2**c):
+        uf = _UnionFind()
+        arcs = []
+        next_id = 0
+        for _ in range(diagram.strands):
+            uf.make(next_id)
+            arcs.append(next_id)
+            next_id += 1
+        for j in range(0, diagram.strands, 2):
+            uf.union(arcs[j], arcs[j + 1])
+        exponent = 0
+        for bit, (i, sign) in enumerate(diagram.crossings):
+            if (choice >> bit) & 1 == 0:  # vertical smoothing
+                exponent += sign
+            else:  # cup-cap smoothing
+                exponent -= sign
+                uf.union(arcs[i - 1], arcs[i])
+                uf.make(next_id)
+                uf.make(next_id + 1)
+                uf.union(next_id, next_id + 1)
+                arcs[i - 1], arcs[i] = next_id, next_id + 1
+                next_id += 2
+        for j in range(0, diagram.strands, 2):
+            uf.union(arcs[j], arcs[j + 1])
+        total += a**exponent * delta ** (uf.classes() - 1)
+    return total

@@ -87,7 +87,9 @@ class TestErrorPaths:
         assert main(["frobnicate"]) == 3
 
     def test_resource_error_exit_code(self, capsys, tmp_path):
-        braid = {"strands": 4, "word": [1] * 17}
+        # 16 crossings at even positions give 2^16 matchings of 66 ends,
+        # just over the bracket's 2^22 entries
+        braid = {"strands": 66, "word": list(range(2, 34, 2))}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(braid))
         code, _ = run(capsys, "jones-exact", "--input", str(path), "--k", "5")
@@ -110,6 +112,41 @@ class TestErrorPaths:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("strands", [4000, 2**22 + 2],
+                             ids=["float-overflow", "first-matching-over-limit"])
+    def test_oversized_bracket_refused(self, capsys, tmp_path, strands):
+        # 4000 strands: 2000 unlinked loops, |δ|^1999 ~ 1e417 at k=5
+        code, elapsed = run_refused(capsys, tmp_path,
+                                    {"strands": strands, "word": []},
+                                    "jones-exact", "--k", "5")
+        assert code == 4
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("path_bits", [64, 70])
+    def test_gap_estimate_beyond_index_bits_refused(self, capsys, tmp_path,
+                                                   path_bits):
+        circuit = {
+            "witness_qubits": path_bits, "ancilla_qubits": 1,
+            "accept_qubit": path_bits,
+            "gates": [{"name": "CX", "controls": [0], "targets": [path_bits]}],
+            "classical_only": True,
+        }
+        code, elapsed = run_refused(capsys, tmp_path, circuit, "gapp-estimate",
+                                    "--seed", "1")
+        assert code == 4
+        assert elapsed < 1.0
+
+    def test_dense_mode_on_large_sector_refused_up_front(self, capsys, tmp_path):
+        # C(40, 4) = 91390: a dense copy would need about 133 GB
+        data = {
+            "n": 40, "locality": 1, "a": 0.0, "b": 1.0,
+            "terms": [{"qubits": [i], "matrix": Z_JSON} for i in range(4)],
+        }
+        code, elapsed = run_refused(capsys, tmp_path, data, "ham-decide",
+                                    "--k", "4", "--mode", "dense")
+        assert code == 4
+        assert elapsed < 1.0
 
 
 class TestInputDocumentErrors:
@@ -151,6 +188,18 @@ class TestInputDocumentErrors:
     def test_braid_field_is_usage_error(self, capsys, tmp_path, braid):
         code, _ = run_refused(capsys, tmp_path, braid, "jones", "--k", "5",
                               "--seed", "1")
+        assert code == 3
+
+    @pytest.mark.parametrize("num_qubits", [1.0, "1", True],
+                             ids=["float", "string", "bool"])
+    @pytest.mark.parametrize("argv", [
+        ["encode-witness", "--k", "1"],
+        ["decode-witness", "--k", "1", "--n", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_state_qubit_count_is_usage_error(self, capsys, tmp_path, argv,
+                                              num_qubits):
+        state = {"num_qubits": num_qubits, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}
+        code, _ = run_refused(capsys, tmp_path, state, *argv)
         assert code == 3
 
 

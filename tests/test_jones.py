@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import component_count_oracle, hadamard_circuit_estimate, tl_bracket
+from conftest import hadamard_circuit_estimate, state_sum_bracket, tl_bracket
+from qparam import jones
 from qparam.circuits import Gate, QuantumCircuit
 from qparam.errors import InvalidInputError, ResourceError
 from qparam.jones import (
@@ -61,25 +62,6 @@ class TestWrithe:
         assert writhe(BraidWord(4, (1, -2, 1, -2))) == 0
 
 
-class TestPlatClosure:
-    def test_identity_braid_unlink(self):
-        assert plat_closure(BraidWord(4, ())).components == 2
-
-    def test_single_crossing_unknot(self):
-        assert plat_closure(BraidWord(2, (1,))).components == 1
-
-    def test_hopf_link(self):
-        assert plat_closure(BraidWord(4, (2, 2))).components == 2
-
-    def test_against_cycle_oracle(self, rng):
-        # [DERIVED] permutation-cycle counting oracle
-        for _ in range(40):
-            braid = random_braid(rng)
-            assert plat_closure(braid).components == component_count_oracle(
-                braid.strands, braid.word
-            )
-
-
 class TestKauffmanBracket:
     A_GENERIC = cmath.exp(-1j * math.pi / 10) * cmath.exp(0.17j)
 
@@ -100,10 +82,31 @@ class TestKauffmanBracket:
             rhs = tl_bracket(braid.strands, braid.word, self.A_GENERIC)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    def test_crossing_limit(self):
-        braid = BraidWord(4, (1,) * 17)
+    def test_against_state_sum_oracle(self, rng):
+        # [DERIVED] sum over all 2^c smoothings with union-find loop counts
+        for _ in range(40):
+            braid = random_braid(rng, max_strands=8, max_len=14)
+            diagram = plat_closure(braid)
+            lhs = kauffman_bracket(diagram, self.A_GENERIC)
+            assert lhs == pytest.approx(
+                state_sum_bracket(diagram, self.A_GENERIC), abs=1e-9
+            )
+
+    def test_entry_limit(self, monkeypatch):
+        # the first matching alone exceeds the bound: refused before it is built
+        huge = plat_closure(BraidWord(jones.BRACKET_ENTRY_LIMIT + 2, ()))
         with pytest.raises(ResourceError):
-            kauffman_bracket(plat_closure(braid), self.A_GENERIC)
+            kauffman_bracket(huge, self.A_GENERIC)
+        # each crossing at an even position doubles the matchings: 8 strands
+        # hold 1, 2, 4 and then 8 matchings, i.e. 8, 16, 32 and 64 entries
+        diagram = plat_closure(BraidWord(8, (2, 4, 6)))
+        monkeypatch.setattr(jones, "BRACKET_ENTRY_LIMIT", 64)
+        kauffman_bracket(diagram, self.A_GENERIC)
+        monkeypatch.setattr(jones, "BRACKET_ENTRY_LIMIT", 63)
+        with pytest.raises(ResourceError):
+            kauffman_bracket(diagram, self.A_GENERIC)
+        monkeypatch.setattr(jones, "BRACKET_ENTRY_LIMIT", 8)
+        kauffman_bracket(plat_closure(BraidWord(8, ())), self.A_GENERIC)
 
 
 class TestJonesExact:
@@ -123,6 +126,18 @@ class TestJonesExact:
     def test_invalid_level_rejected(self):
         with pytest.raises(InvalidInputError):
             jones_exact(TREFOIL, 6)
+
+    def test_long_braids_match_path_model(self, rng):
+        # [DERIVED] path-model pipeline, well past 16 crossings
+        for strands in (4, 6, 8):
+            length = int(rng.integers(40, 61))
+            word = tuple(int(rng.choice([1, -1])) * int(rng.integers(1, strands))
+                         for _ in range(length))
+            braid = BraidWord(strands, word)
+            for k in (5, 7, 8):
+                assert jones_exact(braid, k) == pytest.approx(
+                    jones_via_path_model(braid, k), abs=1e-8
+                )
 
 
 class TestPathModel:
