@@ -437,6 +437,8 @@ REJECT = "REJECT"
 
 def one_hot_block_decode(num_blocks: int, block_size: int, bits: str):
     """Per-block one-hot positions as bit indices, or REJECT."""
+    if min(num_blocks, block_size) < 1:
+        raise InvalidInputError(f"counts must be positive: {num_blocks}, {block_size}")
     if len(bits) != num_blocks * block_size:
         raise InvalidInputError(
             f"expected {num_blocks * block_size} bits, got {len(bits)}"

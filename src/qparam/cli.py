@@ -30,7 +30,7 @@ from .estimators import (
 )
 from .hamiltonian import LocalHamiltonian, decide_weight_k_local_hamiltonian
 from .jones import BraidWord, estimate_jones, jones_exact, writhe
-from .linalg import matrix_from_json
+from .linalg import json_finite, matrix_from_json
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -60,6 +60,11 @@ def _load_json(path: str) -> dict:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def finite(text: str) -> float:
+    """A real-valued argument; NaN and Inf are refused as in JSON fields."""
+    return json_finite(float(text), "argument")
+
+
 def _resolve_seed(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -77,34 +82,30 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cmd(name, help_text, *, tau=False, delta=False, seed=False, k=False,
-            a_b=False, mode=None):
+            a_b=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=False, help="input JSON path")
         if tau:
-            p.add_argument("--tau", type=float, default=0.05)
+            p.add_argument("--tau", type=finite, default=0.05)
         if delta:
-            p.add_argument("--delta", type=float, default=0.025)
+            p.add_argument("--delta", type=finite, default=0.025)
         if seed:
             p.add_argument("--seed", type=int, default=None)
         if k:
             p.add_argument("--k", type=int, required=True)
         if a_b:
-            p.add_argument("--a", type=float, required=True)
-            p.add_argument("--b", type=float, required=True)
-        if mode:
-            p.add_argument("--mode", choices=mode, default=mode[0])
+            p.add_argument("--a", type=finite, required=True)
+            p.add_argument("--b", type=finite, required=True)
         return p
 
-    cmd("ham-min", "smallest weight-k eigenvalue of a local Hamiltonian",
-        k=True, mode=("auto", "dense", "iterative"))
-    cmd("ham-decide", "decide the weight-k local-Hamiltonian slice",
-        k=True, mode=("auto", "dense", "iterative"))
+    cmd("ham-min", "smallest weight-k eigenvalue of a local Hamiltonian", k=True)
+    cmd("ham-decide", "decide the weight-k local-Hamiltonian slice", k=True)
 
     p = cmd("amp-estimate", "Hadamard-test amplitude estimate",
             tau=True, delta=True, seed=True)
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=finite, default=None,
                    help="relative error (switches to multiplicative mode)")
-    p.add_argument("--lower-bound", type=float, default=None,
+    p.add_argument("--lower-bound", type=finite, default=None,
                    help="asserted lower bound on |q| for multiplicative mode")
 
     cmd("gapp-estimate", "Monte-Carlo gap estimate",
@@ -141,7 +142,7 @@ def _require_input(args) -> dict:
 
 def _config(args, **extra) -> dict:
     out = {"input": args.input}
-    for key in ("tau", "delta", "seed", "k", "a", "b", "mode"):
+    for key in ("tau", "delta", "seed", "k", "a", "b"):
         if hasattr(args, key):
             out[key] = getattr(args, key)
     out.update(extra)
@@ -153,7 +154,7 @@ def _run(args) -> int:
 
     if command in ("ham-min", "ham-decide"):
         ham = LocalHamiltonian.from_json(_require_input(args))
-        decision = decide_weight_k_local_hamiltonian(ham, args.k, mode=args.mode)
+        decision = decide_weight_k_local_hamiltonian(ham, args.k)
         _emit(command, _config(args), decision.to_json())
         if command == "ham-decide":
             return _VERDICT_EXIT[decision.verdict]

@@ -35,8 +35,11 @@ SAMPLE_LIMIT = 2**24
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for one named stream of a seeded run."""
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, stream]))
+    """Counter-based generator for one named stream of a seed in [0, 2^64)."""
+    if not 0 <= seed < 2**64:
+        raise InvalidInputError(f"seed must lie in [0, 2^64), got {seed}")
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_count(tau: float, delta: float) -> int:

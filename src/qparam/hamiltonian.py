@@ -1,9 +1,9 @@
 """Local Hamiltonians, their weight-k restriction, and the slice decider.
 
 A Hamiltonian is a sum of Hermitian blocks, each supported on a few qubits.
-The weight-k restriction is assembled with vectorised bit operations over the
-C(n, k) fixed-weight basis, one term at a time, without ever forming the full
-2^n matrix.
+The weight-k restriction is one CSR matrix, assembled with vectorised bit
+operations over the C(n, k) fixed-weight basis, one term at a time, without
+ever forming the full 2^n matrix.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import scipy.sparse as sp
 from .circuits import apply_gate_matrix
 from .decision import Verdict
 from .errors import InvalidInputError, ResourceError
-from .linalg import (DENSE_THRESHOLD, is_hermitian, json_finite, json_int,
-                     matrix_from_json, matrix_to_json, min_eigenvalue)
+from .linalg import (is_hermitian, json_finite, json_int, matrix_from_json,
+                     matrix_to_json, min_eigenvalue)
 from .states import StateVector
 from .weightenum import WeightEnumeration
 
@@ -152,10 +152,9 @@ def restrict_to_weight(h: LocalHamiltonian, k: int):
     increasing basis. The (row, col, value) triples of all terms form one
     COO matrix whose duplicates are summed.
 
-    Returns a dense array when C(n, k) <= ``DENSE_THRESHOLD``, a CSR matrix
-    otherwise. Raises ``ResourceError`` before allocating anything when the
-    basis plus the candidate entries, C(n, k) * (1 + sum of 2^|support|),
-    exceed ``RESTRICT_ENTRY_LIMIT``.
+    Returns a CSR matrix. Raises ``ResourceError`` before allocating anything
+    when the basis plus the candidate entries, C(n, k) * (1 + sum of
+    2^|support|), exceed ``RESTRICT_ENTRY_LIMIT``.
     """
     enum = WeightEnumeration(h.n, k)
     dim = enum.dim
@@ -183,11 +182,10 @@ def restrict_to_weight(h: LocalHamiltonian, k: int):
                 np.searchsorted(basis, basis[states] ^ flip) if flip else states
             )
             vals.append(np.full(len(states), term.block[ix, iy]))
-    coo = sp.coo_matrix(
+    return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim), dtype=complex,
     )
-    return coo.toarray() if dim <= DENSE_THRESHOLD else coo.tocsr()
 
 
 def expectation_value(h: LocalHamiltonian, state: StateVector) -> float:
@@ -208,7 +206,6 @@ class HamiltonianDecision:
     verdict: Verdict
     lambda_min: float
     dim: int
-    solver_mode: str
     a: float
     b: float
     k: int
@@ -218,31 +215,20 @@ class HamiltonianDecision:
             "verdict": self.verdict.value,
             "lambda_min": self.lambda_min,
             "dim": self.dim,
-            "solver_mode": self.solver_mode,
             "a": self.a,
             "b": self.b,
             "k": self.k,
         }
 
 
-def decide_weight_k_local_hamiltonian(
-    h: LocalHamiltonian, k: int, mode: str = "auto"
-) -> HamiltonianDecision:
-    """Exact decision for the weight-k slice via the restricted matrix; a
-    dense sector over ``RESTRICT_ENTRY_LIMIT`` entries is refused first."""
-    dim = WeightEnumeration(h.n, k).dim
-    if mode == "auto":
-        mode = "dense" if dim <= DENSE_THRESHOLD else "iterative"
-    if mode == "dense" and dim**2 > RESTRICT_ENTRY_LIMIT:
-        raise ResourceError(
-            f"dense weight-{k} sector of dimension {dim} has {dim**2} entries, "
-            f"limit {RESTRICT_ENTRY_LIMIT}"
-        )
-    lam = min_eigenvalue(restrict_to_weight(h, k), mode=mode)
+def decide_weight_k_local_hamiltonian(h: LocalHamiltonian, k: int) -> HamiltonianDecision:
+    """Exact decision for the weight-k slice from λ_min of the restriction."""
+    restricted = restrict_to_weight(h, k)
+    lam = min_eigenvalue(restricted, mode="iterative")
     if lam <= h.a:
         verdict = Verdict.YES
     elif lam >= h.b:
         verdict = Verdict.NO
     else:
         verdict = Verdict.PROMISE_VIOLATED
-    return HamiltonianDecision(verdict, lam, dim, mode, h.a, h.b, k)
+    return HamiltonianDecision(verdict, lam, restricted.shape[0], h.a, h.b, k)

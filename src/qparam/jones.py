@@ -25,7 +25,7 @@ from .errors import InvalidInputError, ResourceError
 from .estimators import EstimateReport, sample_amplitude
 from .linalg import json_int
 
-# matching entries (matchings × strands) the bracket transfer may hold
+# matching entries (matchings × strands) × (crossings left + 1) the bracket may face
 BRACKET_ENTRY_LIMIT = 2**22
 PATH_MODEL_DIM_LIMIT = 4096
 
@@ -86,11 +86,11 @@ def plat_closure(braid: BraidWord) -> LinkDiagram:
                        tuple((abs(g), 1 if g > 0 else -1) for g in braid.word))
 
 
-def _require_entries(matchings: int, strands: int):
-    if matchings * strands > BRACKET_ENTRY_LIMIT:
+def _require_work(matchings: int, strands: int, crossings_left: int):
+    if matchings * strands * (crossings_left + 1) > BRACKET_ENTRY_LIMIT:
         raise ResourceError(
-            f"bracket transfer holds {matchings} matchings of {strands} "
-            f"strand ends, more than {BRACKET_ENTRY_LIMIT} entries"
+            f"bracket transfer holds {matchings} matchings of {strands} strand "
+            f"ends, {crossings_left} crossings left: over {BRACKET_ENTRY_LIMIT}"
         )
 
 
@@ -114,16 +114,17 @@ def kauffman_bracket(diagram: LinkDiagram, a_value: complex) -> complex:
     j by the crossings read so far, starting from the left caps. A crossing
     (i, sign) keeps each matching with weight A^sign and joins ends i-1 and i
     with weight A^-sign, closing a loop (factor δ) if they were partners.
-    At most min(2^c, Catalan(strands/2)) matchings are held; more than
-    ``BRACKET_ENTRY_LIMIT`` entries, or a value beyond the float range, raise
-    ``ResourceError``.
+    At most min(2^c, Catalan(strands/2)) matchings are held, none dropped; past
+    ``BRACKET_ENTRY_LIMIT`` entries × (crossings left + 1), work it would surely
+    do, checked before the first matching and after each crossing, or for a
+    value beyond the float range, it raises ``ResourceError``.
     """
     strands = diagram.strands
-    _require_entries(1, strands)
+    _require_work(1, strands, len(diagram.crossings))
     a = complex(a_value)
     delta = -(a**2) - a ** (-2)
     states = {tuple(j ^ 1 for j in range(strands)): 1.0 + 0.0j}
-    for i, sign in diagram.crossings:
+    for done, (i, sign) in enumerate(diagram.crossings, 1):
         keep, join = (a, 1 / a) if sign > 0 else (1 / a, a)
         out = {}
         for partner, coeff in states.items():
@@ -137,7 +138,7 @@ def kauffman_bracket(diagram: LinkDiagram, a_value: complex) -> complex:
                 joined = tuple(new)
             out[joined] = out.get(joined, 0.0) + join * coeff
         states = out
-        _require_entries(len(states), strands)
+        _require_work(len(states), strands, len(diagram.crossings) - done)
     try:  # the right caps close each matching into loops
         total = sum(c * delta ** (_closed_loops(m) - 1) for m, c in states.items())
     except OverflowError:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
 from qparam.cli import main
 from qparam.jones import BraidWord, jones_exact
 from qparam.linalg import matrix_to_json
@@ -65,8 +66,51 @@ class TestHamCommands:
         assert code == 0
         report = json.loads(out)
         assert report["config"]["k"] == 2
-        assert report["config"]["mode"] == "auto"
+        assert "mode" not in report["config"]
         assert report["result"]["lambda_min"] == pytest.approx(0.0)
+
+    def test_frustration_free_sector_decides_yes(self, capsys, tmp_path):
+        # |1><1| on every qubit and -3|111><111| on qubits 0-2: at weight 3
+        # the state |1110...0> has energy 3 - 3 = 0, the minimum
+        ones = matrix_to_json(np.diag([0.0, 1.0]))
+        triple = matrix_to_json(np.diag([0.0] * 7 + [-3.0]))
+        data = {
+            "n": 30, "locality": 3, "a": 0.5, "b": 1.0,
+            "terms": [{"qubits": [i], "matrix": ones} for i in range(30)]
+            + [{"qubits": [0, 1, 2], "matrix": triple}],
+        }
+        path = tmp_path / "ff.json"
+        path.write_text(json.dumps(data))
+        code, out = run(capsys, "ham-decide", "--input", str(path), "--k", "3")
+        result = json.loads(out)["result"]
+        assert code == 0
+        assert result["verdict"] == "YES"
+        assert result["lambda_min"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_termless_sector_is_zero(self, capsys, tmp_path):
+        data = {"n": 20, "locality": 1, "a": -1.0, "b": 1.0, "terms": []}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        code = main(["ham-decide", "--input", str(path), "--k", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["result"]["lambda_min"] == pytest.approx(
+            0.0, abs=1e-12
+        )
+
+    def test_repeated_runs_print_identical_reports(self, capsys, tmp_path, rng):
+        terms = []
+        for _ in range(12):
+            qubits = sorted(int(q) for q in rng.choice(18, size=2, replace=False))
+            terms.append({"qubits": qubits,
+                          "matrix": matrix_to_json(random_hermitian(rng, 4))})
+        data = {"n": 18, "locality": 2, "a": -1.0, "b": 1.0, "terms": terms}
+        path = tmp_path / "ham.json"
+        path.write_text(json.dumps(data))
+        outputs = {run(capsys, "ham-decide", "--input", str(path), "--k", "4")[1]
+                   for _ in range(3)}
+        assert len(outputs) == 1
 
 
 class TestErrorPaths:
@@ -138,15 +182,78 @@ class TestErrorPaths:
         assert elapsed < 1.0
 
     def test_dense_mode_on_large_sector_refused_up_front(self, capsys, tmp_path):
-        # C(40, 4) = 91390: a dense copy would need about 133 GB
+        # C(40, 4) = 91390: decided by the sparse solver; a dense copy would
+        # need about 133 GB, and no flag asks for one
         data = {
             "n": 40, "locality": 1, "a": 0.0, "b": 1.0,
             "terms": [{"qubits": [i], "matrix": Z_JSON} for i in range(4)],
         }
-        code, elapsed = run_refused(capsys, tmp_path, data, "ham-decide",
-                                    "--k", "4", "--mode", "dense")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        code, out = run(capsys, "ham-decide", "--input", str(path), "--k", "4")
+        assert code == 0
+        assert json.loads(out)["result"]["lambda_min"] == pytest.approx(-4.0, abs=1e-8)
+        code, _ = run_refused(capsys, tmp_path, data, "ham-decide",
+                              "--k", "4", "--mode", "dense")
+        assert code == 3
+
+    @pytest.mark.parametrize("strands, crossings", [(24, 150), (32, 100)])
+    def test_long_bracket_word_refused(self, capsys, tmp_path, rng, strands,
+                                       crossings):
+        letters = rng.integers(1, strands, size=crossings)
+        signs = rng.choice([-1, 1], size=crossings)
+        braid = {"strands": strands, "word": (letters * signs).tolist()}
+        code, elapsed = run_refused(capsys, tmp_path, braid, "jones-exact",
+                                    "--k", "5")
         assert code == 4
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["amp-estimate", "gapp-estimate", "jones"])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, tmp_path, command,
+                                                 seed):
+        document, extra = {
+            "amp-estimate": ({"unitary": Z_JSON}, []),
+            "gapp-estimate": ({
+                "witness_qubits": 1, "ancilla_qubits": 1, "accept_qubit": 1,
+                "gates": [{"name": "CX", "controls": [0], "targets": [1]}],
+                "classical_only": True,
+            }, []),
+            "jones": ({"strands": 4, "word": [1]}, ["--k", "5"]),
+        }[command]
+        code, _ = run_refused(capsys, tmp_path, document, command, *extra,
+                              "--seed", seed)
+        assert code == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["wqcs-decide", "--k", "1", "--b", "1"], "--a"),
+        (["hwqcs-decide", "--k", "1", "--a", "0.5"], "--b"),
+        (["amp-estimate", "--seed", "1"], "--tau"),
+        (["gapp-estimate", "--seed", "1"], "--delta"),
+        (["amp-estimate", "--seed", "1", "--lower-bound", "0.5"], "--epsilon"),
+        (["amp-estimate", "--seed", "1", "--epsilon", "0.1"], "--lower-bound"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_non_finite_number_argument_is_usage_error(self, capsys, tmp_path,
+                                                       argv, flag, value):
+        circuit = {
+            "witness_qubits": 1, "ancilla_qubits": 1, "accept_qubit": 1,
+            "gates": [{"name": "CX", "controls": [0], "targets": [1]}],
+            "classical_only": True,
+        }
+        document = {"unitary": Z_JSON} if argv[0] == "amp-estimate" else circuit
+        code, _ = run_refused(capsys, tmp_path, document, *argv, flag, value)
+        assert code == 3
+
+    @pytest.mark.parametrize("blocks, block_size, bits", [
+        ("-1", "-1", "1"), ("0", "0", ""), ("0", "4", ""), ("2", "0", ""),
+    ])
+    def test_onehot_counts_below_one_are_usage_errors(self, capsys, tmp_path,
+                                                      blocks, block_size, bits):
+        code, _ = run_refused(capsys, tmp_path, {}, "onehot-decode",
+                              "--blocks", blocks, "--block-size", block_size,
+                              "--bits", bits)
+        assert code == 3
 
 
 class TestInputDocumentErrors:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,10 +26,31 @@ from qparam.estimators import (
     exact_gap,
     qmak_decide,
     qmak_operator,
+    rng_stream,
     sample_count,
 )
 from qparam.states import StateVector
 from qparam.weightenum import WeightEnumeration
+
+
+class TestRngStream:
+    def test_seeds_above_63_bits_are_distinct(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [rng_stream(seed, 0).random(4).tolist()
+                     for seed in (2**63, 2**63 + 1, 2**64 - 1)]
+        assert len({tuple(d) for d in draws}) == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1])
+    def test_stream_of_63_bit_seeds_kept(self, seed):
+        # the key the generator was built from before seeds were range-checked
+        old = np.random.Generator(np.random.Philox(key=[seed, 1]))
+        assert rng_stream(seed, 1).random(4).tolist() == old.random(4).tolist()
+
+    @pytest.mark.parametrize("seed", [-1, -1000, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(InvalidInputError):
+            rng_stream(seed, 0)
 
 
 class TestSampleCount:

@@ -17,6 +17,7 @@ from qparam.hamiltonian import (
     expectation_value,
     restrict_to_weight,
 )
+from qparam.linalg import min_eigenvalue
 from qparam.states import StateVector
 from qparam.weightenum import WeightEnumeration
 
@@ -44,6 +45,21 @@ def random_mixed_local(rng, n, num_terms=8):
         qubits = sorted(int(q) for q in rng.choice(n, size=size, replace=False))
         terms.append(LocalTerm(tuple(qubits), random_hermitian(rng, 2**size)))
     return LocalHamiltonian(n, 3, 0.0, 1.0, tuple(terms))
+
+
+def frustration_free(rng, n, k, num_terms, a=0.5, b=1.0):
+    """Two-local rank-1 or rank-2 projectors that all annihilate one random
+    weight-k basis state, so the weight-k λ_min is exactly 0."""
+    x = np.zeros(n, dtype=int)
+    x[rng.choice(n, size=k, replace=False)] = 1
+    terms = []
+    for _ in range(num_terms):
+        i, j = sorted(int(q) for q in rng.choice(n, size=2, replace=False))
+        vecs = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        vecs[2 * x[i] + x[j]] = 0  # orthogonal to the state's local pattern
+        q, _ = np.linalg.qr(vecs[:, : int(rng.integers(1, 3))])
+        terms.append(LocalTerm((i, j), q @ q.conj().T))
+    return LocalHamiltonian(n, 2, a, b, tuple(terms))
 
 
 def sector_vector(rng, n, idx):
@@ -134,7 +150,7 @@ class TestRestrictToWeight:
     def test_sum_z_weight_one(self):
         # diagonal and weight-uniform: every entry n - 2k
         r = restrict_to_weight(sum_z(4), 1)
-        assert np.allclose(r, 2 * np.eye(4))
+        assert np.allclose(r.toarray(), 2 * np.eye(4))
 
     def test_weight_zero(self):
         r = restrict_to_weight(sum_z(4), 0)
@@ -146,7 +162,7 @@ class TestRestrictToWeight:
         h = random_two_local(rng, 8)
         idx = list(WeightEnumeration(8, 2).indices())
         sub = assemble_full(h)[np.ix_(idx, idx)]
-        assert np.allclose(restrict_to_weight(h, 2), sub, atol=1e-10)
+        assert np.allclose(restrict_to_weight(h, 2).toarray(), sub, atol=1e-10)
 
     def test_hermitian_output(self, rng):
         r = restrict_to_weight(random_two_local(rng, 7), 3)
@@ -161,8 +177,8 @@ class TestRestrictToWeight:
         idx = list(WeightEnumeration(9, 4).indices())
         sub = assemble_full(h)[np.ix_(idx, idx)]
         restricted = restrict_to_weight(h, 4)
-        assert isinstance(restricted, np.ndarray)
-        assert np.allclose(restricted, sub, atol=1e-10)
+        assert sp.issparse(restricted)
+        assert np.allclose(restricted.toarray(), sub, atol=1e-10)
 
     def test_weight_n(self, rng):
         # the one all-ones state: its diagonal entry of the full matrix
@@ -172,7 +188,6 @@ class TestRestrictToWeight:
         assert restricted[0, 0] == pytest.approx(assemble_full(h)[-1, -1])
 
     def test_sparse_sector_bilinear_form(self, rng):
-        # dim C(14, 6) = 3003 is past the dense threshold, so the CSR branch
         n, k = 14, 6
         h = random_mixed_local(rng, n, num_terms=9)
         idx = WeightEnumeration(n, k).indices()
@@ -262,8 +277,16 @@ class TestDecide:
             assert d.verdict is Verdict.YES
             assert d.lambda_min == pytest.approx(lam, abs=1e-8)
 
-    def test_iterative_mode(self, rng):
-        h = random_two_local(rng, 8)
-        dense = decide_weight_k_local_hamiltonian(h, 2, mode="dense")
-        iterative = decide_weight_k_local_hamiltonian(h, 2, mode="iterative")
-        assert iterative.lambda_min == pytest.approx(dense.lambda_min, abs=1e-8)
+    def test_frustration_free_sectors_decide_yes(self, rng):
+        # λ_min = 0 exactly: a singular sector whose null space the Lanczos
+        # iteration must keep
+        for _ in range(30):
+            n = int(rng.integers(12, 19))
+            k = int(rng.integers(2, 4))
+            h = frustration_free(rng, n, k, int(rng.integers(n, 2 * n)))
+            lam = min_eigenvalue(restrict_to_weight(h, k), mode="iterative")
+            assert lam == pytest.approx(0.0, abs=1e-10)
+            d = decide_weight_k_local_hamiltonian(h, k)
+            assert d.lambda_min == pytest.approx(0.0, abs=1e-10)
+            assert d.verdict is Verdict.YES
+

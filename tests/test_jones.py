@@ -98,7 +98,8 @@ class TestKauffmanBracket:
         with pytest.raises(ResourceError):
             kauffman_bracket(huge, self.A_GENERIC)
         # each crossing at an even position doubles the matchings: 8 strands
-        # hold 1, 2, 4 and then 8 matchings, i.e. 8, 16, 32 and 64 entries
+        # hold 1, 2, 4 and then 8 matchings, i.e. 8, 16, 32 and 64 entries,
+        # with 3, 2, 1 and 0 crossings left: 32, 48, 64 and 64 entry steps
         diagram = plat_closure(BraidWord(8, (2, 4, 6)))
         monkeypatch.setattr(jones, "BRACKET_ENTRY_LIMIT", 64)
         kauffman_bracket(diagram, self.A_GENERIC)

@@ -44,6 +44,34 @@ class TestMinEigenvalue:
             quotient = (v.conj() @ m @ v).real / (v.conj() @ v).real
             assert lam <= quotient + 1e-9
 
+    def test_iterative_keeps_an_isolated_zero(self):
+        m = np.diag([0.0] + [1.0] * 99)
+        assert min_eigenvalue(m, mode="iterative") == pytest.approx(0.0, abs=1e-10)
+
+    def test_iterative_keeps_a_zero_block(self, rng):
+        # 0 ⊕ (positive definite): the null space is one vector
+        a = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        m = sp.block_diag([np.zeros((1, 1)), a @ a.conj().T + np.eye(30)]).tocsr()
+        assert min_eigenvalue(m, mode="iterative") == pytest.approx(0.0, abs=1e-10)
+
+    def test_iterative_finds_a_reflection_odd_ground_state(self):
+        # path adjacency: the reflection-odd ground state is orthogonal to every
+        # reflection-even start vector, such as all-ones
+        dim = 100
+        path = sp.diags([np.ones(dim - 1), np.ones(dim - 1)], [-1, 1]).tocsr()
+        assert min_eigenvalue(path, mode="iterative") == pytest.approx(
+            2 * np.cos(dim * np.pi / (dim + 1)), abs=1e-10
+        )
+
+    def test_iterative_on_zero_matrix(self):
+        zero = sp.csr_matrix((50, 50), dtype=complex)
+        assert min_eigenvalue(zero, mode="iterative") == pytest.approx(0.0, abs=1e-12)
+
+    def test_iterative_is_bit_identical(self, rng):
+        m = sp.csr_matrix(random_hermitian(rng, 60))
+        values = {min_eigenvalue(m, mode="iterative").hex() for _ in range(4)}
+        assert len(values) == 1
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidInputError):
             min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
