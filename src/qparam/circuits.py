@@ -212,14 +212,15 @@ def apply_gate_matrix(
     return np.transpose(moved, np.argsort(order)).reshape(shape)
 
 
-def _monomial_map(gate: Gate, index: np.ndarray, num_qubits: int):
+def _monomial_map(gate: Gate, index: np.ndarray, num_qubits: int, position):
     """A monomial gate as (source, phase) over all basis indices.
 
     The gate maps amplitudes as out[i] = phase[i] · in[source[i]]; ``None``
-    stands for the identity source or a unit phase.
+    stands for the identity source or a unit phase. ``position[w]`` is the
+    bit position that holds wire w.
     """
     def bit(wire):
-        return 1 << (num_qubits - 1 - wire)
+        return 1 << (num_qubits - 1 - position[wire])
 
     if gate.name in _DIAGONAL_PHASE:
         # the phase applies where every wire of the gate reads 1
@@ -238,45 +239,80 @@ def _monomial_map(gate: Gate, index: np.ndarray, num_qubits: int):
     return source, None
 
 
-def _compile(circuit: QuantumCircuit) -> Iterator[tuple]:
+def _compile(
+    circuit: QuantumCircuit, keep: np.ndarray | None = None
+) -> Iterator[tuple]:
     """The circuit as steps (source, phase, dense gate), generated lazily.
 
     A step gathers the block's rows by ``source``, scales them by ``phase``
-    (either may be ``None``), then applies its dense gate, if any. Each run
-    of monomial gates between two dense gates folds into one index map, so it
-    costs O(2^total) once rather than O(2^total · W) per block. Each map
-    holds O(2^total) memory, so one block consumes the steps as they come.
+    (either may be ``None``), then applies its dense gate, if any, to the
+    top bit positions 0..s-1. Each run of monomial gates between two dense
+    gates folds into one index map, so it costs O(2^total) once rather than
+    O(2^total · W) per block. Each map holds O(2^total) memory, so one block
+    consumes the steps as they come.
+
+    The block's bit positions hold the wires in a tracked order
+    (``layout[p]`` is the wire at position p). A dense gate whose wires are
+    not an ascending adjacent run, or that follows a pending gather, first
+    has its wires moved to the top positions in gate order; that row
+    permutation folds into the pending map like a monomial gate, so the gate
+    is one GEMM on a view. The last step restores the wire order and keeps
+    only the rows ``keep`` (all rows when ``None``).
     """
     n = circuit.total_qubits
     index = np.arange(2**n)
+    axes = index.reshape([2] * n)
+    layout = list(range(n))
     source = phase = None
-    for gate in circuit.gates:
-        if gate.name not in MONOMIAL_GATES:
-            yield source, phase, gate
-            source = phase = None
-            continue
-        g_source, g_phase = _monomial_map(gate, index, n)
+
+    def fold(g_source, g_phase):
+        nonlocal source, phase
         if g_source is not None:
             source = g_source if source is None else source[g_source]
             phase = None if phase is None else phase[g_source]
         if g_phase is not None:
             phase = g_phase if phase is None else g_phase * phase
+
+    def relayout(order):
+        # the row permutation that puts the wires of ``order`` at positions 0..n-1
+        position = {w: p for p, w in enumerate(layout)}
+        fold(axes.transpose([position[w] for w in order]).ravel(), None)
+        layout[:] = order
+
+    for gate in circuit.gates:
+        position = {w: p for p, w in enumerate(layout)}
+        if gate.name in MONOMIAL_GATES:
+            fold(*_monomial_map(gate, index, n, position))
+            continue
+        wires = [position[w] for w in gate.wires]
+        s = len(wires)
+        adjacent = wires == list(range(wires[0], wires[0] + s))
+        if wires != list(range(s)) and (source is not None or not adjacent):
+            relayout(list(gate.wires) + [w for w in layout if w not in gate.wires])
+            wires = list(range(s))
+        yield source, phase, (gate, tuple(wires))
+        source = phase = None
+    if layout != list(range(n)):
+        relayout(list(range(n)))
+    if keep is not None:
+        fold(keep, None)
     yield source, phase, None
 
 
 def _evolve(steps: Iterable[tuple], block: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Apply compiled steps to every column of a (2^num_qubits, W) block.
+    """Apply compiled steps to every column of a (rows, W) block.
 
     The block is scaled in place, so the caller hands over its ownership.
     """
-    for source, phase, gate in steps:
+    for source, phase, dense in steps:
         if source is not None:
             block = block[source]
         if phase is not None:
             # in place: a fresh broadcast product costs several times more
             block *= phase[:, None]
-        if gate is not None:
-            block = apply_gate_matrix(block, num_qubits, gate.wires, gate.local_matrix())
+        if dense is not None:
+            gate, wires = dense
+            block = apply_gate_matrix(block, num_qubits, wires, gate.local_matrix())
     return block
 
 
@@ -297,22 +333,37 @@ def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
 def accept_projected_columns(
     circuit: QuantumCircuit, witness_indices: np.ndarray
 ) -> np.ndarray:
-    """Columns Π₁·U|w, 0...0⟩ for witness basis indices w, shape (2^total, W).
+    """The accept rows of U|w, 0...0⟩ for witness basis indices w, as the
+    columns of a (2^(total-1), W) array.
 
-    Π₁ keeps the amplitudes whose accept qubit reads 1. The circuit is
+    The accept rows are the basis indices whose accept qubit reads 1, in
+    ascending order; the rows that Π₁ zeroes are left out. The circuit is
     compiled once, holding one index map per dense gate, and the columns are
     evolved ``WITNESS_CHUNK`` at a time.
     """
     n = circuit.total_qubits
     rows = np.asarray(witness_indices, dtype=np.int64) << circuit.ancilla_qubits
-    accept = ((np.arange(2**n) >> (n - 1 - circuit.accept_qubit)) & 1) == 1
-    steps = list(_compile(circuit))
-    out = np.zeros((2**n, len(rows)), dtype=complex)
+    accept = np.flatnonzero((np.arange(2**n) >> (n - 1 - circuit.accept_qubit)) & 1)
+    steps = list(_compile(circuit, accept))
+    # Each block starts past the first index map: basis column w is the one
+    # row that the map gathers from row w, scaled by that row's phase.
+    source, phase, dense = steps[0]
+    steps[0] = (None, None, dense)
+    if source is None:
+        source = np.arange(2**n)
+    landing = np.full(2**n, -1)
+    landing[source] = np.arange(len(source))
+    at = landing[rows]
+    # a witness the map drops (at = -1) writes 0 into the last row of its
+    # own column, which is zero anyway
+    value = np.where(at >= 0, 1 if phase is None else phase[at], 0)
+    out = np.empty((2 ** (n - 1), len(rows)), dtype=complex)
     for start in range(0, len(rows), WITNESS_CHUNK):
-        chunk = rows[start:start + WITNESS_CHUNK]
-        block = np.zeros((2**n, len(chunk)), dtype=complex)
-        block[chunk, np.arange(len(chunk))] = 1.0
-        out[accept, start:start + len(chunk)] = _evolve(steps, block, n)[accept]
+        chunk = slice(start, start + WITNESS_CHUNK)
+        width = len(at[chunk])
+        block = np.zeros((len(source), width), dtype=complex)
+        block[at[chunk], np.arange(width)] = value[chunk]
+        out[:, chunk] = _evolve(steps, block, n)
     return out
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: seeded, reproducible runs with JSON reports.
 
 Exit codes: 0 = YES/success, 1 = NO, 2 = PROMISE_VIOLATED,
-3 = usage or parse error, 4 = resource or convergence error.
+3 = usage or parse error, 4 = resource or convergence error or any other
+failure (an `error:` line on stderr, no traceback).
 """
 from __future__ import annotations
 
@@ -74,7 +75,8 @@ def _resolve_seed(args) -> int:
 
 def _emit(command: str, config: dict, result: dict) -> None:
     report = {"command": command, "config": config, "result": result}
-    print(json.dumps(report, sort_keys=True, indent=2))
+    # a NaN or Inf that got past the input checks fails here, not in stdout
+    print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
 def build_parser() -> _Parser:
@@ -276,6 +278,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ResourceError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except Exception as exc:  # MemoryError too: a fault is never a NO verdict
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

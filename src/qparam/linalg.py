@@ -8,6 +8,10 @@ from a dense solver that computes only that eigenvalue.
 from __future__ import annotations
 
 import sys
+from array import array
+from functools import reduce
+from itertools import chain
+from operator import iadd
 
 import numpy as np
 import scipy.linalg as sla
@@ -128,9 +132,31 @@ def matrix_to_json(matrix) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
+    """A complex matrix from row-major nested lists of [re, im] pairs.
+
+    Every part must be a finite JSON number: bools, strings, NaN, Inf,
+    integers beyond the float range and entries that are not pairs are
+    refused.
+    """
     try:
-        return np.array(
-            [[complex(re, im) for re, im in row] for row in data], dtype=complex
-        )
-    except (TypeError, ValueError) as exc:
+        rows = list(data)
+        entries = list(chain.from_iterable(rows))
+        # one pass per check over flat lists: numpy's nested-list parsing
+        # costs more than all of them together on a 256×256 matrix
+        parts = reduce(iadd, entries, [])
+        shape = (len(rows), len(rows[0]), 2)
+    except (TypeError, IndexError) as exc:
         raise InvalidInputError(f"malformed matrix JSON: {exc}") from exc
+    if set(map(len, rows)) != {shape[1]} or set(map(len, entries)) != {2}:
+        raise InvalidInputError("matrix JSON must be equal rows of [re, im] pairs")
+    kinds = set(map(type, parts))
+    if not kinds <= {int, float}:
+        names = sorted(kind.__name__ for kind in kinds - {int, float})
+        raise InvalidInputError(f"matrix parts must be numbers, got {names}")
+    try:
+        pairs = np.frombuffer(array("d", parts)).reshape(shape)
+    except OverflowError as exc:
+        raise InvalidInputError(f"matrix part out of float range: {exc}") from exc
+    if not np.isfinite(pairs).all():
+        raise InvalidInputError("matrix parts must be finite")
+    return pairs.view(complex)[..., 0]

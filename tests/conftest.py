@@ -1,8 +1,8 @@
 """Shared fixtures and independent brute-force oracles.
 
 Every oracle here is implemented from first principles with a different
-algorithm than the library code it checks: dense Kronecker embeddings for
-gate application, exhaustive DAG traversal for weft, a Temperley-Lieb
+algorithm than the library code it checks: dense Kronecker embeddings and
+bitwise scatters for gate application, exhaustive DAG traversal for weft, a Temperley-Lieb
 diagram-algebra evaluation and a 2^c state sum with union-find loop counts
 for the bracket, and simulated controlled-U Hadamard-test circuits for the
 amplitude sampler.
@@ -79,6 +79,36 @@ def circuit_unitary_oracle(circuit: QuantumCircuit) -> np.ndarray:
     for gate in circuit.gates:
         full = embed_oracle(gate.local_matrix(), gate.wires, n) @ full
     return full
+
+
+def evolve_oracle(circuit: QuantumCircuit, states: np.ndarray) -> np.ndarray:
+    """U applied to the columns of a (2^n, W) array, one gate at a time.
+
+    Each gate scatters every basis index x to the indices y that differ from
+    x only on the gate's wires (wire 0 = MSB), by bit manipulation with no
+    transposes, so it reaches qubit counts where the dense unitary of
+    :func:`circuit_unitary_oracle` does not fit.
+    """
+    n = circuit.total_qubits
+    x = np.arange(2**n)
+    out = np.array(states, dtype=complex)
+    for gate in circuit.gates:
+        wires = gate.wires
+        s = len(wires)
+        matrix = gate.local_matrix()
+        lx = np.zeros_like(x)
+        cleared = x.copy()
+        for q in wires:
+            lx = (lx << 1) | ((x >> (n - 1 - q)) & 1)
+            cleared &= ~(1 << (n - 1 - q))
+        new = np.zeros_like(out)
+        for ly in range(2**s):
+            y = cleared.copy()
+            for pos, q in enumerate(wires):
+                y |= ((ly >> (s - 1 - pos)) & 1) << (n - 1 - q)
+            np.add.at(new, y, matrix[ly, lx][:, None] * out)
+        out = new
+    return out
 
 
 def dag_metrics_oracle(circuit: QuantumCircuit) -> tuple[int, int]:

@@ -6,6 +6,7 @@ from conftest import (
     all_kinds_circuit,
     circuit_unitary_oracle,
     dag_metrics_oracle,
+    evolve_oracle,
     random_circuit,
     random_state,
     random_unitary,
@@ -86,6 +87,14 @@ class TestSimulate:
             expected = circuit_unitary_oracle(c) @ psi
             assert np.allclose(out.amplitudes, expected, atol=1e-10)
 
+    def test_scatter_oracle_matches_dense_oracle(self, rng):
+        # the two independent oracles agree, so either can check the engine
+        for _ in range(5):
+            c = all_kinds_circuit(rng, 3, 2, int(rng.integers(5)))
+            states = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+            assert np.allclose(evolve_oracle(c, states),
+                               circuit_unitary_oracle(c) @ states, atol=1e-12)
+
     def test_norm_preserved(self, rng):
         c = random_circuit(rng, 3, 12)
         out = simulate(c, StateVector(3, random_state(rng, 3)))
@@ -107,8 +116,79 @@ class TestAcceptProjectedColumns:
         for count in (1, 5, 130):
             witnesses = rng.choice(2**8, size=count, replace=False)
             got = accept_projected_columns(c, witnesses)
-            assert got.shape == (2**9, count)
-            assert np.allclose(got, expected[:, witnesses << 1], atol=1e-10)
+            assert got.shape == (2**8, count)
+            reads_one = (np.arange(2**9) >> (8 - accept)) & 1 == 1
+            assert np.all(expected[~reads_one] == 0)
+            assert np.allclose(
+                got, expected[reads_one][:, witnesses << 1], atol=1e-10
+            )
+
+
+def _u(rng, *wires):
+    return Gate("UNITARY", targets=wires, matrix=random_unitary(rng, 2 ** len(wires)))
+
+
+# (witness, ancilla, accept, gates(rng)): layouts the wire-order tracking in
+# the engine has to undo, on either side of the witness/ancilla split
+ENGINE_CASES = {
+    "descending-nonadjacent": (9, 3, 4, lambda rng: (
+        Gate("H", targets=(0,)), Gate("CX", controls=(0,), targets=(7,)),
+        _u(rng, 9, 3), Gate("T", targets=(3,)), _u(rng, 11, 4, 1),
+        Gate("SWAP", targets=(1, 10)), _u(rng, 2, 8), Gate("X", targets=(5,)),
+    )),
+    "dense-back-to-back": (6, 2, 7, lambda rng: (
+        Gate("X", targets=(2,)), _u(rng, 5, 1), _u(rng, 7, 0, 3),
+        Gate("H", targets=(6,)), Gate("H", targets=(2,)), _u(rng, 3, 4),
+        Gate("TOFFOLI", controls=(0, 5), targets=(7,)),
+    )),
+    "ends-dense": (5, 3, 2, lambda rng: (
+        Gate("CZ", controls=(6,), targets=(1,)), _u(rng, 4, 6),
+        Gate("Y", targets=(7,)), Gate("S", targets=(0,)), _u(rng, 7, 2, 5),
+    )),
+    "monomial-only": (6, 2, 6, lambda rng: (
+        Gate("X", targets=(0,)), Gate("CX", controls=(0,), targets=(6,)),
+        Gate("SWAP", targets=(3, 7)), Gate("T", targets=(3,)),
+        Gate("Y", targets=(5,)), Gate("TOFFOLI", controls=(5, 3, 1), targets=(2,)),
+    )),
+    "no-gates": (4, 2, 1, lambda rng: ()),
+    "one-qubit": (1, 0, 0, lambda rng: (
+        Gate("H", targets=(0,)), Gate("T", targets=(0,)), _u(rng, 0),
+    )),
+    "accept-on-ancilla": (4, 3, 5, lambda rng: (
+        _u(rng, 0, 6), Gate("CX", controls=(6,), targets=(5,)), _u(rng, 5, 2),
+        Gate("H", targets=(5,)), _u(rng, 3, 1, 4),
+    )),
+}
+
+
+@pytest.mark.parametrize("case", list(ENGINE_CASES))
+class TestEngineAgainstScatterOracle:
+    """[DERIVED] :func:`evolve_oracle` on the same columns."""
+
+    def _circuit(self, rng, case):
+        witness, ancilla, accept, gates = ENGINE_CASES[case]
+        return QuantumCircuit(witness, ancilla, gates(rng), accept)
+
+    def test_simulate(self, rng, case):
+        c = self._circuit(rng, case)
+        psi = random_state(rng, c.witness_qubits)
+        padded = np.zeros((2**c.total_qubits, 1), dtype=complex)
+        padded[:: 2**c.ancilla_qubits, 0] = psi
+        out = simulate(c, StateVector(c.witness_qubits, psi))
+        assert np.allclose(out.amplitudes, evolve_oracle(c, padded)[:, 0],
+                           atol=1e-10)
+
+    def test_accept_projected_columns(self, rng, case):
+        c = self._circuit(rng, case)
+        n = c.total_qubits
+        count = min(2**c.witness_qubits, 2 * WITNESS_CHUNK + 3)
+        witnesses = rng.choice(2**c.witness_qubits, size=count, replace=False)
+        basis = np.zeros((2**n, count), dtype=complex)
+        basis[witnesses << c.ancilla_qubits, np.arange(count)] = 1.0
+        reads_one = (np.arange(2**n) >> (n - 1 - c.accept_qubit)) & 1 == 1
+        got = accept_projected_columns(c, witnesses)
+        assert got.shape == (2 ** (n - 1), count)
+        assert np.allclose(got, evolve_oracle(c, basis)[reads_one], atol=1e-10)
 
 
 class TestAcceptance:

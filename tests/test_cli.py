@@ -310,6 +310,53 @@ class TestInputDocumentErrors:
         assert code == 3
 
 
+    @pytest.mark.parametrize("part", [10**400, True, "1"],
+                             ids=["huge-int", "bool", "string"])
+    @pytest.mark.parametrize("where", ["unitary", "gate", "term"])
+    def test_matrix_part_is_usage_error(self, capsys, tmp_path, part, where):
+        matrix = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [part, 0.0]]]
+        if where == "unitary":
+            document, argv = {"unitary": matrix}, ["amp-estimate", "--seed", "1"]
+        elif where == "gate":
+            document = {"witness_qubits": 1, "ancilla_qubits": 0,
+                        "accept_qubit": 0, "gates": [
+                            {"name": "UNITARY", "targets": [0], "matrix": matrix}]}
+            argv = ["weft"]
+        else:
+            document = json.loads(json.dumps(self.HAMILTONIAN))
+            document["terms"][0]["matrix"] = matrix
+            argv = ["ham-decide", "--k", "1"]
+        code, _ = run_refused(capsys, tmp_path, document, *argv)
+        assert code == 3
+
+
+class TestBackstop:
+    """Any exception the commands do not map is exit 4, never a NO verdict."""
+
+    CIRCUIT = {"witness_qubits": 1, "ancilla_qubits": 0, "accept_qubit": 0,
+               "gates": [{"name": "X", "targets": [0]}]}
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), MemoryError()],
+                             ids=["runtime", "memory"])
+    def test_unexpected_exception_exits_4(self, capsys, tmp_path, monkeypatch,
+                                          error):
+        def fail(circuit):
+            raise error
+
+        monkeypatch.setattr("qparam.cli.circuit_metrics", fail)
+        code, _ = run_refused(capsys, tmp_path, self.CIRCUIT, "weft")
+        assert code == 4
+
+    def test_non_finite_report_exits_4(self, capsys, tmp_path, monkeypatch):
+        class Metrics:
+            def to_json(self):
+                return {"weft": float("nan")}
+
+        monkeypatch.setattr("qparam.cli.circuit_metrics", lambda c: Metrics())
+        code, _ = run_refused(capsys, tmp_path, self.CIRCUIT, "weft")
+        assert code == 4
+
+
 class TestSamplerLimits:
     AMP = {"unitary": matrix_to_json(np.eye(2))}
     BRAID = {"strands": 4, "word": [1, -2]}

@@ -117,6 +117,24 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             matrix_from_json([[1, 2], [3]])
 
+    @pytest.mark.parametrize("data", [
+        [[[10**400, 0]]], [[[0, -(10**400)]]], [[[True, False]]],
+        [[[1.0, 0.0], [False, 1]]], [[["1", 0]]], [[[None, 0]]],
+        [[[1, 2, 3]]], [[[1]]], [[[1, [2]]]], [[[1, 0]], [[1, 0], [0, 0]]],
+        [[[float("nan"), 0]]], [[[0, float("inf")]]], [], [[]], "ab", 5,
+    ], ids=["huge-int", "huge-negative-int", "bools", "one-bool", "string",
+            "null", "triple", "single", "nested", "ragged", "nan", "inf",
+            "empty", "empty-row", "string-document", "number-document"])
+    def test_bad_parts_rejected(self, data):
+        with pytest.raises(InvalidInputError):
+            matrix_from_json(data)
+
+    def test_int_parts_and_exact_bits(self):
+        got = matrix_from_json([[[1, -0.0], [2**60, 0.1]]])
+        assert got.dtype == complex and got.shape == (1, 2)
+        assert got[0, 0] == 1 and np.signbit(got[0, 0].imag)
+        assert got[0, 1] == complex(2**60, 0.1)
+
     def test_is_hermitian(self, rng):
         assert is_hermitian(random_hermitian(rng, 5))
         assert not is_hermitian(np.array([[0, 1j], [1j, 0]]))
