@@ -7,6 +7,7 @@ failure (an `error:` line on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -79,7 +80,9 @@ def _emit(command: str, config: dict, result: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command parser, built once per process: parsing leaves it as it is."""
     parser = _Parser(prog="qparam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,15 +19,19 @@ from dataclasses import dataclass, field, replace
 from math import cos, pi, sin, sqrt
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidInputError, ResourceError
 from .estimators import EstimateReport, sample_amplitude
 from .linalg import json_int
+from .weightenum import INDEX_BITS
 
 # matching entries (matchings × strands) × (crossings left + 1) the bracket may face
 BRACKET_ENTRY_LIMIT = 2**22
-PATH_MODEL_DIM_LIMIT = 4096
+# path-model entry steps: (walks × (1 + block columns) + PATH_LETTER_ENTRIES)
+# × (letters + 1); the identity block stays under 4096² entries
+PATH_MODEL_WORK_LIMIT = 2**24
+# a letter's fixed cost, counted in entries
+PATH_LETTER_ENTRIES = 256
 
 
 def _check_level(k: int):
@@ -156,18 +160,38 @@ def jones_exact(braid: BraidWord, k: int) -> complex:
     return complex((-a) ** (-3 * w) * kauffman_bracket(plat_closure(braid), a))
 
 
+def _require_path_work(entries: int, letters: int):
+    if (entries + PATH_LETTER_ENTRIES) * (letters + 1) > PATH_MODEL_WORK_LIMIT:
+        raise ResourceError(
+            f"path model holds {entries} entries for {letters} letters: over "
+            f"{PATH_MODEL_WORK_LIMIT} entry steps"
+        )
+
+
 @dataclass(frozen=True)
 class PathModel:
-    """Walks of length `strands` on {1..k-1} starting at 1, steps ±1.
+    """Walks of `strands` steps ±1 on {1..k-1} from height 1. A walk is its
+    step mask (bit j set: step j+1 goes up); ``basis`` holds the masks as an
+    increasing int64 array, built one step at a time.
 
-    The walks are extended one step at a time, and no step lowers their
-    number, so a model with more than ``PATH_MODEL_DIM_LIMIT`` walks is
-    refused with ``ResourceError`` as soon as one step exceeds it.
+    With ``closed``, only the walks that end at height 1 are kept: the
+    sector of the plat caps, which no generator leaves. A prefix that can no
+    longer return (height − 1 > steps left) is dropped at the step that makes
+    it, so no step holds more walks than the last.
+
+    The model is sized for ``letters`` generator images applied to one column
+    (closed) or to the identity block (full). It holds walks × (1 + columns)
+    entries, the masks being one column; past ``PATH_MODEL_WORK_LIMIT`` entry
+    steps, (entries + ``PATH_LETTER_ENTRIES``) × (letters + 1), it raises
+    ``ResourceError``, checked before the first walk and before each step is
+    built. More than ``INDEX_BITS`` steps are refused up front.
     """
 
     strands: int
     k: int
-    basis: tuple[tuple[int, ...], ...] = field(init=False)
+    closed: bool = False
+    letters: int = 0
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
     dim: int = field(init=False)
 
     def __post_init__(self):
@@ -176,78 +200,115 @@ class PathModel:
             raise InvalidInputError(
                 f"strand count must be even and positive, got {self.strands}"
             )
-        walks = [(1,)]
-        for _ in range(self.strands):
-            walks = [w + (w[-1] + step,) for w in walks for step in (1, -1)
-                     if 1 <= w[-1] + step <= self.k - 1]
-            if len(walks) > PATH_MODEL_DIM_LIMIT:
-                raise ResourceError(
-                    f"path model on {self.strands} strands at k={self.k} has "
-                    f"more than {PATH_MODEL_DIM_LIMIT} walks"
-                )
-        object.__setattr__(self, "basis", tuple(walks))
-        object.__setattr__(self, "dim", len(walks))
+        if self.strands > INDEX_BITS:
+            raise ResourceError(
+                f"{self.strands} strands exceed the {INDEX_BITS}-bit walk masks"
+            )
+        _require_path_work(2, self.letters)  # one walk, one column
+        top = min(self.k - 1, self.strands + 1)
+        masks = np.zeros(1, dtype=np.int64)
+        heights = np.ones(1, dtype=np.int8)
+        for j in range(self.strands):
+            up, down = heights < top, heights > 1
+            if self.closed:
+                left = self.strands - j - 1
+                up &= heights <= left
+                down &= heights - 2 <= left
+            walks = int(np.count_nonzero(up)) + int(np.count_nonzero(down))
+            columns = 1 if self.closed else walks
+            _require_path_work(walks * (1 + columns), self.letters)
+            # the new bit is above every old one, so the order is kept
+            masks = np.concatenate([masks[down], masks[up] | (1 << j)])
+            heights = np.concatenate([heights[down] - 1, heights[up] + 1])
+        object.__setattr__(self, "basis", masks)
+        object.__setattr__(self, "dim", len(masks))
 
-    def index(self, walk: tuple[int, ...]) -> int:
-        return self.basis.index(walk)
+    def index(self, walk: int) -> int:
+        """Position of a step mask in ``basis``; ValueError if it is absent."""
+        pos = int(np.searchsorted(self.basis, walk))
+        if pos == self.dim or self.basis[pos] != walk:
+            raise ValueError(f"walk {walk:#x} is not in the path model")
+        return pos
 
-    def cap_walk(self) -> tuple[int, ...]:
-        """The alternating walk (1,2,1,2,...,1) matching the plat caps."""
-        return tuple((2 if j % 2 == 1 else 1) for j in range(self.strands + 1))
+    def cap_walk(self) -> int:
+        """Step mask of the walk 1,2,1,2,...,1 matching the plat caps: every
+        odd step goes up."""
+        return int("01" * (self.strands // 2), 2)
 
 
-def _generator_unitary(model: PathModel, i: int) -> sp.csr_matrix:
-    """U_i = i·e^{3iπ/k}·(a·I − a^{-1}·E_i) with E_i the Temperley-Lieb
-    generator on the path basis, which has at most two nonzeros per row."""
-    k = model.k
-    index = {p: j for j, p in enumerate(model.basis)}
-    rows, cols, vals = [], [], []
-    for p in model.basis:
-        before, at, after = p[i - 1], p[i], p[i + 1]
-        if before != after:
-            continue
-        for new in (before - 1, before + 1):
-            if 1 <= new <= k - 1:
-                q = p[:i] + (new,) + p[i + 1:]
-                col = index.get(q)
-                if col is not None:
-                    rows.append(col)
-                    cols.append(index[p])
-                    vals.append(sqrt(sin(pi * at / k) * sin(pi * new / k))
-                                / sin(pi * before / k))
-    e = sp.csr_matrix((vals, (rows, cols)), shape=(model.dim, model.dim))
-    a = np.exp(-1j * pi / (2 * k))
-    gamma = 1j * np.exp(3j * pi / k)
-    return gamma * (a * sp.identity(model.dim, format="csr") - (1 / a) * e)
+# set bits of each byte value
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _generator(model: PathModel, i: int):
+    """The Temperley-Lieb generator E_i on the basis, as the rows it touches
+    (walks whose steps i and i+1 differ, so heights i-1 and i+1 agree), each
+    row's partner (those two steps swapped, the row itself if that leaves
+    {1..k-1}), and E_i's real diagonal and partner entries on those rows."""
+    basis, k = model.basis, model.k
+    low = (basis >> (i - 1)) & 1
+    rows = np.flatnonzero(low != ((basis >> i) & 1))
+    masks = basis[rows]
+    # height i-1 is 1 + ups − downs over the first i-1 steps
+    prefix = masks & ((1 << (i - 1)) - 1)
+    ups = _BYTE_BITS[prefix.view(np.uint8)].reshape(-1, 8).sum(axis=1, dtype=np.int64)
+    before = 2 + 2 * ups - i
+    at = before + 2 * low[rows] - 1
+    target = masks ^ (3 << (i - 1))
+    partner = np.minimum(np.searchsorted(basis, target), model.dim - 1)
+    found = basis[partner] == target
+    sines = np.array([sin(pi * h / k) for h in range(min(k, model.strands + 2) + 1)])
+
+    def entry(new):
+        return np.sqrt(sines[at] * sines[new]) / sines[before]
+
+    diag = entry(at)
+    off = np.where(found, entry(2 * before - at), 0.0)
+    return rows, np.where(found, partner, rows), diag[:, None], off[:, None]
 
 
 def _apply_braid(model: PathModel, word: tuple[int, ...], block: np.ndarray):
-    """ρ(b)·block: the letters' generator images applied from the last letter."""
-    cache: dict[int, sp.csr_matrix] = {}
+    """ρ(b)·block, in place: the letters' generator images applied from the
+    last letter. U_i = γ(a·I − a^{-1}·E_i), and U_i^† has the conjugate
+    scalars, since E_i is real symmetric."""
+    a = np.exp(-1j * pi / (2 * model.k))
+    gamma = 1j * np.exp(3j * pi / model.k)
+    scalars = {True: (gamma * a, gamma / a),
+               False: (np.conj(gamma * a), np.conj(gamma / a))}
+    tables = {}
     for g in reversed(word):
         i = abs(g)
-        if i not in cache:
-            cache[i] = _generator_unitary(model, i)
-        gen = cache[i] if g > 0 else cache[i].conj().T
-        block = gen @ block
+        if i not in tables:
+            tables[i] = _generator(model, i)
+        rows, partner, diag, off = tables[i]
+        scale, mix = scalars[g > 0]
+        ev = block[rows]  # E_i·block on the touched rows, zero elsewhere
+        ev *= diag
+        other = block[partner]
+        other *= off
+        ev += other
+        del other
+        ev *= mix
+        block *= scale
+        block[rows] -= ev
     return block
 
 
 def ajl_braid_unitary(braid: BraidWord, k: int) -> np.ndarray:
-    """ρ(b): the product of generator images on the path basis."""
-    model = PathModel(braid.strands, k)
+    """ρ(b): the product of generator images on the full path basis."""
+    model = PathModel(braid.strands, k, letters=len(braid.word))
     return _apply_braid(model, braid.word, np.eye(model.dim, dtype=complex))
 
 
 def plat_amplitude(braid: BraidWord, k: int) -> complex:
     """q(b) = (-1)^{n-1}·⟨cap|ρ(b)|cap⟩ for a 2n-strand braid, from ρ(b)
-    applied to the cap vector alone."""
-    model = PathModel(braid.strands, k)
+    applied to the cap vector alone, over the walks that end at height 1."""
+    model = PathModel(braid.strands, k, closed=True, letters=len(braid.word))
     cap = model.index(model.cap_walk())
-    vector = np.zeros(model.dim, dtype=complex)
+    vector = np.zeros((model.dim, 1), dtype=complex)
     vector[cap] = 1.0
     n = braid.strands // 2
-    return complex((-1) ** (n - 1) * _apply_braid(model, braid.word, vector)[cap])
+    return complex((-1) ** (n - 1) * _apply_braid(model, braid.word, vector)[cap, 0])
 
 
 def jones_from_amplitude(amplitude: complex, w: int, n: int, k: int) -> complex:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from qparam.cli import main
+from qparam.cli import build_parser, main
 from qparam.jones import BraidWord, jones_exact
 from qparam.linalg import matrix_to_json
 
@@ -256,6 +256,25 @@ class TestErrorPaths:
         assert code == 3
 
 
+class TestParserReuse:
+    @pytest.mark.parametrize("bad", [
+        ["jones", "--k", "five"], ["jones", "--bogus"], ["no-such-command"],
+        ["jones", "--input", "in.json"],
+    ], ids=["bad-type", "unknown-flag", "unknown-command", "missing-k"])
+    def test_usage_error_leaves_next_request_unchanged(self, capsys, tmp_path,
+                                                       bad):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"strands": 4, "word": [1, -2, 3]}))
+        argv = ["jones", "--input", str(path), "--k", "5", "--seed", "9"]
+        build_parser.cache_clear()
+        alone = run(capsys, *argv)
+        build_parser.cache_clear()
+        assert main(bad) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert run(capsys, *argv) == alone
+        assert alone[0] == 0
+
+
 class TestInputDocumentErrors:
     HAMILTONIAN = {
         "n": 2, "locality": 1, "a": 0.0, "b": 1.0,
@@ -381,6 +400,17 @@ class TestSamplerLimits:
         # C(30, 15) ~ 1.55e8 walks: refused once one step passes the limit
         braid = {"strands": 30, "word": [1, 2, -3]}
         code, elapsed = run_refused(capsys, tmp_path, braid, "jones", "--k", "31",
+                                    "--seed", "1")
+        assert code == 4
+        assert elapsed < 1.0
+
+    def test_long_word_refused_up_front(self, capsys, tmp_path, rng):
+        # 42 sector walks × 100000 letters: about 2 s of letters, refused
+        # before the first walk
+        letters = rng.integers(1, 10, size=100_000)
+        signs = rng.choice([-1, 1], size=letters.size)
+        braid = {"strands": 10, "word": (letters * signs).tolist()}
+        code, elapsed = run_refused(capsys, tmp_path, braid, "jones", "--k", "7",
                                     "--seed", "1")
         assert code == 4
         assert elapsed < 1.0
@@ -586,6 +616,18 @@ class TestJonesCommands:
         value = complex(*result["jones"])
         exact = jones_exact(BraidWord(4, ()), 5)
         assert abs(value - exact) <= result["bound"]
+
+    def test_jones_on_twenty_strands(self, capsys, tmp_path, rng):
+        # 14041 sector walks at k=7; the full model has 70755
+        word = (rng.integers(1, 20, size=60) * rng.choice([-1, 1], size=60)).tolist()
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"strands": 20, "word": word}))
+        code, out = run(capsys, "jones", "--input", str(path), "--k", "7",
+                        "--seed", "5")
+        assert code == 0
+        result = json.loads(out)["result"]
+        exact = jones_exact(BraidWord(20, tuple(word)), 7)
+        assert abs(complex(*result["jones"]) - exact) <= result["bound"]
 
     def test_determinism_across_runs(self, capsys, tmp_path):
         path = tmp_path / "b.json"

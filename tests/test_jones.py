@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -141,13 +142,85 @@ class TestJonesExact:
                 )
 
 
+def walk_heights(model):
+    """Heights 0..strands of each basis walk, decoded from its step mask."""
+    ups = (model.basis[:, None] >> np.arange(model.strands)) & 1
+    return np.hstack([np.ones((model.dim, 1), dtype=np.int64),
+                      1 + np.cumsum(2 * ups - 1, axis=1)])
+
+    @pytest.mark.parametrize("strands", [16, 18, 20])
+    def test_wide_braids_match_path_model(self, rng, strands):
+        # [DERIVED] path-model pipeline on the height-1 sector, 60 crossings
+        for k in (5, 7, 8):
+            word = rng.integers(1, strands, size=60) * rng.choice([-1, 1], size=60)
+            braid = BraidWord(strands, tuple(int(g) for g in word))
+            assert jones_exact(braid, k) == pytest.approx(
+                jones_via_path_model(braid, k), abs=1e-8
+            )
+
+
+class TestPathModelLimit:
+    def test_identity_block_stays_under_4096_squared(self):
+        assert (4096 * 4097 + jones.PATH_LETTER_ENTRIES
+                > jones.PATH_MODEL_WORK_LIMIT)
+        # 16 strands at k=7: 6714 walks in the full model, 1341 in the sector
+        with pytest.raises(ResourceError):
+            ajl_braid_unitary(BraidWord(16, ()), 7)
+        assert PathModel(16, 7, closed=True, letters=60).dim == 1341
+
+    def test_work_limit(self, monkeypatch):
+        # 4 strands at k=5, step by step: the full model holds 1, 2, 3 and 5
+        # walks, the sector 1, 2, 2 and 2 (the prefix 1,2,3,4 cannot return)
+        monkeypatch.setattr(jones, "PATH_LETTER_ENTRIES", 0)
+        # sector: 2 walks × (mask + 1 column) × (3 letters + 1)
+        monkeypatch.setattr(jones, "PATH_MODEL_WORK_LIMIT", 16)
+        assert PathModel(4, 5, closed=True, letters=3).dim == 2
+        with pytest.raises(ResourceError):
+            PathModel(4, 5, closed=True, letters=4)
+        # full: 5 walks × (mask + 5 columns) × (1 letter + 1)
+        monkeypatch.setattr(jones, "PATH_MODEL_WORK_LIMIT", 60)
+        assert PathModel(4, 5, letters=1).dim == 5
+        monkeypatch.setattr(jones, "PATH_MODEL_WORK_LIMIT", 59)
+        with pytest.raises(ResourceError):
+            PathModel(4, 5, letters=1)
+        # the letter cost alone refuses a long word before the first walk
+        monkeypatch.setattr(jones, "PATH_LETTER_ENTRIES", 10)
+        monkeypatch.setattr(jones, "PATH_MODEL_WORK_LIMIT", 12 * 101 - 1)
+        with pytest.raises(ResourceError):
+            PathModel(2, 5, closed=True, letters=100)
+        monkeypatch.setattr(jones, "PATH_MODEL_WORK_LIMIT", 12 * 101)
+        PathModel(2, 5, closed=True, letters=100)
+
+    def test_more_steps_than_mask_bits_refused(self):
+        with pytest.raises(ResourceError):
+            PathModel(64, 5, closed=True)
+
+
 class TestPathModel:
     def test_basis_walks_stay_in_range(self):
         model = PathModel(6, 5)
-        for walk in model.basis:
-            assert walk[0] == 1
-            assert all(1 <= v <= 4 for v in walk)
-            assert all(abs(a - b) == 1 for a, b in zip(walk, walk[1:]))
+        heights = walk_heights(model)
+        assert heights.shape == (model.dim, 7)
+        assert (heights[:, 0] == 1).all()
+        assert ((1 <= heights) & (heights <= 4)).all()
+        assert (np.abs(np.diff(heights, axis=1)) == 1).all()
+
+    @pytest.mark.parametrize("strands, k", [(2, 5), (6, 5), (8, 7), (10, 8),
+                                            (12, 31)])
+    def test_basis_matches_brute_force_walks(self, strands, k):
+        # [DERIVED] every ±1 step sequence, kept if it stays in 1..k-1 (and,
+        # for the closed sector, ends at height 1)
+        walks = set()
+        for steps in itertools.product((1, -1), repeat=strands):
+            heights = (1,) + tuple(1 + np.cumsum(steps))
+            if min(heights) >= 1 and max(heights) <= k - 1:
+                walks.add(heights)
+        for closed in (False, True):
+            model = PathModel(strands, k, closed=closed)
+            want = {w for w in walks if not closed or w[-1] == 1}
+            assert model.dim == len(want)
+            assert (np.diff(model.basis) > 0).all()
+            assert set(map(tuple, walk_heights(model).tolist())) == want
 
     def test_cap_walk_in_basis(self):
         model = PathModel(4, 7)
