@@ -264,7 +264,7 @@ def _generator(model: PathModel, i: int):
 
     diag = entry(at)
     off = np.where(found, entry(2 * before - at), 0.0)
-    return rows, np.where(found, partner, rows), diag[:, None], off[:, None]
+    return rows, np.where(found, partner, rows), diag, off
 
 
 def _apply_braid(model: PathModel, word: tuple[int, ...], block: np.ndarray):
@@ -275,22 +275,19 @@ def _apply_braid(model: PathModel, word: tuple[int, ...], block: np.ndarray):
     gamma = 1j * np.exp(3j * pi / model.k)
     scalars = {True: (gamma * a, gamma / a),
                False: (np.conj(gamma * a), np.conj(gamma / a))}
+    column = (-1,) + (1,) * (block.ndim - 1)  # row coefficients broadcast
     tables = {}
     for g in reversed(word):
         i = abs(g)
         if i not in tables:
-            tables[i] = _generator(model, i)
+            rows, partner, diag, off = _generator(model, i)
+            tables[i] = rows, partner, diag.reshape(column), off.reshape(column)
         rows, partner, diag, off = tables[i]
         scale, mix = scalars[g > 0]
-        ev = block[rows]  # E_i·block on the touched rows, zero elsewhere
-        ev *= diag
-        other = block[partner]
-        other *= off
-        ev += other
-        del other
-        ev *= mix
+        ev = diag * block[rows]  # E_i·block on the touched rows, zero elsewhere
+        ev += off * block[partner]
         block *= scale
-        block[rows] -= ev
+        block[rows] -= mix * ev
     return block
 
 
@@ -305,10 +302,10 @@ def plat_amplitude(braid: BraidWord, k: int) -> complex:
     applied to the cap vector alone, over the walks that end at height 1."""
     model = PathModel(braid.strands, k, closed=True, letters=len(braid.word))
     cap = model.index(model.cap_walk())
-    vector = np.zeros((model.dim, 1), dtype=complex)
+    vector = np.zeros(model.dim, dtype=complex)
     vector[cap] = 1.0
     n = braid.strands // 2
-    return complex((-1) ** (n - 1) * _apply_braid(model, braid.word, vector)[cap, 0])
+    return complex((-1) ** (n - 1) * _apply_braid(model, braid.word, vector)[cap])
 
 
 def jones_from_amplitude(amplitude: complex, w: int, n: int, k: int) -> complex:

@@ -141,13 +141,6 @@ class TestJonesExact:
                     jones_via_path_model(braid, k), abs=1e-8
                 )
 
-
-def walk_heights(model):
-    """Heights 0..strands of each basis walk, decoded from its step mask."""
-    ups = (model.basis[:, None] >> np.arange(model.strands)) & 1
-    return np.hstack([np.ones((model.dim, 1), dtype=np.int64),
-                      1 + np.cumsum(2 * ups - 1, axis=1)])
-
     @pytest.mark.parametrize("strands", [16, 18, 20])
     def test_wide_braids_match_path_model(self, rng, strands):
         # [DERIVED] path-model pipeline on the height-1 sector, 60 crossings
@@ -157,6 +150,13 @@ def walk_heights(model):
             assert jones_exact(braid, k) == pytest.approx(
                 jones_via_path_model(braid, k), abs=1e-8
             )
+
+
+def walk_heights(model):
+    """Heights 0..strands of each basis walk, decoded from its step mask."""
+    ups = (model.basis[:, None] >> np.arange(model.strands)) & 1
+    return np.hstack([np.ones((model.dim, 1), dtype=np.int64),
+                      1 + np.cumsum(2 * ups - 1, axis=1)])
 
 
 class TestPathModelLimit:
@@ -192,8 +192,11 @@ class TestPathModelLimit:
         PathModel(2, 5, closed=True, letters=100)
 
     def test_more_steps_than_mask_bits_refused(self):
-        with pytest.raises(ResourceError):
+        # refused by the mask width before any work bound is reached
+        with pytest.raises(ResourceError, match="63-bit walk masks"):
             PathModel(64, 5, closed=True)
+        with pytest.raises(ResourceError, match="63-bit walk masks"):
+            PathModel(2**70, 5, closed=True)
 
 
 class TestPathModel:
