@@ -405,8 +405,7 @@ class TestSamplerLimits:
         assert elapsed < 1.0
 
     def test_long_word_refused_up_front(self, capsys, tmp_path, rng):
-        # 42 sector walks × 100000 letters: about 2 s of letters, refused
-        # before the first walk
+        # (2 + 256) × 100001 entry steps pass 2^24 before the first walk
         letters = rng.integers(1, 10, size=100_000)
         signs = rng.choice([-1, 1], size=letters.size)
         braid = {"strands": 10, "word": (letters * signs).tolist()}
