@@ -13,6 +13,7 @@ from math import ceil, comb, log2
 
 import numpy as np
 
+from .decision import Report
 from .errors import InvalidInputError
 from .linalg import json_int, matrix_from_json, matrix_to_json, require_unitary
 from .states import StateVector
@@ -377,13 +378,10 @@ def acceptance_probability(circuit: QuantumCircuit, input_state: StateVector) ->
 
 
 @dataclass(frozen=True)
-class CircuitMetrics:
+class CircuitMetrics(Report):
     weft: int
     depth: int
     size: int
-
-    def to_json(self) -> dict:
-        return {"weft": self.weft, "depth": self.depth, "size": self.size}
 
 
 def circuit_metrics(circuit: QuantumCircuit) -> CircuitMetrics:

@@ -11,6 +11,8 @@ import functools
 import json
 import secrets
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .circuits import (
     QuantumCircuit,
@@ -24,6 +26,8 @@ from .decision import Verdict
 from .errors import ConvergenceError, InvalidInputError, ResourceError
 from .estimators import (
     GapInstance,
+    decide_hamming_weight_qcs_exact,
+    decide_weight_qcs_exact,
     estimate_amplitude,
     estimate_amplitude_multiplicative,
     estimate_gap,
@@ -67,73 +71,10 @@ def finite(text: str) -> float:
     return json_finite(float(text), "argument")
 
 
-def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = secrets.randbits(63)
-    return seed
-
-
 def _emit(command: str, config: dict, result: dict) -> None:
     report = {"command": command, "config": config, "result": result}
     # a NaN or Inf that got past the input checks fails here, not in stdout
     print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    """The command parser, built once per process: parsing leaves it as it is."""
-    parser = _Parser(prog="qparam", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_text, *, tau=False, delta=False, seed=False, k=False,
-            a_b=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=False, help="input JSON path")
-        if tau:
-            p.add_argument("--tau", type=finite, default=0.05)
-        if delta:
-            p.add_argument("--delta", type=finite, default=0.025)
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
-        if k:
-            p.add_argument("--k", type=int, required=True)
-        if a_b:
-            p.add_argument("--a", type=finite, required=True)
-            p.add_argument("--b", type=finite, required=True)
-        return p
-
-    cmd("ham-min", "smallest weight-k eigenvalue of a local Hamiltonian", k=True)
-    cmd("ham-decide", "decide the weight-k local-Hamiltonian slice", k=True)
-
-    p = cmd("amp-estimate", "Hadamard-test amplitude estimate",
-            tau=True, delta=True, seed=True)
-    p.add_argument("--epsilon", type=finite, default=None,
-                   help="relative error (switches to multiplicative mode)")
-    p.add_argument("--lower-bound", type=finite, default=None,
-                   help="asserted lower bound on |q| for multiplicative mode")
-
-    cmd("gapp-estimate", "Monte-Carlo gap estimate",
-        tau=True, delta=True, seed=True)
-    cmd("gapp-exact", "exact gap by path enumeration")
-    cmd("qmak-decide", "maximally-mixed-witness decision", k=True)
-    cmd("weft", "weft/depth/size metrics of a circuit")
-    cmd("encode-witness", "compress a weight-k state to its rank register",
-        k=True)
-    p = cmd("decode-witness", "expand a rank-register state", k=True)
-    p.add_argument("--n", type=int, required=True)
-    p = cmd("onehot-decode", "decode blockwise one-hot strings")
-    p.add_argument("--bits", required=True)
-    p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--block-size", type=int, required=True)
-    cmd("wqcs-decide", "exact weight-k circuit-satisfiability decision",
-        k=True, a_b=True)
-    cmd("hwqcs-decide", "exact Hamming-weight-k circuit-satisfiability decision",
-        k=True, a_b=True)
-    cmd("jones", "sampled Jones-polynomial value at t = e^{2πi/k}",
-        tau=True, delta=True, seed=True, k=True)
-    cmd("jones-exact", "exact Jones-polynomial value via the bracket", k=True)
-    return parser
 
 
 def _require_input(args) -> dict:
@@ -145,130 +86,182 @@ def _require_input(args) -> dict:
     return data
 
 
-def _config(args, **extra) -> dict:
-    out = {"input": args.input}
-    for key in ("tau", "delta", "seed", "k", "a", "b"):
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
-    out.update(extra)
-    return out
+def _read(args, kind):
+    """The input document parsed by ``kind.from_json``."""
+    return kind.from_json(_require_input(args))
+
+
+# Handlers: args -> (result JSON, exit code). They reach the library through
+# this module's globals at call time, so a test or tracer that rebinds one
+# of those names sees every call.
+
+def _decided(decision) -> tuple[dict, int]:
+    return decision.to_json(), _VERDICT_EXIT[decision.verdict]
+
+
+def _ham_decision(args):
+    return decide_weight_k_local_hamiltonian(_read(args, LocalHamiltonian), args.k)
+
+
+def _ham_min(args):
+    return _ham_decision(args).to_json(), EXIT_YES
+
+
+def _ham_decide(args):
+    return _decided(_ham_decision(args))
+
+
+def _amp_estimate(args):
+    data = _require_input(args)
+    try:
+        unitary = matrix_from_json(data["unitary"])
+    except KeyError as exc:
+        raise InvalidInputError("input must contain a 'unitary' matrix") from exc
+    prep = QuantumCircuit.from_json(data["prep"]) if "prep" in data else None
+    if args.epsilon is None:
+        report = estimate_amplitude(unitary, prep, args.tau, args.delta, args.seed)
+    elif args.lower_bound is None:
+        raise InvalidInputError("--lower-bound is required with --epsilon")
+    else:
+        report = estimate_amplitude_multiplicative(
+            unitary, prep, args.epsilon, args.delta, args.lower_bound, args.seed
+        )
+    return report.to_json(), EXIT_YES
+
+
+def _gapp_estimate(args):
+    instance = _read(args, GapInstance)
+    return estimate_gap(instance, args.tau, args.delta, args.seed).to_json(), EXIT_YES
+
+
+def _gapp_exact(args):
+    instance = _read(args, GapInstance)
+    return {"gap": exact_gap(instance), "path_bits": instance.path_bits}, EXIT_YES
+
+
+def _qmak_decide(args):
+    return _decided(qmak_decide(_read(args, QuantumCircuit), args.k))
+
+
+def _weft(args):
+    return circuit_metrics(_read(args, QuantumCircuit)).to_json(), EXIT_YES
+
+
+def _encode_witness(args):
+    state = _read(args, StateVector)
+    return encode_weight_witness(state.num_qubits, args.k, state).to_json(), EXIT_YES
+
+
+def _decode_witness(args):
+    state = _read(args, StateVector)
+    return decode_weight_witness(args.n, args.k, state).to_json(), EXIT_YES
+
+
+def _onehot_decode(args):
+    decoded = one_hot_block_decode(args.blocks, args.block_size, args.bits)
+    return {"decoded": decoded}, EXIT_NO if decoded == "REJECT" else EXIT_YES
+
+
+def _wqcs_decide(args):
+    circuit = _read(args, QuantumCircuit)
+    return _decided(decide_weight_qcs_exact(circuit, args.k, args.a, args.b))
+
+
+def _hwqcs_decide(args):
+    circuit = _read(args, QuantumCircuit)
+    return _decided(decide_hamming_weight_qcs_exact(circuit, args.k, args.a, args.b))
+
+
+def _braid_fields(braid: BraidWord, k: int, value: complex) -> dict:
+    return {"jones": [value.real, value.imag], "writhe": writhe(braid), "k": k,
+            "word_length": len(braid.word), "strands": braid.strands}
+
+
+def _jones(args):
+    braid = _read(args, BraidWord)
+    report = estimate_jones(braid, args.k, args.tau, args.delta, args.seed)
+    result = _braid_fields(braid, args.k, report.value)
+    result.update(bound=report.bound, samples=report.samples)
+    return result, EXIT_YES
+
+
+def _jones_exact(args):
+    braid = _read(args, BraidWord)
+    return _braid_fields(braid, args.k, jones_exact(braid, args.k)), EXIT_YES
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable
+    flags: tuple  # (flag, add_argument keywords) after --input, in help order
+
+
+_K = ("--k", {"type": int, "required": True})
+_A_B = (("--a", {"type": finite, "required": True}),
+        ("--b", {"type": finite, "required": True}))
+_SAMPLED = (("--tau", {"type": finite, "default": 0.05}),
+            ("--delta", {"type": finite, "default": 0.025}),
+            ("--seed", {"type": int, "default": None}))
+
+COMMANDS = {
+    "ham-min": Command("smallest weight-k eigenvalue of a local Hamiltonian",
+                       _ham_min, (_K,)),
+    "ham-decide": Command("decide the weight-k local-Hamiltonian slice",
+                          _ham_decide, (_K,)),
+    "amp-estimate": Command("Hadamard-test amplitude estimate", _amp_estimate, (
+        *_SAMPLED,
+        ("--epsilon", {"type": finite, "default": None,
+                       "help": "relative error (switches to multiplicative mode)"}),
+        ("--lower-bound", {"type": finite, "default": None, "help":
+                           "asserted lower bound on |q| for multiplicative mode"}),
+    )),
+    "gapp-estimate": Command("Monte-Carlo gap estimate", _gapp_estimate, _SAMPLED),
+    "gapp-exact": Command("exact gap by path enumeration", _gapp_exact, ()),
+    "qmak-decide": Command("maximally-mixed-witness decision", _qmak_decide, (_K,)),
+    "weft": Command("weft/depth/size metrics of a circuit", _weft, ()),
+    "encode-witness": Command("compress a weight-k state to its rank register",
+                              _encode_witness, (_K,)),
+    "decode-witness": Command("expand a rank-register state", _decode_witness,
+                              (_K, ("--n", {"type": int, "required": True}))),
+    "onehot-decode": Command("decode blockwise one-hot strings", _onehot_decode, (
+        ("--bits", {"required": True}),
+        ("--blocks", {"type": int, "required": True}),
+        ("--block-size", {"type": int, "required": True}),
+    )),
+    "wqcs-decide": Command("exact weight-k circuit-satisfiability decision",
+                           _wqcs_decide, (_K, *_A_B)),
+    "hwqcs-decide": Command(
+        "exact Hamming-weight-k circuit-satisfiability decision",
+        _hwqcs_decide, (_K, *_A_B)),
+    "jones": Command("sampled Jones-polynomial value at t = e^{2πi/k}", _jones,
+                     (*_SAMPLED, _K)),
+    "jones-exact": Command("exact Jones-polynomial value via the bracket",
+                           _jones_exact, (_K,)),
+}
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The command parser, built once per process: parsing leaves it as it is."""
+    parser = _Parser(prog="qparam", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--input", required=False, help="input JSON path")
+        for flag, spec in command.flags:
+            p.add_argument(flag, **spec)
+    return parser
 
 
 def _run(args) -> int:
-    command = args.command
-
-    if command in ("ham-min", "ham-decide"):
-        ham = LocalHamiltonian.from_json(_require_input(args))
-        decision = decide_weight_k_local_hamiltonian(ham, args.k)
-        _emit(command, _config(args), decision.to_json())
-        if command == "ham-decide":
-            return _VERDICT_EXIT[decision.verdict]
-        return EXIT_YES
-
-    if command == "amp-estimate":
-        data = _require_input(args)
-        try:
-            unitary = matrix_from_json(data["unitary"])
-        except KeyError as exc:
-            raise InvalidInputError("input must contain a 'unitary' matrix") from exc
-        prep = QuantumCircuit.from_json(data["prep"]) if "prep" in data else None
-        seed = _resolve_seed(args)
-        if args.epsilon is not None:
-            if args.lower_bound is None:
-                raise InvalidInputError(
-                    "--lower-bound is required with --epsilon"
-                )
-            report = estimate_amplitude_multiplicative(
-                unitary, prep, args.epsilon, args.delta, args.lower_bound, seed
-            )
-        else:
-            report = estimate_amplitude(unitary, prep, args.tau, args.delta, seed)
-        _emit(command, _config(args, seed=seed), report.to_json())
-        return EXIT_YES
-
-    if command in ("gapp-estimate", "gapp-exact"):
-        instance = GapInstance.from_json(_require_input(args))
-        if command == "gapp-exact":
-            _emit(command, _config(args), {"gap": exact_gap(instance),
-                                           "path_bits": instance.path_bits})
-            return EXIT_YES
-        seed = _resolve_seed(args)
-        report = estimate_gap(instance, args.tau, args.delta, seed)
-        _emit(command, _config(args, seed=seed), report.to_json())
-        return EXIT_YES
-
-    if command == "qmak-decide":
-        verifier = QuantumCircuit.from_json(_require_input(args))
-        decision = qmak_decide(verifier, args.k)
-        _emit(command, _config(args), decision.to_json())
-        return _VERDICT_EXIT[decision.verdict]
-
-    if command == "weft":
-        circuit = QuantumCircuit.from_json(_require_input(args))
-        _emit(command, _config(args), circuit_metrics(circuit).to_json())
-        return EXIT_YES
-
-    if command == "encode-witness":
-        state = StateVector.from_json(_require_input(args))
-        out = encode_weight_witness(state.num_qubits, args.k, state)
-        _emit(command, _config(args), out.to_json())
-        return EXIT_YES
-
-    if command == "decode-witness":
-        state = StateVector.from_json(_require_input(args))
-        out = decode_weight_witness(args.n, args.k, state)
-        _emit(command, _config(args, n=args.n), out.to_json())
-        return EXIT_YES
-
-    if command == "onehot-decode":
-        decoded = one_hot_block_decode(args.blocks, args.block_size, args.bits)
-        _emit(
-            command,
-            _config(args, bits=args.bits, blocks=args.blocks,
-                    block_size=args.block_size),
-            {"decoded": decoded},
-        )
-        return EXIT_YES if decoded != "REJECT" else EXIT_NO
-
-    if command in ("wqcs-decide", "hwqcs-decide"):
-        from .estimators import (
-            decide_hamming_weight_qcs_exact,
-            decide_weight_qcs_exact,
-        )
-        circuit = QuantumCircuit.from_json(_require_input(args))
-        decide = (decide_weight_qcs_exact if command == "wqcs-decide"
-                  else decide_hamming_weight_qcs_exact)
-        decision = decide(circuit, args.k, args.a, args.b)
-        _emit(command, _config(args), decision.to_json())
-        return _VERDICT_EXIT[decision.verdict]
-
-    if command in ("jones", "jones-exact"):
-        braid = BraidWord.from_json(_require_input(args))
-        if command == "jones-exact":
-            value = jones_exact(braid, args.k)
-            _emit(command, _config(args), {
-                "jones": [value.real, value.imag],
-                "writhe": writhe(braid),
-                "k": args.k,
-                "word_length": len(braid.word),
-                "strands": braid.strands,
-            })
-            return EXIT_YES
-        seed = _resolve_seed(args)
-        report = estimate_jones(braid, args.k, args.tau, args.delta, seed)
-        value = report.value
-        _emit(command, _config(args, seed=seed), {
-            "jones": [value.real, value.imag],
-            "bound": report.bound,
-            "writhe": writhe(braid),
-            "k": args.k,
-            "samples": report.samples,
-            "word_length": len(braid.word),
-            "strands": braid.strands,
-        })
-        return EXIT_YES
-
-    raise InvalidInputError(f"unknown command {command!r}")
+    """Run one parsed request; its report echoes every flag of the command,
+    with a seed drawn here when the command takes one and none was given."""
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = secrets.randbits(63)
+    result, code = COMMANDS[args.command].handler(args)
+    config = {key: value for key, value in vars(args).items() if key != "command"}
+    _emit(args.command, config, result)
+    return code
 
 
 def main(argv=None) -> int:

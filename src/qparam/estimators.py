@@ -20,7 +20,7 @@ from .circuits import (
     hadamard_test_unitary,
     simulate,
 )
-from .decision import Verdict
+from .decision import Report, Verdict
 from .errors import InvalidInputError, ResourceError
 from .linalg import full_spectrum
 from .weightenum import INDEX_BITS, WeightEnumeration
@@ -29,6 +29,9 @@ EXACT_GAP_LIMIT = 20
 QMAK_QUBIT_LIMIT = 12
 WQCS_DIM_LIMIT = 2048
 HWQCS_DIM_LIMIT = 4096
+# maximally-mixed-witness traces 2^k·Pr[accept]: YES at or above, NO at or below
+QMAK_YES_TRACE = 2 / 3
+QMAK_NO_TRACE = 1 / 3
 CLASSICAL_GATES = ("X", "CX", "TOFFOLI")
 # samples one estimate may draw (8 B each per part), refused before allocating
 SAMPLE_LIMIT = 2**24
@@ -178,30 +181,32 @@ class GapInstance:
         circuit = QuantumCircuit.from_json(data)
         return cls(circuit.witness_qubits, circuit)
 
-    def evaluate(self, paths: np.ndarray) -> np.ndarray:
-        """Accept bit (0/1) for each row of path bits (shape (m, path_bits))."""
-        m = paths.shape[0]
-        total = self.predicate.total_qubits
-        wires = np.zeros((m, total), dtype=np.uint8)
-        wires[:, : self.path_bits] = paths
+    def evaluate(self, indices: np.ndarray) -> np.ndarray:
+        """Accept bit (bool) of each path index, wire 0 = most significant bit.
+
+        Holds one bool array per wire that a gate or the accept qubit reads:
+        a path wire starts as its bit of the indices, an ancilla as zeros."""
+        p = self.path_bits
+        wires = {}
+
+        def wire(q: int) -> np.ndarray:
+            if q not in wires:
+                wires[q] = (((indices >> (p - 1 - q)) & 1).astype(bool) if q < p
+                            else np.zeros(len(indices), dtype=bool))
+            return wires[q]
+
         for gate in self.predicate.gates:
             t = gate.targets[0]
             if gate.name == "X":
-                wires[:, t] ^= 1
+                wires[t] = ~wire(t)
             elif gate.name == "CX":
-                wires[:, t] ^= wires[:, gate.controls[0]]
+                wires[t] = wire(t) ^ wire(gate.controls[0])
             else:  # TOFFOLI
-                conj = np.ones(m, dtype=np.uint8)
-                for c in gate.controls:
-                    conj &= wires[:, c]
-                wires[:, t] ^= conj
-        return wires[:, self.predicate.accept_qubit]
-
-
-def _paths_from_indices(indices: np.ndarray, p: int) -> np.ndarray:
-    """Bit matrix of path indices, wire 0 = most significant bit."""
-    shifts = np.arange(p - 1, -1, -1)
-    return ((indices[:, None] >> shifts) & 1).astype(np.uint8)
+                conj = wire(gate.controls[0])
+                for c in gate.controls[1:]:
+                    conj = conj & wire(c)
+                wires[t] = wire(t) ^ conj
+        return wire(self.predicate.accept_qubit)
 
 
 def exact_gap(instance: GapInstance) -> int:
@@ -210,7 +215,7 @@ def exact_gap(instance: GapInstance) -> int:
     if p > EXACT_GAP_LIMIT:
         raise ResourceError(f"path_bits={p} exceeds limit {EXACT_GAP_LIMIT}")
     indices = np.arange(2**p, dtype=np.int64)
-    accept = instance.evaluate(_paths_from_indices(indices, p))
+    accept = instance.evaluate(indices)
     accepted = int(np.sum(accept))
     return 2 * accepted - 2**p
 
@@ -227,7 +232,7 @@ def estimate_gap(
     m = sample_count(tau_rel, delta)
     rng = rng_stream(seed, 0)
     indices = rng.integers(0, 2**p, size=m)
-    accept = instance.evaluate(_paths_from_indices(indices, p))
+    accept = instance.evaluate(indices)
     x = 2.0 * accept - 1.0
     value = float(2**p / m * np.sum(x))
     return EstimateReport(
@@ -258,36 +263,19 @@ def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
 
 
 @dataclass(frozen=True)
-class QmakDecision:
+class QmakDecision(Report):
     verdict: Verdict
     accept_probability: float
     trace: float
     k: int
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "accept_probability": self.accept_probability,
-            "trace": self.trace,
-            "k": self.k,
-        }
 
-
-def qmak_decide(
-    verifier: QuantumCircuit, k: int,
-    a_trace: float = 2 / 3, b_trace: float = 1 / 3,
-) -> QmakDecision:
+def qmak_decide(verifier: QuantumCircuit, k: int) -> QmakDecision:
     """Decide by running the verifier on the maximally mixed witness:
     Pr[accept] = 2^{-k}·Tr(Q), compared against the rescaled thresholds."""
     _, trace = qmak_operator(verifier, k)
-    prob = trace / 2**k
-    if trace >= a_trace:
-        verdict = Verdict.YES
-    elif trace <= b_trace:
-        verdict = Verdict.NO
-    else:
-        verdict = Verdict.PROMISE_VIOLATED
-    return QmakDecision(verdict, prob, trace, k)
+    verdict = Verdict.of(trace >= QMAK_YES_TRACE, trace <= QMAK_NO_TRACE)
+    return QmakDecision(verdict, trace / 2**k, trace, k)
 
 
 def amplify_gap(p_single: float, repetitions: int) -> float:
@@ -306,33 +294,13 @@ def amplify_gap(p_single: float, repetitions: int) -> float:
 
 
 @dataclass(frozen=True)
-class SliceDecision:
+class SliceDecision(Report):
     verdict: Verdict
     max_acceptance: float
     a: float
     b: float
     k: int
     table: dict | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "verdict": self.verdict.value,
-            "max_acceptance": self.max_acceptance,
-            "a": self.a,
-            "b": self.b,
-            "k": self.k,
-        }
-        if self.table is not None:
-            out["table"] = self.table
-        return out
-
-
-def _slice_verdict(max_acceptance: float, a: float, b: float) -> Verdict:
-    if max_acceptance >= b:
-        return Verdict.YES
-    if max_acceptance <= a:
-        return Verdict.NO
-    return Verdict.PROMISE_VIOLATED
 
 
 def decide_weight_qcs_exact(
@@ -353,7 +321,7 @@ def decide_weight_qcs_exact(
     phi = accept_projected_columns(circuit, enum.indices())
     gram = phi.conj().T @ phi
     lam_max = float(full_spectrum(gram)[-1])
-    return SliceDecision(_slice_verdict(lam_max, a, b), lam_max, a, b, k)
+    return SliceDecision(Verdict.of(lam_max >= b, lam_max <= a), lam_max, a, b, k)
 
 
 def decide_hamming_weight_qcs_exact(
@@ -372,4 +340,4 @@ def decide_hamming_weight_qcs_exact(
     accept = np.sum(np.abs(phi) ** 2, axis=0)
     table = dict(zip(enum.strings(), accept.tolist()))
     best = max(table.values())
-    return SliceDecision(_slice_verdict(best, a, b), float(best), a, b, k, table)
+    return SliceDecision(Verdict.of(best >= b, best <= a), float(best), a, b, k, table)

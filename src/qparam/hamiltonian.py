@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .circuits import apply_gate_matrix
-from .decision import Verdict
+from .decision import Report, Verdict
 from .errors import InvalidInputError, ResourceError
 from .linalg import (is_hermitian, json_finite, json_int, matrix_from_json,
                      matrix_to_json, min_eigenvalue)
@@ -202,7 +202,7 @@ def expectation_value(h: LocalHamiltonian, state: StateVector) -> float:
 
 
 @dataclass(frozen=True)
-class HamiltonianDecision:
+class HamiltonianDecision(Report):
     verdict: Verdict
     lambda_min: float
     dim: int
@@ -210,25 +210,10 @@ class HamiltonianDecision:
     b: float
     k: int
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "lambda_min": self.lambda_min,
-            "dim": self.dim,
-            "a": self.a,
-            "b": self.b,
-            "k": self.k,
-        }
-
 
 def decide_weight_k_local_hamiltonian(h: LocalHamiltonian, k: int) -> HamiltonianDecision:
     """Exact decision for the weight-k slice from λ_min of the restriction."""
     restricted = restrict_to_weight(h, k)
     lam = min_eigenvalue(restricted, mode="iterative")
-    if lam <= h.a:
-        verdict = Verdict.YES
-    elif lam >= h.b:
-        verdict = Verdict.NO
-    else:
-        verdict = Verdict.PROMISE_VIOLATED
-    return HamiltonianDecision(verdict, lam, restricted.shape[0], h.a, h.b, k)
+    return HamiltonianDecision(Verdict.of(lam <= h.a, lam >= h.b), lam,
+                               restricted.shape[0], h.a, h.b, k)

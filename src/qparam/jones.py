@@ -32,11 +32,16 @@ BRACKET_ENTRY_LIMIT = 2**22
 PATH_MODEL_WORK_LIMIT = 2**24
 # a letter's fixed cost, counted in entries
 PATH_LETTER_ENTRIES = 256
+# largest level: 3π(k + 1)·writhe stays a finite float for every word the
+# limits above admit (float(10^400) overflows; 10^300 is accepted)
+LEVEL_LIMIT = 2**1000
 
 
 def _check_level(k: int):
     if not (k == 5 or k >= 7):
         raise InvalidInputError(f"k must be 5 or at least 7, got {k}")
+    if k > LEVEL_LIMIT:
+        raise InvalidInputError("k must be at most 2^1000")
 
 
 @dataclass(frozen=True)

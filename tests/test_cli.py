@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from qparam.cli import build_parser, main
+from qparam.cli import COMMANDS, build_parser, main
 from qparam.jones import BraidWord, jones_exact
 from qparam.linalg import matrix_to_json
 
@@ -480,6 +480,8 @@ class TestEstimatorCommands:
         value = complex(*report["result"]["value"])
         assert abs(value - 1.0) <= 0.1 * math.sqrt(2)
         assert report["config"]["seed"] == 9
+        assert report["config"]["epsilon"] is None
+        assert report["config"]["lower_bound"] is None
 
     def test_seed_drawn_and_echoed_when_absent(self, capsys, tmp_path):
         path = tmp_path / "amp.json"
@@ -628,6 +630,13 @@ class TestJonesCommands:
         exact = jones_exact(BraidWord(20, tuple(word)), 7)
         assert abs(complex(*result["jones"]) - exact) <= result["bound"]
 
+    @pytest.mark.parametrize("command", ["jones", "jones-exact"])
+    def test_level_beyond_float_range_is_usage_error(self, capsys, tmp_path,
+                                                     command):
+        code, _ = run_refused(capsys, tmp_path, {"strands": 4, "word": [1]},
+                              command, "--k", str(10**400))
+        assert code == 3
+
     def test_determinism_across_runs(self, capsys, tmp_path):
         path = tmp_path / "b.json"
         path.write_text(json.dumps({"strands": 4, "word": [1, -2, 3]}))
@@ -640,3 +649,68 @@ class TestJonesCommands:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+
+CIRCUIT = {"witness_qubits": 2, "ancilla_qubits": 1, "accept_qubit": 2,
+           "gates": [{"name": "CX", "controls": [0], "targets": [2]}]}
+GAP = dict(CIRCUIT, classical_only=True)
+STATE = {"num_qubits": 2, "amplitudes": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0],
+                                         [0.0, 0.0]]}
+HAMILTONIAN = {"n": 2, "locality": 1, "a": -0.5, "b": 0.5,
+               "terms": [{"qubits": [0], "matrix": Z_JSON}]}
+HAM_KEYS = ["a", "b", "dim", "k", "lambda_min", "verdict"]
+ESTIMATE_KEYS = ["bound", "delta", "mode", "samples", "seed", "tau", "value"]
+SLICE_KEYS = ["a", "b", "k", "max_acceptance", "verdict"]
+STATE_KEYS = ["amplitudes", "num_qubits"]
+JONES_KEYS = ["jones", "k", "strands", "word_length", "writhe"]
+
+# command: (argv after the command, input document or None, config keys,
+# result keys); the config echoes every flag of the command
+REPORT_KEYS = {
+    "ham-min": (["--k", "1"], HAMILTONIAN, ["input", "k"], HAM_KEYS),
+    "ham-decide": (["--k", "1"], HAMILTONIAN, ["input", "k"], HAM_KEYS),
+    "amp-estimate": (["--seed", "1"], {"unitary": Z_JSON},
+                     ["delta", "epsilon", "input", "lower_bound", "seed", "tau"],
+                     ESTIMATE_KEYS),
+    "gapp-estimate": (["--seed", "1"], GAP, ["delta", "input", "seed", "tau"],
+                      ESTIMATE_KEYS),
+    "gapp-exact": ([], GAP, ["input"], ["gap", "path_bits"]),
+    "qmak-decide": (["--k", "2"], CIRCUIT, ["input", "k"],
+                    ["accept_probability", "k", "trace", "verdict"]),
+    "weft": ([], CIRCUIT, ["input"], ["depth", "size", "weft"]),
+    "encode-witness": (["--k", "1"], STATE, ["input", "k"], STATE_KEYS),
+    "decode-witness": (["--k", "1", "--n", "2"], {
+        "num_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]],
+    }, ["input", "k", "n"], STATE_KEYS),
+    "onehot-decode": (["--bits", "0100", "--blocks", "1", "--block-size", "4"],
+                      None, ["bits", "block_size", "blocks", "input"],
+                      ["decoded"]),
+    "wqcs-decide": (["--k", "1", "--a", "0.1", "--b", "0.9"], CIRCUIT,
+                    ["a", "b", "input", "k"], SLICE_KEYS),
+    "hwqcs-decide": (["--k", "1", "--a", "0.1", "--b", "0.9"], CIRCUIT,
+                     ["a", "b", "input", "k"], SLICE_KEYS + ["table"]),
+    "jones": (["--k", "5", "--seed", "1"], {"strands": 4, "word": [1, -2]},
+              ["delta", "input", "k", "seed", "tau"],
+              JONES_KEYS + ["bound", "samples"]),
+    "jones-exact": (["--k", "5"], {"strands": 4, "word": [1, -2]},
+                    ["input", "k"], JONES_KEYS),
+}
+
+
+class TestReportKeys:
+    def test_every_command_is_pinned(self):
+        assert sorted(REPORT_KEYS) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+    def test_config_and_result_keys(self, capsys, tmp_path, command):
+        argv, document, config_keys, result_keys = REPORT_KEYS[command]
+        if document is not None:
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(document))
+            argv = ["--input", str(path), *argv]
+        code, out = run(capsys, command, *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["command"] == command
+        assert sorted(report["config"]) == config_keys
+        assert sorted(report["result"]) == sorted(result_keys)

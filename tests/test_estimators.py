@@ -199,18 +199,34 @@ class TestExactGap:
 
     def test_against_simulation_oracle(self, rng):
         # [DERIVED] acceptance of each basis path via the statevector engine
-        instance = GapInstance(4, random_circuit(rng, 4, 8, classical_only=True))
-        gap = 0
-        for x in range(16):
-            out = simulate(instance.predicate, StateVector.basis(4, x))
-            probs = np.abs(out.amplitudes) ** 2
-            accept = 0.0
-            for idx in range(out.amplitudes.size):
-                if (idx >> (4 - 1 - instance.predicate.accept_qubit)) & 1:
-                    accept += probs[idx]
-            assert accept in (pytest.approx(0.0), pytest.approx(1.0))
-            gap += 1 if accept > 0.5 else -1
-        assert exact_gap(instance) == gap
+        instances = [GapInstance(4, random_circuit(rng, 4, 8, classical_only=True))]
+        # three ancillas that start at zero; Toffolis with three and two controls
+        gates = (
+            Gate("TOFFOLI", controls=(0, 1, 2), targets=(3,)),
+            Gate("X", targets=(4,)),
+            Gate("CX", controls=(1,), targets=(4,)),
+            Gate("TOFFOLI", controls=(2, 4), targets=(5,)),
+            Gate("CX", controls=(3,), targets=(5,)),
+            Gate("X", targets=(0,)),
+            Gate("TOFFOLI", controls=(0, 5), targets=(1,)),
+        )
+        for accept in (1, 5):
+            instances.append(GapInstance(3, QuantumCircuit(3, 3, gates, accept)))
+        for instance in instances:
+            p, total = instance.path_bits, instance.predicate.total_qubits
+            evaluated = instance.evaluate(np.arange(2**p))
+            gap = 0
+            for x in range(2**p):
+                out = simulate(instance.predicate, StateVector.basis(p, x))
+                probs = np.abs(out.amplitudes) ** 2
+                accept = 0.0
+                for idx in range(out.amplitudes.size):
+                    if (idx >> (total - 1 - instance.predicate.accept_qubit)) & 1:
+                        accept += probs[idx]
+                assert accept in (pytest.approx(0.0), pytest.approx(1.0))
+                assert evaluated[x] == (accept > 0.5)
+                gap += 1 if accept > 0.5 else -1
+            assert exact_gap(instance) == gap
 
     def test_resource_limit(self):
         with pytest.raises(ResourceError):
@@ -306,6 +322,16 @@ class TestQmak:
         assert qmak_decide(accept_verifier(1), 1).verdict is Verdict.YES
         assert qmak_decide(reject_verifier(1), 1).verdict is Verdict.NO
 
+    def test_trace_between_thresholds_violates_promise(self):
+        # accepts witness 1 with probability 1/2 and witness 0 never: Tr(Q) = 1/2
+        verifier = QuantumCircuit(1, 2, (
+            Gate("H", targets=(1,)),
+            Gate("TOFFOLI", controls=(0, 1), targets=(2,)),
+        ), 2)
+        decision = qmak_decide(verifier, 1)
+        assert decision.trace == pytest.approx(0.5)
+        assert decision.verdict is Verdict.PROMISE_VIOLATED
+
     def test_accept_probability_identity(self, rng):
         for _ in range(5):
             verifier = QuantumCircuit(2, 1, random_circuit(rng, 3, 5).gates, 1)
@@ -375,6 +401,19 @@ class TestSliceDeciders:
         decision = decide_weight_qcs_exact(circuit, 1, 0.1, 0.9)
         assert decision.verdict is Verdict.NO
         assert decision.max_acceptance == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("decide", [
+        decide_weight_qcs_exact, decide_hamming_weight_qcs_exact,
+    ], ids=["wqcs", "hwqcs"])
+    def test_acceptance_between_thresholds_violates_promise(self, decide):
+        # witness 10 is accepted with probability 1/2, witness 01 never
+        circuit = QuantumCircuit(2, 2, (
+            Gate("H", targets=(2,)),
+            Gate("TOFFOLI", controls=(0, 2), targets=(3,)),
+        ), 3)
+        decision = decide(circuit, 1, 0.1, 0.9)
+        assert decision.max_acceptance == pytest.approx(0.5)
+        assert decision.verdict is Verdict.PROMISE_VIOLATED
 
     def test_lambda_max_dominates_random_witnesses(self, rng):
         # [DERIVED] random-witness Rayleigh oracle

@@ -126,8 +126,12 @@ class TestJonesExact:
         assert jones_exact(TREFOIL, 5) == pytest.approx(expected, abs=1e-9)
 
     def test_invalid_level_rejected(self):
-        with pytest.raises(InvalidInputError):
-            jones_exact(TREFOIL, 6)
+        # 10^400 is past the float range of the angles π/(2k)
+        for k in (6, 10**400):
+            with pytest.raises(InvalidInputError):
+                jones_exact(TREFOIL, k)
+            with pytest.raises(InvalidInputError):
+                estimate_jones(TREFOIL, k, 0.1, 0.1, seed=1)
 
     def test_long_braids_match_path_model(self, rng):
         # [DERIVED] path-model pipeline, well past 16 crossings
