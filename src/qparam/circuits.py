@@ -66,6 +66,8 @@ class Gate:
         wires = self.wires
         if len(set(wires)) != len(wires) or any(w < 0 for w in wires):
             raise InvalidInputError(f"gate {self.name}: invalid wires {wires}")
+        if self.matrix is not None and self.name != "UNITARY":
+            raise InvalidInputError(f"gate {self.name} takes no matrix")
         if self.name in NAMED_1Q:
             if self.controls or len(self.targets) != 1:
                 raise InvalidInputError(f"{self.name} takes exactly one target")

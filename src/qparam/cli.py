@@ -36,7 +36,7 @@ from .estimators import (
 )
 from .hamiltonian import LocalHamiltonian, decide_weight_k_local_hamiltonian
 from .jones import BraidWord, estimate_jones, jones_exact, writhe
-from .linalg import json_finite, matrix_from_json
+from .linalg import json_finite, matrix_from_json, matrix_to_json
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -56,16 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def finite(text: str) -> float:
     """A real-valued argument; NaN and Inf are refused as in JSON fields."""
     return json_finite(float(text), "argument")
@@ -77,18 +67,24 @@ def _emit(command: str, config: dict, result: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
 
 
-def _require_input(args) -> dict:
-    if not args.input:
-        raise InvalidInputError("--input is required for this command")
-    data = _load_json(args.input)
+def _document(args) -> dict:
+    """The JSON object in the ``--input`` file."""
+    path = args.input
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise InvalidInputError(f"{args.input} must hold a JSON object")
+        raise InvalidInputError(f"{path} must hold a JSON object")
     return data
 
 
 def _read(args, kind):
     """The input document parsed by ``kind.from_json``."""
-    return kind.from_json(_require_input(args))
+    return kind.from_json(_document(args))
 
 
 # Handlers: args -> (result JSON, exit code). They reach the library through
@@ -112,7 +108,7 @@ def _ham_decide(args):
 
 
 def _amp_estimate(args):
-    data = _require_input(args)
+    data = _document(args)
     try:
         unitary = matrix_from_json(data["unitary"])
     except KeyError as exc:
@@ -126,6 +122,7 @@ def _amp_estimate(args):
         report = estimate_amplitude_multiplicative(
             unitary, prep, args.epsilon, args.delta, args.lower_bound, args.seed
         )
+    args.tau = report.tau  # echo the τ that ran: ε·L/√2 in multiplicative mode
     return report.to_json(), EXIT_YES
 
 
@@ -173,7 +170,7 @@ def _hwqcs_decide(args):
 
 
 def _braid_fields(braid: BraidWord, k: int, value: complex) -> dict:
-    return {"jones": [value.real, value.imag], "writhe": writhe(braid), "k": k,
+    return {"jones": matrix_to_json(value), "writhe": writhe(braid), "k": k,
             "word_length": len(braid.word), "strands": braid.strands}
 
 
@@ -193,9 +190,10 @@ def _jones_exact(args):
 class Command(NamedTuple):
     help: str
     handler: Callable
-    flags: tuple  # (flag, add_argument keywords) after --input, in help order
+    flags: tuple  # (flag, add_argument keywords) in help order
 
 
+_INPUT = ("--input", {"required": True, "help": "input JSON path"})
 _K = ("--k", {"type": int, "required": True})
 _A_B = (("--a", {"type": finite, "required": True}),
         ("--b", {"type": finite, "required": True}))
@@ -205,38 +203,40 @@ _SAMPLED = (("--tau", {"type": finite, "default": 0.05}),
 
 COMMANDS = {
     "ham-min": Command("smallest weight-k eigenvalue of a local Hamiltonian",
-                       _ham_min, (_K,)),
+                       _ham_min, (_INPUT, _K)),
     "ham-decide": Command("decide the weight-k local-Hamiltonian slice",
-                          _ham_decide, (_K,)),
+                          _ham_decide, (_INPUT, _K)),
     "amp-estimate": Command("Hadamard-test amplitude estimate", _amp_estimate, (
-        *_SAMPLED,
+        _INPUT, *_SAMPLED,
         ("--epsilon", {"type": finite, "default": None,
                        "help": "relative error (switches to multiplicative mode)"}),
         ("--lower-bound", {"type": finite, "default": None, "help":
                            "asserted lower bound on |q| for multiplicative mode"}),
     )),
-    "gapp-estimate": Command("Monte-Carlo gap estimate", _gapp_estimate, _SAMPLED),
-    "gapp-exact": Command("exact gap by path enumeration", _gapp_exact, ()),
-    "qmak-decide": Command("maximally-mixed-witness decision", _qmak_decide, (_K,)),
-    "weft": Command("weft/depth/size metrics of a circuit", _weft, ()),
+    "gapp-estimate": Command("Monte-Carlo gap estimate", _gapp_estimate,
+                             (_INPUT, *_SAMPLED)),
+    "gapp-exact": Command("exact gap by path enumeration", _gapp_exact, (_INPUT,)),
+    "qmak-decide": Command("maximally-mixed-witness decision", _qmak_decide,
+                           (_INPUT, _K)),
+    "weft": Command("weft/depth/size metrics of a circuit", _weft, (_INPUT,)),
     "encode-witness": Command("compress a weight-k state to its rank register",
-                              _encode_witness, (_K,)),
+                              _encode_witness, (_INPUT, _K)),
     "decode-witness": Command("expand a rank-register state", _decode_witness,
-                              (_K, ("--n", {"type": int, "required": True}))),
+                              (_INPUT, _K, ("--n", {"type": int, "required": True}))),
     "onehot-decode": Command("decode blockwise one-hot strings", _onehot_decode, (
         ("--bits", {"required": True}),
         ("--blocks", {"type": int, "required": True}),
         ("--block-size", {"type": int, "required": True}),
     )),
     "wqcs-decide": Command("exact weight-k circuit-satisfiability decision",
-                           _wqcs_decide, (_K, *_A_B)),
+                           _wqcs_decide, (_INPUT, _K, *_A_B)),
     "hwqcs-decide": Command(
         "exact Hamming-weight-k circuit-satisfiability decision",
-        _hwqcs_decide, (_K, *_A_B)),
+        _hwqcs_decide, (_INPUT, _K, *_A_B)),
     "jones": Command("sampled Jones-polynomial value at t = e^{2πi/k}", _jones,
-                     (*_SAMPLED, _K)),
+                     (_INPUT, *_SAMPLED, _K)),
     "jones-exact": Command("exact Jones-polynomial value via the bracket",
-                           _jones_exact, (_K,)),
+                           _jones_exact, (_INPUT, _K)),
 }
 
 
@@ -247,7 +247,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--input", required=False, help="input JSON path")
         for flag, spec in command.flags:
             p.add_argument(flag, **spec)
     return parser

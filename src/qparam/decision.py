@@ -4,6 +4,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 
+from .linalg import matrix_to_json
+
 
 class Verdict(enum.Enum):
     YES = "YES"
@@ -24,10 +26,15 @@ class Report:
     """Base of result dataclasses whose JSON form is their fields."""
 
     def to_json(self) -> dict:
-        """The fields by name, a verdict as its value; None fields are left out."""
+        """The fields by name, a verdict as its value and a complex number as
+        its [re, im] pair; None fields are left out."""
         out = {}
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
+            if isinstance(value, Verdict):
+                value = value.value
+            elif isinstance(value, complex):
+                value = matrix_to_json(value)
             if value is not None:
-                out[field.name] = value.value if isinstance(value, Verdict) else value
+                out[field.name] = value
         return out

@@ -59,7 +59,7 @@ def sample_count(tau: float, delta: float) -> int:
 
 
 @dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Report):
     value: complex | float
     tau: float
     delta: float
@@ -67,26 +67,7 @@ class EstimateReport:
     seed: int
     mode: str
     bound: float | None = None
-    warning: bool = False
-
-    def to_json(self) -> dict:
-        if isinstance(self.value, complex):
-            value = [float(self.value.real), float(self.value.imag)]
-        else:
-            value = float(self.value)
-        out = {
-            "value": value,
-            "tau": self.tau,
-            "delta": self.delta,
-            "samples": self.samples,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
-        if self.bound is not None:
-            out["bound"] = self.bound
-        if self.warning:
-            out["warning"] = True
-        return out
+    warning: bool | None = None  # True, or None and left out of the JSON
 
 
 def sample_amplitude(q: complex, tau: float, delta: float, seed: int) -> EstimateReport:
@@ -142,7 +123,7 @@ def estimate_amplitude_multiplicative(
     return EstimateReport(
         value=base.value, tau=tau, delta=delta, samples=base.samples,
         seed=seed, mode="multiplicative", bound=epsilon * lower_bound,
-        warning=bool(warning),
+        warning=bool(warning) or None,
     )
 
 
@@ -169,15 +150,10 @@ class GapInstance:
                     f"{CLASSICAL_GATES}"
                 )
 
-    def to_json(self) -> dict:
-        out = self.predicate.to_json()
-        out["classical_only"] = True
-        return out
-
     @classmethod
     def from_json(cls, data: dict) -> "GapInstance":
-        if not data.get("classical_only"):
-            raise InvalidInputError("gap instance JSON must set classical_only")
+        if data.get("classical_only") is not True:
+            raise InvalidInputError("gap instance JSON must set classical_only to true")
         circuit = QuantumCircuit.from_json(data)
         return cls(circuit.witness_qubits, circuit)
 

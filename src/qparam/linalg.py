@@ -126,13 +126,15 @@ def json_finite(value, what: str) -> float:
 
 
 def matrix_to_json(matrix) -> list:
-    """Row-major nested lists of [re, im] pairs."""
+    """Row-major nested lists of [re, im] pairs, for an array of any shape;
+    a scalar is one pair. The one writer of complex numbers to JSON."""
     m = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
-    """A complex matrix from row-major nested lists of [re, im] pairs.
+    """A complex matrix from row-major nested lists of [re, im] pairs; the
+    one reader of complex numbers from JSON (a state is a one-row matrix).
 
     Every part must be a finite JSON number: bools, strings, NaN, Inf,
     integers beyond the float range and entries that are not pairs are

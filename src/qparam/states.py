@@ -11,9 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import json_int
-
-NORM_TOL = 1e-10
+from .linalg import json_int, matrix_from_json, matrix_to_json
 
 
 @dataclass
@@ -23,9 +21,11 @@ class StateVector:
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (2**self.num_qubits,):
+        count = self.amplitudes.size if self.amplitudes.ndim == 1 else 0
+        # bit lengths first: 2**num_qubits of a document can be astronomical
+        if self.num_qubits != count.bit_length() - 1 or count != 2**self.num_qubits:
             raise InvalidInputError(
-                f"expected {2**self.num_qubits} amplitudes, "
+                f"expected 2^{self.num_qubits} amplitudes, "
                 f"got {self.amplitudes.shape}"
             )
 
@@ -66,13 +66,14 @@ class StateVector:
     def to_json(self) -> dict:
         return {
             "num_qubits": self.num_qubits,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
+            "amplitudes": matrix_to_json(self.amplitudes),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "StateVector":
         try:
-            amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-            return cls(json_int(data["num_qubits"], "num_qubits"), amps)
-        except (KeyError, TypeError, ValueError) as exc:
+            num_qubits, amplitudes = data["num_qubits"], data["amplitudes"]
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed state JSON: {exc}") from exc
+        return cls(json_int(num_qubits, "num_qubits"),
+                   matrix_from_json([amplitudes])[0])

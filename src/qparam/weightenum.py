@@ -60,19 +60,10 @@ def unrank_weight_string(n: int, k: int, index: int) -> str:
     return "".join(bits)
 
 
-def rank_weight_index(n: int, k: int, basis_index: int) -> int:
-    """Rank of an n-qubit basis index (qubit 0 = most significant bit)."""
-    return rank_weight_string(n, k, format(basis_index, f"0{n}b"))
-
-
-def unrank_weight_index(n: int, k: int, index: int) -> int:
-    """Unrank directly to a basis index (qubit 0 = most significant bit)."""
-    return int(unrank_weight_string(n, k, index), 2)
-
-
 @dataclass(frozen=True)
 class WeightEnumeration:
-    """Bijection between weight-k strings of length n and {0, ..., C(n,k)-1}."""
+    """Bijection between weight-k strings of length n and {0, ..., C(n,k)-1},
+    for n up to ``INDEX_BITS``."""
 
     n: int
     k: int
@@ -81,6 +72,11 @@ class WeightEnumeration:
     def __post_init__(self):
         if not 0 <= self.k <= self.n:
             raise InvalidInputError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
+        # before C(n, k): at n = 10^6 that alone takes seconds
+        if self.n > INDEX_BITS:
+            raise ResourceError(
+                f"n={self.n} exceeds the {INDEX_BITS}-bit basis index limit"
+            )
         object.__setattr__(self, "dim", comb(self.n, self.k))
 
     def rank(self, bitstring: str) -> int:
@@ -101,10 +97,6 @@ class WeightEnumeration:
         lexicographically, which is decreasing integer order, so the summed
         bit weights are reversed.
         """
-        if self.n > INDEX_BITS:
-            raise ResourceError(
-                f"n={self.n} exceeds the {INDEX_BITS}-bit basis index limit"
-            )
         weights = np.int64(1) << np.arange(self.n - 1, -1, -1, dtype=np.int64)
         positions = np.fromiter(
             chain.from_iterable(combinations(range(self.n), self.k)),

@@ -31,12 +31,14 @@ def run(capsys, *argv):
 
 
 def run_refused(capsys, tmp_path, document, *argv):
-    """(exit code, seconds) of a run on ``document`` that must end with an
-    error message and no report or traceback."""
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(document))
+    """(exit code, seconds) of a run on ``document`` (no --input if None)
+    that must end with an error message and no report or traceback."""
+    if document is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(document))
+        argv = (argv[0], "--input", str(path), *argv[1:])
     start = time.perf_counter()
-    code = main([argv[0], "--input", str(path), *argv[1:]])
+    code = main(list(argv))
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
@@ -54,7 +56,8 @@ class TestHamCommands:
         assert report["result"]["lambda_min"] == pytest.approx(2.0)
 
     def test_ham_decide_no(self, capsys, tmp_path, sum_z_file):
-        data = json.loads(open(sum_z_file).read())
+        with open(sum_z_file) as fh:
+            data = json.load(fh)
         data["a"], data["b"] = 0.5, 1.5
         path = tmp_path / "no.json"
         path.write_text(json.dumps(data))
@@ -157,6 +160,22 @@ class TestErrorPaths:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("document, argv", [
+        ({"n": 10**9, "locality": 1, "a": 0, "b": 1, "terms": []},
+         ["ham-decide", "--k", str(5 * 10**8)]),
+        ({"num_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+         ["decode-witness", "--n", str(10**6), "--k", str(5 * 10**5)]),
+        ({"witness_qubits": 10**6, "ancilla_qubits": 0, "accept_qubit": 0,
+          "gates": []},
+         ["hwqcs-decide", "--k", str(5 * 10**5), "--a", "0.1", "--b", "0.9"]),
+    ], ids=["ham-decide", "decode-witness", "hwqcs-decide"])
+    def test_oversized_weight_parameter_refused_up_front(self, capsys, tmp_path,
+                                                         document, argv):
+        # C(n, k) at these sizes takes seconds; n past 63 bits is refused first
+        code, elapsed = run_refused(capsys, tmp_path, document, *argv)
+        assert code == 4
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("strands", [4000, 2**22 + 2],
                              ids=["float-overflow", "first-matching-over-limit"])
     def test_oversized_bracket_refused(self, capsys, tmp_path, strands):
@@ -250,7 +269,7 @@ class TestErrorPaths:
     ])
     def test_onehot_counts_below_one_are_usage_errors(self, capsys, tmp_path,
                                                       blocks, block_size, bits):
-        code, _ = run_refused(capsys, tmp_path, {}, "onehot-decode",
+        code, _ = run_refused(capsys, tmp_path, None, "onehot-decode",
                               "--blocks", blocks, "--block-size", block_size,
                               "--bits", bits)
         assert code == 3
@@ -316,8 +335,8 @@ class TestInputDocumentErrors:
                               "--seed", "1")
         assert code == 3
 
-    @pytest.mark.parametrize("num_qubits", [1.0, "1", True],
-                             ids=["float", "string", "bool"])
+    @pytest.mark.parametrize("num_qubits", [1.0, "1", True, 2**70, 10**11],
+                             ids=["float", "string", "bool", "2^70", "10^11"])
     @pytest.mark.parametrize("argv", [
         ["encode-witness", "--k", "1"],
         ["decode-witness", "--k", "1", "--n", "2"],
@@ -325,16 +344,26 @@ class TestInputDocumentErrors:
     def test_state_qubit_count_is_usage_error(self, capsys, tmp_path, argv,
                                               num_qubits):
         state = {"num_qubits": num_qubits, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}
-        code, _ = run_refused(capsys, tmp_path, state, *argv)
+        code, elapsed = run_refused(capsys, tmp_path, state, *argv)
         assert code == 3
+        assert elapsed < 1.0  # 2**num_qubits is never computed
 
 
-    @pytest.mark.parametrize("part", [10**400, True, "1"],
-                             ids=["huge-int", "bool", "string"])
-    @pytest.mark.parametrize("where", ["unitary", "gate", "term"])
+    @pytest.mark.parametrize("part", [10**400, True, "1", float("nan")],
+                             ids=["huge-int", "bool", "string", "nan"])
+    @pytest.mark.parametrize("where", ["unitary", "gate", "term", "encode-state",
+                                       "decode-state"])
     def test_matrix_part_is_usage_error(self, capsys, tmp_path, part, where):
         matrix = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [part, 0.0]]]
-        if where == "unitary":
+        if where == "encode-state":
+            # the part is the amplitude of |1>, the weight-1 sector
+            document = {"num_qubits": 1, "amplitudes": matrix[1]}
+            argv = ["encode-witness", "--k", "1"]
+        elif where == "decode-state":
+            # ... and of rank 1 of C(2, 1) = 2, not padding
+            document = {"num_qubits": 1, "amplitudes": matrix[1]}
+            argv = ["decode-witness", "--k", "1", "--n", "2"]
+        elif where == "unitary":
             document, argv = {"unitary": matrix}, ["amp-estimate", "--seed", "1"]
         elif where == "gate":
             document = {"witness_qubits": 1, "ancilla_qubits": 0,
@@ -346,6 +375,28 @@ class TestInputDocumentErrors:
             document["terms"][0]["matrix"] = matrix
             argv = ["ham-decide", "--k", "1"]
         code, _ = run_refused(capsys, tmp_path, document, *argv)
+        assert code == 3
+
+    @pytest.mark.parametrize("amplitudes, argv", [
+        ([[float("nan"), 0.0], [1.0, 0.0]], ["encode-witness", "--k", "1"]),
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]],
+         ["decode-witness", "--k", "1", "--n", "3"]),
+    ], ids=["nan-off-sector", "nan-in-padding"])
+    def test_nan_amplitude_outside_the_checked_support_is_usage_error(
+        self, capsys, tmp_path, amplitudes, argv
+    ):
+        # NaN > tolerance is false, so only the reader can refuse it
+        state = {"num_qubits": len(amplitudes).bit_length() - 1,
+                 "amplitudes": amplitudes}
+        code, _ = run_refused(capsys, tmp_path, state, *argv)
+        assert code == 3
+
+    @pytest.mark.parametrize("flag", ["no", 1, False, None])
+    def test_classical_only_must_be_true(self, capsys, tmp_path, flag):
+        gap = {"witness_qubits": 1, "ancilla_qubits": 1, "accept_qubit": 1,
+               "gates": [{"name": "CX", "controls": [0], "targets": [1]}],
+               "classical_only": flag}
+        code, _ = run_refused(capsys, tmp_path, gap, "gapp-exact")
         assert code == 3
 
 
@@ -459,6 +510,16 @@ class TestCircuitInputErrors:
         code, _ = self.run_hwqcs(capsys, tmp_path, circuit)
         assert code == 3
 
+    @pytest.mark.parametrize("gate", [
+        {"name": "H", "targets": [0], "matrix": Z_JSON},
+        {"name": "X", "targets": [0], "matrix": [[[1.0, 0.0]]]},
+        {"name": "CX", "controls": [0], "targets": [2], "matrix": Z_JSON},
+    ], ids=["H-with-Z", "X-with-1x1", "CX-with-Z"])
+    def test_matrix_on_named_gate_is_usage_error(self, capsys, tmp_path, gate):
+        # only UNITARY reads its matrix; a named gate would run as its name
+        code, _ = self.run_hwqcs(capsys, tmp_path, dict(self.CIRCUIT, gates=[gate]))
+        assert code == 3
+
     def test_oversized_circuit_refused_up_front(self, capsys, tmp_path):
         # 2^40 amplitudes would need 16 TiB
         circuit = dict(self.CIRCUIT, ancilla_qubits=38, accept_qubit=39)
@@ -482,6 +543,17 @@ class TestEstimatorCommands:
         assert report["config"]["seed"] == 9
         assert report["config"]["epsilon"] is None
         assert report["config"]["lower_bound"] is None
+        assert report["config"]["tau"] == report["result"]["tau"] == 0.1
+        # multiplicative mode runs τ = ε·L/√2, and the config echoes that τ
+        code, out = run(
+            capsys, "amp-estimate", "--input", str(path), "--epsilon", "0.2",
+            "--lower-bound", "0.5", "--seed", "9",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"]["mode"] == "multiplicative"
+        assert report["result"]["tau"] == pytest.approx(0.2 * 0.5 / math.sqrt(2))
+        assert report["config"]["tau"] == report["result"]["tau"]
 
     def test_seed_drawn_and_echoed_when_absent(self, capsys, tmp_path):
         path = tmp_path / "amp.json"
@@ -683,7 +755,7 @@ REPORT_KEYS = {
         "num_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]],
     }, ["input", "k", "n"], STATE_KEYS),
     "onehot-decode": (["--bits", "0100", "--blocks", "1", "--block-size", "4"],
-                      None, ["bits", "block_size", "blocks", "input"],
+                      None, ["bits", "block_size", "blocks"],
                       ["decoded"]),
     "wqcs-decide": (["--k", "1", "--a", "0.1", "--b", "0.9"], CIRCUIT,
                     ["a", "b", "input", "k"], SLICE_KEYS),
@@ -714,3 +786,13 @@ class TestReportKeys:
         assert report["command"] == command
         assert sorted(report["config"]) == config_keys
         assert sorted(report["result"]) == sorted(result_keys)
+
+    @pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+    def test_input_flag_only_where_a_document_is_read(self, capsys, command):
+        argv, document, _, _ = REPORT_KEYS[command]
+        if document is None:
+            assert main([command, "--input", "in.json", *argv]) == 3
+            assert "unrecognized arguments: --input" in capsys.readouterr().err
+        else:
+            assert main([command, *argv]) == 3
+            assert "required: --input" in capsys.readouterr().err
