@@ -41,7 +41,6 @@ from .estimators import (
 from .hamiltonian import (
     LocalHamiltonian,
     LocalTerm,
-    assemble_full,
     decide_weight_k_local_hamiltonian,
     expectation_value,
     restrict_to_weight,

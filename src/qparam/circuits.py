@@ -14,8 +14,8 @@ from math import ceil, comb, log2
 import numpy as np
 
 from .decision import Report
-from .errors import InvalidInputError
-from .linalg import json_int, matrix_from_json, matrix_to_json, require_unitary
+from .errors import InvalidInputError, ResourceError
+from .linalg import json_int, matrix_from_json, require_unitary
 from .states import StateVector
 from .weightenum import WeightEnumeration
 
@@ -49,6 +49,8 @@ _DIAGONAL_PHASE = {
 }
 # witness columns evolved at once, which bounds the block to 2^total × 64
 WITNESS_CHUNK = 64
+# widest state decode_weight_witness expands: 2^20 amplitudes, 16 MiB
+DECODE_QUBIT_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -117,16 +119,6 @@ class Gate:
             self.name == "UNITARY" and len(self.targets) >= 3
         )
 
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "controls": list(self.controls),
-            "targets": list(self.targets),
-        }
-        if self.matrix is not None:
-            out["matrix"] = matrix_to_json(self.matrix)
-        return out
-
     @classmethod
     def from_json(cls, data: dict) -> "Gate":
         try:
@@ -168,14 +160,6 @@ class QuantumCircuit:
     @property
     def total_qubits(self) -> int:
         return self.witness_qubits + self.ancilla_qubits
-
-    def to_json(self) -> dict:
-        return {
-            "witness_qubits": self.witness_qubits,
-            "ancilla_qubits": self.ancilla_qubits,
-            "accept_qubit": self.accept_qubit,
-            "gates": [g.to_json() for g in self.gates],
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "QuantumCircuit":
@@ -387,19 +371,22 @@ class CircuitMetrics(Report):
 
 
 def circuit_metrics(circuit: QuantumCircuit) -> CircuitMetrics:
-    """Weft and depth by a longest-path sweep over the wire-ordered gate DAG."""
-    weft_level = [0] * circuit.total_qubits
-    depth_level = [0] * circuit.total_qubits
+    """Weft and depth by a longest-path sweep over the wire-ordered gate DAG.
+
+    Levels are kept only for the wires that some gate touches, so the cost is
+    O(gates) however many wires the circuit declares."""
+    weft_level: dict[int, int] = {}
+    depth_level: dict[int, int] = {}
     for gate in circuit.gates:
         wires = gate.wires
-        w = max(weft_level[q] for q in wires) + (1 if gate.is_weft_gate() else 0)
-        d = max(depth_level[q] for q in wires) + 1
+        w = max(weft_level.get(q, 0) for q in wires) + int(gate.is_weft_gate())
+        d = max(depth_level.get(q, 0) for q in wires) + 1
         for q in wires:
             weft_level[q] = w
             depth_level[q] = d
     return CircuitMetrics(
-        weft=max(weft_level, default=0),
-        depth=max(depth_level, default=0),
+        weft=max(weft_level.values(), default=0),
+        depth=max(depth_level.values(), default=0),
         size=len(circuit.gates),
     )
 
@@ -445,7 +432,8 @@ def encode_weight_witness(n: int, k: int, state: StateVector) -> StateVector:
 
 
 def decode_weight_witness(n: int, k: int, compressed: StateVector) -> StateVector:
-    """Inverse of :func:`encode_weight_witness`."""
+    """Inverse of :func:`encode_weight_witness`; ``ResourceError`` before
+    allocating anything when n exceeds ``DECODE_QUBIT_LIMIT``."""
     enum = WeightEnumeration(n, k)
     m = compressed_qubits(n, k)
     if compressed.num_qubits != m:
@@ -454,6 +442,8 @@ def decode_weight_witness(n: int, k: int, compressed: StateVector) -> StateVecto
         )
     if np.max(np.abs(compressed.amplitudes[enum.dim:]), initial=0.0) > SUPPORT_TOL:
         raise InvalidInputError("padded-index amplitude above tolerance")
+    if n > DECODE_QUBIT_LIMIT:
+        raise ResourceError(f"n={n} exceeds the decode limit {DECODE_QUBIT_LIMIT}")
     indices = enum.indices()
     out = np.zeros(2**n, dtype=complex)
     out[indices] = compressed.amplitudes[: enum.dim]

@@ -12,9 +12,6 @@ class Verdict(enum.Enum):
     NO = "NO"
     PROMISE_VIOLATED = "PROMISE_VIOLATED"
 
-    def __str__(self) -> str:
-        return self.value
-
     @classmethod
     def of(cls, yes: bool, no: bool) -> Verdict:
         """YES if ``yes`` holds, else NO if ``no`` holds; a value between the

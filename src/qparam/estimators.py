@@ -27,8 +27,6 @@ from .weightenum import INDEX_BITS, WeightEnumeration
 
 EXACT_GAP_LIMIT = 20
 QMAK_QUBIT_LIMIT = 12
-WQCS_DIM_LIMIT = 2048
-HWQCS_DIM_LIMIT = 4096
 # maximally-mixed-witness traces 2^k·Pr[accept]: YES at or above, NO at or below
 QMAK_YES_TRACE = 2 / 3
 QMAK_NO_TRACE = 1 / 3
@@ -291,8 +289,6 @@ def decide_weight_qcs_exact(
         raise InvalidInputError(f"need b > a, got a={a}, b={b}")
     n = circuit.witness_qubits
     enum = WeightEnumeration(n, k)
-    if enum.dim > WQCS_DIM_LIMIT:
-        raise ResourceError(f"C({n},{k})={enum.dim} exceeds limit {WQCS_DIM_LIMIT}")
     _require_qubit_limit(circuit)
     phi = accept_projected_columns(circuit, enum.indices())
     gram = phi.conj().T @ phi
@@ -308,8 +304,6 @@ def decide_hamming_weight_qcs_exact(
         raise InvalidInputError(f"need b > a, got a={a}, b={b}")
     n = circuit.witness_qubits
     enum = WeightEnumeration(n, k)
-    if enum.dim > HWQCS_DIM_LIMIT:
-        raise ResourceError(f"C({n},{k})={enum.dim} exceeds limit {HWQCS_DIM_LIMIT}")
     _require_qubit_limit(circuit)
     phi = accept_projected_columns(circuit, enum.indices())
     # squared column norms: the diagonal of the Gram matrix wqcs diagonalises

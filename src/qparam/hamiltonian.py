@@ -16,11 +16,10 @@ from .circuits import apply_gate_matrix
 from .decision import Report, Verdict
 from .errors import InvalidInputError, ResourceError
 from .linalg import (is_hermitian, json_finite, json_int, matrix_from_json,
-                     matrix_to_json, min_eigenvalue)
+                     min_eigenvalue)
 from .states import StateVector
 from .weightenum import WeightEnumeration
 
-ASSEMBLE_LIMIT = 12
 # COO entries (row, col, value: 32 B each) one restriction may hold, about 1 GB
 RESTRICT_ENTRY_LIMIT = 2**25
 
@@ -31,7 +30,6 @@ class LocalTerm:
 
     qubits: tuple[int, ...]
     block: np.ndarray
-    norm_bound: float | None = None
 
     def __post_init__(self):
         qs = tuple(self.qubits)
@@ -49,12 +47,6 @@ class LocalTerm:
             )
         if not is_hermitian(block):  # NaN and Inf fail too
             raise InvalidInputError("term block is not Hermitian within 1e-12")
-        if self.norm_bound is not None:
-            spec = float(np.linalg.norm(block, 2))
-            if spec > self.norm_bound + 1e-9:
-                raise InvalidInputError(
-                    f"spectral norm {spec:.6g} exceeds declared bound {self.norm_bound}"
-                )
 
 
 @dataclass(frozen=True)
@@ -79,18 +71,6 @@ class LocalHamiltonian:
             if any(q >= self.n for q in term.qubits):
                 raise InvalidInputError(f"term support {term.qubits} out of range")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "locality": self.locality,
-            "a": self.a,
-            "b": self.b,
-            "terms": [
-                {"qubits": list(t.qubits), "matrix": matrix_to_json(t.block)}
-                for t in self.terms
-            ],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "LocalHamiltonian":
         try:
@@ -107,38 +87,12 @@ class LocalHamiltonian:
             raise InvalidInputError(f"malformed Hamiltonian JSON: {exc}") from exc
 
 
-def _replace_bits(basis_index: int, n: int, qubits: tuple[int, ...], local: int) -> int:
-    out = basis_index
-    for pos, q in enumerate(qubits):
-        bit = (local >> (len(qubits) - 1 - pos)) & 1
-        shift = n - 1 - q
-        out = (out & ~(1 << shift)) | (bit << shift)
-    return out
-
-
-def assemble_full(h: LocalHamiltonian) -> np.ndarray:
-    """Full 2^n matrix; brute-force oracle for small n."""
-    if h.n > ASSEMBLE_LIMIT:
-        raise ResourceError(f"n={h.n} exceeds assemble limit {ASSEMBLE_LIMIT}")
-    dim = 2**h.n
-    full = np.zeros((dim, dim), dtype=complex)
-    for term in h.terms:
-        s = len(term.qubits)
-        rest = [q for q in range(h.n) if q not in term.qubits]
-        rest_indices = np.zeros(2 ** len(rest), dtype=np.int64)
-        for j, q in enumerate(rest):
-            shift = h.n - 1 - q
-            half = np.arange(2 ** len(rest)) >> (len(rest) - 1 - j) & 1
-            rest_indices |= half.astype(np.int64) << shift
-        for ix in range(2**s):
-            rows = rest_indices + _replace_bits(0, h.n, term.qubits, ix)
-            for iy in range(2**s):
-                v = term.block[ix, iy]
-                if v == 0:
-                    continue
-                cols = rest_indices + _replace_bits(0, h.n, term.qubits, iy)
-                full[rows, cols] += v
-    return full
+def _spread_bits(n: int, qubits: tuple[int, ...], local: int) -> int:
+    """The n-qubit basis index holding ``local`` on ``qubits`` (first qubit =
+    local MSB) and 0 elsewhere."""
+    s = len(qubits)
+    return sum(((local >> (s - 1 - pos)) & 1) << (n - 1 - q)
+               for pos, q in enumerate(qubits))
 
 
 def restrict_to_weight(h: LocalHamiltonian, k: int):
@@ -176,7 +130,7 @@ def restrict_to_weight(h: LocalHamiltonian, k: int):
             if ix.bit_count() != iy.bit_count():  # weight changed, outside the sector
                 continue
             states = np.flatnonzero(local == ix)
-            flip = _replace_bits(0, h.n, term.qubits, ix ^ iy)
+            flip = _spread_bits(h.n, term.qubits, ix ^ iy)
             rows.append(states)
             cols.append(
                 np.searchsorted(basis, basis[states] ^ flip) if flip else states

@@ -64,9 +64,6 @@ class BraidWord:
                     f"letter {g} out of range for {self.strands} strands"
                 )
 
-    def to_json(self) -> dict:
-        return {"strands": self.strands, "word": list(self.word)}
-
     @classmethod
     def from_json(cls, data: dict) -> "BraidWord":
         try:

@@ -57,12 +57,6 @@ class StateVector:
             raise InvalidInputError("qubit-count mismatch in inner product")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise InvalidInputError("cannot normalize the zero vector")
-        return StateVector(self.num_qubits, self.amplitudes / n)
-
     def to_json(self) -> dict:
         return {
             "num_qubits": self.num_qubits,

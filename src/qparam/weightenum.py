@@ -79,15 +79,9 @@ class WeightEnumeration:
             )
         object.__setattr__(self, "dim", comb(self.n, self.k))
 
-    def rank(self, bitstring: str) -> int:
-        return rank_weight_string(self.n, self.k, bitstring)
-
-    def unrank(self, index: int) -> str:
-        return unrank_weight_string(self.n, self.k, index)
-
     def strings(self):
         """All weight-k strings in rank order."""
-        return (self.unrank(i) for i in range(self.dim))
+        return (unrank_weight_string(self.n, self.k, i) for i in range(self.dim))
 
     def indices(self) -> np.ndarray:
         """All weight-k basis indices (qubit 0 = MSB) in rank order.

@@ -1,11 +1,11 @@
 """Shared fixtures and independent brute-force oracles.
 
 Every oracle here is implemented from first principles with a different
-algorithm than the library code it checks: dense Kronecker embeddings and
-bitwise scatters for gate application, exhaustive DAG traversal for weft, a Temperley-Lieb
-diagram-algebra evaluation and a 2^c state sum with union-find loop counts
-for the bracket, and simulated controlled-U Hadamard-test circuits for the
-amplitude sampler.
+algorithm than the library code it checks: dense entry-by-entry embeddings
+and bitwise scatters for gate application and Hamiltonian assembly,
+exhaustive DAG traversal for weft, a Temperley-Lieb diagram-algebra
+evaluation and a 2^c state sum with union-find loop counts for the bracket,
+and simulated controlled-U Hadamard-test circuits for the amplitude sampler.
 """
 from __future__ import annotations
 
@@ -70,6 +70,12 @@ def embed_oracle(matrix: np.ndarray, wires, n: int) -> np.ndarray:
                 y |= rx[pos] << (n - 1 - q)
             full[y, x] = matrix[ly, lx]
     return full
+
+
+def hamiltonian_oracle(h) -> np.ndarray:
+    """Full 2^n matrix of a local Hamiltonian: its embedded terms summed."""
+    full = np.zeros((2**h.n, 2**h.n), dtype=complex)
+    return sum((embed_oracle(t.block, t.qubits, h.n) for t in h.terms), full)
 
 
 def circuit_unitary_oracle(circuit: QuantumCircuit) -> np.ndarray:

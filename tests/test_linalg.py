@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import random_hermitian
-from qparam.errors import InvalidInputError, ResourceError
+from qparam.errors import ConvergenceError, InvalidInputError, ResourceError
 from qparam.linalg import (
     DENSE_THRESHOLD,
     full_spectrum,
@@ -79,6 +80,18 @@ class TestMinEigenvalue:
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidInputError):
             min_eigenvalue(np.eye(2), mode="magic")
+
+    @pytest.mark.parametrize("found, best", [([4.5], 0.5), ([], None)],
+                             ids=["estimate", "none"])
+    def test_non_convergence_carries_best_estimate(self, monkeypatch, found, best):
+        # diag(1, 2, 3) is shifted by its largest row sum + 1 = 4
+        def stall(*args, **kwargs):
+            raise spla.ArpackNoConvergence("stalled", np.array(found), None)
+
+        monkeypatch.setattr(spla, "eigsh", stall)
+        with pytest.raises(ConvergenceError) as info:
+            min_eigenvalue(sp.diags([1.0, 2.0, 3.0]), mode="iterative")
+        assert info.value.best_estimate == best
 
 
 class TestFullSpectrum:
