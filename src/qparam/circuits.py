@@ -8,7 +8,7 @@ the most significant bit of the gate's local matrix index.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, comb, log2
 
 import numpy as np
@@ -532,15 +532,9 @@ def hadamard_test_circuit(
         raise InvalidInputError(f"part must be 'real' or 'imag', got {part!r}")
     gates = [Gate("H", targets=(0,))]
     if prep is not None:
-        for g in prep.gates:
-            gates.append(
-                Gate(
-                    g.name,
-                    tuple(w + 1 for w in g.controls),
-                    tuple(w + 1 for w in g.targets),
-                    g.matrix,
-                )
-            )
+        gates += [replace(g, controls=tuple(w + 1 for w in g.controls),
+                          targets=tuple(w + 1 for w in g.targets))
+                  for g in prep.gates]
     # controlled-U with the ancilla as the local MSB: block-diag(I, U)
     controlled = np.zeros((2 * dim, 2 * dim), dtype=complex)
     controlled[:dim, :dim] = np.eye(dim)

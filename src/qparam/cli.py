@@ -15,6 +15,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from .circuits import (
+    REJECT,
     QuantumCircuit,
     StateVector,
     circuit_metrics,
@@ -156,7 +157,7 @@ def _decode_witness(args):
 
 def _onehot_decode(args):
     decoded = one_hot_block_decode(args.blocks, args.block_size, args.bits)
-    return {"decoded": decoded}, EXIT_NO if decoded == "REJECT" else EXIT_YES
+    return {"decoded": decoded}, EXIT_NO if decoded == REJECT else EXIT_YES
 
 
 def _wqcs_decide(args):

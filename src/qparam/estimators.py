@@ -8,7 +8,8 @@ results are reproducible under any execution order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from math import ceil, comb, inf, log, ulp
 
 import numpy as np
@@ -118,11 +119,8 @@ def estimate_amplitude_multiplicative(
     tau = epsilon * lower_bound / np.sqrt(2.0)
     base = estimate_amplitude(unitary, prep, tau, delta, seed)
     warning = abs(base.value) < lower_bound * (1.0 - epsilon)
-    return EstimateReport(
-        value=base.value, tau=tau, delta=delta, samples=base.samples,
-        seed=seed, mode="multiplicative", bound=epsilon * lower_bound,
-        warning=bool(warning) or None,
-    )
+    return replace(base, mode="multiplicative", bound=epsilon * lower_bound,
+                   warning=bool(warning) or None)
 
 
 @dataclass(frozen=True)
@@ -170,16 +168,11 @@ class GapInstance:
             return wires[q]
 
         for gate in self.predicate.gates:
-            t = gate.targets[0]
-            if gate.name == "X":
-                wires[t] = ~wire(t)
-            elif gate.name == "CX":
-                wires[t] = wire(t) ^ wire(gate.controls[0])
-            else:  # TOFFOLI
-                conj = wire(gate.controls[0])
-                for c in gate.controls[1:]:
-                    conj = conj & wire(c)
-                wires[t] = wire(t) ^ conj
+            # X, CX and TOFFOLI flip the target where every control reads 1
+            # (X has none, so it flips every path)
+            controls = [wire(c) for c in gate.controls]
+            fire = reduce(np.logical_and, controls) if controls else True
+            wires[gate.targets[0]] = wire(gate.targets[0]) ^ fire
         return wire(self.predicate.accept_qubit)
 
 
@@ -277,6 +270,19 @@ class SliceDecision(Report):
     table: dict | None = None
 
 
+def _weight_k_columns(
+    circuit: QuantumCircuit, k: int, a: float, b: float
+) -> tuple[WeightEnumeration, np.ndarray]:
+    """The weight-k witness basis and its accept-projected columns for both
+    slice deciders. The checks run in a fixed order: b > a, then the
+    enumeration's own, then the qubit limit, so a usage error comes first."""
+    if b <= a:
+        raise InvalidInputError(f"need b > a, got a={a}, b={b}")
+    enum = WeightEnumeration(circuit.witness_qubits, k)
+    _require_qubit_limit(circuit)
+    return enum, accept_projected_columns(circuit, enum.indices())
+
+
 def decide_weight_qcs_exact(
     circuit: QuantumCircuit, k: int, a: float, b: float
 ) -> SliceDecision:
@@ -285,12 +291,7 @@ def decide_weight_qcs_exact(
     The Gram matrix of accept-projected outputs over the weight-k basis has
     the maximum acceptance as its largest eigenvalue.
     """
-    if b <= a:
-        raise InvalidInputError(f"need b > a, got a={a}, b={b}")
-    n = circuit.witness_qubits
-    enum = WeightEnumeration(n, k)
-    _require_qubit_limit(circuit)
-    phi = accept_projected_columns(circuit, enum.indices())
+    _, phi = _weight_k_columns(circuit, k, a, b)
     gram = phi.conj().T @ phi
     lam_max = float(full_spectrum(gram)[-1])
     return SliceDecision(Verdict.of(lam_max >= b, lam_max <= a), lam_max, a, b, k)
@@ -300,12 +301,7 @@ def decide_hamming_weight_qcs_exact(
     circuit: QuantumCircuit, k: int, a: float, b: float
 ) -> SliceDecision:
     """Maximum acceptance over weight-k basis-string witnesses, exactly."""
-    if b <= a:
-        raise InvalidInputError(f"need b > a, got a={a}, b={b}")
-    n = circuit.witness_qubits
-    enum = WeightEnumeration(n, k)
-    _require_qubit_limit(circuit)
-    phi = accept_projected_columns(circuit, enum.indices())
+    enum, phi = _weight_k_columns(circuit, k, a, b)
     # squared column norms: the diagonal of the Gram matrix wqcs diagonalises
     accept = np.sum(np.abs(phi) ** 2, axis=0)
     table = dict(zip(enum.strings(), accept.tolist()))

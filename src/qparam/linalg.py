@@ -36,31 +36,31 @@ def _as_operator(matrix):
     return out
 
 
-def is_hermitian(matrix, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(matrix) -> bool:
     m = _as_operator(matrix)
     if sp.issparse(m):
         diff = m - m.conj().T
-        return abs(diff).max() <= tol if diff.nnz else True
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+        return abs(diff).max() <= HERMITIAN_TOL if diff.nnz else True
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
 
 
-def require_hermitian(matrix, tol: float = HERMITIAN_TOL):
+def require_hermitian(matrix):
     m = _as_operator(matrix)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise InvalidInputError("matrix is not Hermitian within tolerance")
     return m
 
 
-def require_unitary(matrix, tol: float = UNITARY_TOL) -> np.ndarray:
-    """The matrix as a complex array, if max|U†U − I| <= tol.
+def require_unitary(matrix) -> np.ndarray:
+    """The matrix as a complex array, if max|U†U − I| <= ``UNITARY_TOL``.
 
-    Written as ``<= tol`` so that NaN and Inf entries fail the check.
+    Written as ``<=`` so that NaN and Inf entries fail the check.
     """
     m = np.asarray(matrix, dtype=complex)
     with np.errstate(invalid="ignore"):  # Inf entries give NaN products
         error = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if not error <= tol:
-        raise InvalidInputError(f"matrix is not unitary within {tol:g}")
+    if not error <= UNITARY_TOL:
+        raise InvalidInputError(f"matrix is not unitary within {UNITARY_TOL:g}")
     return m
 
 

@@ -31,9 +31,7 @@ class StateVector:
 
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
+        return cls.basis(num_qubits, 0)
 
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "StateVector":

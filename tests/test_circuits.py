@@ -75,6 +75,17 @@ class TestGate:
         assert np.array_equal(gate.matrix, DFT4)
 
 
+class TestStateVector:
+    @pytest.mark.parametrize("make", [
+        lambda: StateVector.basis(2, 4),
+        lambda: StateVector.from_bits("012"),
+        lambda: StateVector.zero(1).inner(StateVector.zero(2)),
+    ], ids=["basis-index-out-of-range", "non-bitstring", "inner-qubit-mismatch"])
+    def test_invalid_request_rejected(self, make):
+        with pytest.raises(InvalidInputError):
+            make()
+
+
 class TestSimulate:
     def test_empty_circuit_appends_ancillas(self):
         c = QuantumCircuit(1, 2, (), 0)
@@ -346,6 +357,10 @@ class TestWitnessCompression:
         with pytest.raises(InvalidInputError):
             encode_weight_witness(4, 2, StateVector.from_bits("0111"))
 
+    def test_wrong_qubit_count_rejected(self):
+        with pytest.raises(InvalidInputError):
+            encode_weight_witness(4, 2, StateVector.from_bits("011"))
+
     def test_decode_rank_zero(self):
         compressed = StateVector.basis(3, 0)
         out = decode_weight_witness(4, 2, compressed)
@@ -397,6 +412,11 @@ class TestClassicalWeightState:
         gen = QuantumCircuit(1, 0, (), 0)
         with pytest.raises(InvalidInputError):
             prepare_classical_weight_state(3, 1, gen, [0, 0, 2])
+
+    def test_generator_width_mismatch_rejected(self):
+        gen = QuantumCircuit(2, 0, (), 0)
+        with pytest.raises(InvalidInputError):
+            prepare_classical_weight_state(3, 1, gen, [0, 1, 2])
 
 
 class TestOneHotDecode:

@@ -32,8 +32,12 @@ def run(capsys, *argv):
 
 
 def run_refused(capsys, tmp_path, document, *argv):
-    """(exit code, seconds) of a run on ``document`` (no --input if None)
-    that must end with an error message and no report or traceback."""
+    """(exit code, seconds, error line) of a run on ``document`` (no --input
+    if None) that must end with an error message and no report or traceback.
+
+    A refusal made up front prints ``error: <message>``; the catch-all that
+    also exits 4 prints the exception type first, as in
+    ``error: MemoryError``, so the line tells the two apart."""
     if document is not None:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(document))
@@ -45,7 +49,7 @@ def run_refused(capsys, tmp_path, document, *argv):
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
-    return code, elapsed
+    return code, elapsed, captured.err.splitlines()[0]
 
 
 class TestHamCommands:
@@ -149,17 +153,11 @@ class TestErrorPaths:
             "n": 200, "locality": 1, "a": 0.0, "b": 1.0,
             "terms": [{"qubits": [i], "matrix": Z_JSON} for i in range(4)],
         }
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(data))
-        start = time.perf_counter()
-        code = main(["ham-decide", "--input", str(path), "--k", "100"])
-        elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
+        code, elapsed, line = run_refused(capsys, tmp_path, data, "ham-decide",
+                                          "--k", "100")
         assert code == 4
         assert elapsed < 1.0
-        assert captured.err.startswith("error:")
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
+        assert not line.startswith("error: MemoryError")
 
     @pytest.mark.parametrize("document, argv", [
         ({"n": 10**9, "locality": 1, "a": 0, "b": 1, "terms": []},
@@ -181,9 +179,10 @@ class TestErrorPaths:
                                                          document, argv):
         # C(n, k) at the first three sizes takes seconds; n past 63 bits is
         # refused first
-        code, elapsed = run_refused(capsys, tmp_path, document, *argv)
+        code, elapsed, line = run_refused(capsys, tmp_path, document, *argv)
         assert code == 4
         assert elapsed < 1.0
+        assert not line.startswith("error: MemoryError")
 
     def test_lanczos_non_convergence_exits_4(self, capsys, tmp_path, monkeypatch):
         def stall(*args, **kwargs):
@@ -192,18 +191,19 @@ class TestErrorPaths:
         monkeypatch.setattr(spla, "eigsh", stall)
         document = {"n": 4, "locality": 1, "a": 0, "b": 1,
                     "terms": [{"qubits": [0], "matrix": Z_JSON}]}
-        code, _ = run_refused(capsys, tmp_path, document, "ham-decide", "--k", "1")
+        code, _, _ = run_refused(capsys, tmp_path, document, "ham-decide", "--k", "1")
         assert code == 4
 
     @pytest.mark.parametrize("strands", [4000, 2**22 + 2],
                              ids=["float-overflow", "first-matching-over-limit"])
     def test_oversized_bracket_refused(self, capsys, tmp_path, strands):
         # 4000 strands: 2000 unlinked loops, |δ|^1999 ~ 1e417 at k=5
-        code, elapsed = run_refused(capsys, tmp_path,
-                                    {"strands": strands, "word": []},
-                                    "jones-exact", "--k", "5")
+        code, elapsed, line = run_refused(capsys, tmp_path,
+                                          {"strands": strands, "word": []},
+                                          "jones-exact", "--k", "5")
         assert code == 4
         assert elapsed < 1.0
+        assert not line.startswith("error: MemoryError")
 
     @pytest.mark.parametrize("path_bits", [64, 70])
     def test_gap_estimate_beyond_index_bits_refused(self, capsys, tmp_path,
@@ -214,10 +214,11 @@ class TestErrorPaths:
             "gates": [{"name": "CX", "controls": [0], "targets": [path_bits]}],
             "classical_only": True,
         }
-        code, elapsed = run_refused(capsys, tmp_path, circuit, "gapp-estimate",
-                                    "--seed", "1")
+        code, elapsed, line = run_refused(capsys, tmp_path, circuit, "gapp-estimate",
+                                          "--seed", "1")
         assert code == 4
         assert elapsed < 1.0
+        assert not line.startswith("error: MemoryError")
 
     def test_dense_mode_on_large_sector_refused_up_front(self, capsys, tmp_path):
         # C(40, 4) = 91390: decided by the sparse solver; a dense copy would
@@ -231,8 +232,8 @@ class TestErrorPaths:
         code, out = run(capsys, "ham-decide", "--input", str(path), "--k", "4")
         assert code == 0
         assert json.loads(out)["result"]["lambda_min"] == pytest.approx(-4.0, abs=1e-8)
-        code, _ = run_refused(capsys, tmp_path, data, "ham-decide",
-                              "--k", "4", "--mode", "dense")
+        code, _, _ = run_refused(capsys, tmp_path, data, "ham-decide",
+                                 "--k", "4", "--mode", "dense")
         assert code == 3
 
     @pytest.mark.parametrize("strands, crossings", [(24, 150), (32, 100)])
@@ -241,10 +242,11 @@ class TestErrorPaths:
         letters = rng.integers(1, strands, size=crossings)
         signs = rng.choice([-1, 1], size=crossings)
         braid = {"strands": strands, "word": (letters * signs).tolist()}
-        code, elapsed = run_refused(capsys, tmp_path, braid, "jones-exact",
-                                    "--k", "5")
+        code, elapsed, line = run_refused(capsys, tmp_path, braid, "jones-exact",
+                                          "--k", "5")
         assert code == 4
         assert elapsed < 1.0
+        assert not line.startswith("error: MemoryError")
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("command", ["amp-estimate", "gapp-estimate", "jones"])
@@ -259,8 +261,8 @@ class TestErrorPaths:
             }, []),
             "jones": ({"strands": 4, "word": [1]}, ["--k", "5"]),
         }[command]
-        code, _ = run_refused(capsys, tmp_path, document, command, *extra,
-                              "--seed", seed)
+        code, _, _ = run_refused(capsys, tmp_path, document, command, *extra,
+                                 "--seed", seed)
         assert code == 3
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -280,7 +282,7 @@ class TestErrorPaths:
             "classical_only": True,
         }
         document = {"unitary": Z_JSON} if argv[0] == "amp-estimate" else circuit
-        code, _ = run_refused(capsys, tmp_path, document, *argv, flag, value)
+        code, _, _ = run_refused(capsys, tmp_path, document, *argv, flag, value)
         assert code == 3
 
     @pytest.mark.parametrize("blocks, block_size, bits", [
@@ -288,9 +290,9 @@ class TestErrorPaths:
     ])
     def test_onehot_counts_below_one_are_usage_errors(self, capsys, tmp_path,
                                                       blocks, block_size, bits):
-        code, _ = run_refused(capsys, tmp_path, None, "onehot-decode",
-                              "--blocks", blocks, "--block-size", block_size,
-                              "--bits", bits)
+        code, _, _ = run_refused(capsys, tmp_path, None, "onehot-decode",
+                                 "--blocks", blocks, "--block-size", block_size,
+                                 "--bits", bits)
         assert code == 3
 
 
@@ -325,7 +327,7 @@ class TestInputDocumentErrors:
         ["jones", "--k", "5", "--seed", "1"],
     ], ids=lambda argv: argv[0])
     def test_non_object_document_is_usage_error(self, capsys, tmp_path, argv):
-        code, _ = run_refused(capsys, tmp_path, [1, 2], *argv)
+        code, _, _ = run_refused(capsys, tmp_path, [1, 2], *argv)
         assert code == 3
 
     @pytest.mark.parametrize("field, value", [
@@ -344,7 +346,7 @@ class TestInputDocumentErrors:
             data["terms"][0][field] = value
         else:
             data[field] = value
-        code, _ = run_refused(capsys, tmp_path, data, "ham-decide", "--k", "1")
+        code, _, _ = run_refused(capsys, tmp_path, data, "ham-decide", "--k", "1")
         assert code == 3
 
     @pytest.mark.parametrize("braid", [
@@ -352,8 +354,8 @@ class TestInputDocumentErrors:
         {"strands": 4, "word": [1.5]},
     ], ids=["string-strands", "float-strands", "float-letter"])
     def test_braid_field_is_usage_error(self, capsys, tmp_path, braid):
-        code, _ = run_refused(capsys, tmp_path, braid, "jones", "--k", "5",
-                              "--seed", "1")
+        code, _, _ = run_refused(capsys, tmp_path, braid, "jones", "--k", "5",
+                                 "--seed", "1")
         assert code == 3
 
     @pytest.mark.parametrize("num_qubits", [1.0, "1", True, 2**70, 10**11],
@@ -365,7 +367,7 @@ class TestInputDocumentErrors:
     def test_state_qubit_count_is_usage_error(self, capsys, tmp_path, argv,
                                               num_qubits):
         state = {"num_qubits": num_qubits, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}
-        code, elapsed = run_refused(capsys, tmp_path, state, *argv)
+        code, elapsed, _ = run_refused(capsys, tmp_path, state, *argv)
         assert code == 3
         assert elapsed < 1.0  # 2**num_qubits is never computed
 
@@ -395,7 +397,7 @@ class TestInputDocumentErrors:
             document = json.loads(json.dumps(self.HAMILTONIAN))
             document["terms"][0]["matrix"] = matrix
             argv = ["ham-decide", "--k", "1"]
-        code, _ = run_refused(capsys, tmp_path, document, *argv)
+        code, _, _ = run_refused(capsys, tmp_path, document, *argv)
         assert code == 3
 
     @pytest.mark.parametrize("amplitudes, argv", [
@@ -409,12 +411,14 @@ class TestInputDocumentErrors:
         # NaN > tolerance is false, so only the reader can refuse it
         state = {"num_qubits": len(amplitudes).bit_length() - 1,
                  "amplitudes": amplitudes}
-        code, _ = run_refused(capsys, tmp_path, state, *argv)
+        code, _, _ = run_refused(capsys, tmp_path, state, *argv)
         assert code == 3
 
     @pytest.mark.parametrize("document, argv", [
         ({"unitary": matrix_to_json(np.eye(3))}, ["amp-estimate", "--seed", "1"]),
         ({"unitary": Z_JSON}, ["amp-estimate", "--seed", "1", "--epsilon", "0.1"]),
+        ({"unitary": Z_JSON}, ["amp-estimate", "--seed", "1", "--epsilon", "0",
+                               "--lower-bound", "0.5"]),
         # C(3, 1) = 3 ranks need a 2-qubit register
         ({"num_qubits": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]},
          ["decode-witness", "--k", "1", "--n", "3"]),
@@ -424,11 +428,12 @@ class TestInputDocumentErrors:
          ["hwqcs-decide", "--k", "1", "--a", "0.5", "--b", "0.5"]),
         ({"witness_qubits": 0, "ancilla_qubits": 1, "accept_qubit": 0, "gates": [],
           "classical_only": True}, ["gapp-exact"]),
-    ], ids=["3x3-unitary", "epsilon-without-lower-bound", "wrong-register-size",
+    ], ids=["3x3-unitary", "epsilon-without-lower-bound", "zero-epsilon",
+            "wrong-register-size",
             "non-bitstring", "a-equals-b", "no-path-bits"])
     def test_invalid_request_is_usage_error(self, capsys, tmp_path, document,
                                             argv):
-        code, _ = run_refused(capsys, tmp_path, document, *argv)
+        code, _, _ = run_refused(capsys, tmp_path, document, *argv)
         assert code == 3
 
     @pytest.mark.parametrize("flag", ["no", 1, False, None])
@@ -436,7 +441,7 @@ class TestInputDocumentErrors:
         gap = {"witness_qubits": 1, "ancilla_qubits": 1, "accept_qubit": 1,
                "gates": [{"name": "CX", "controls": [0], "targets": [1]}],
                "classical_only": flag}
-        code, _ = run_refused(capsys, tmp_path, gap, "gapp-exact")
+        code, _, _ = run_refused(capsys, tmp_path, gap, "gapp-exact")
         assert code == 3
 
 
@@ -454,8 +459,9 @@ class TestBackstop:
             raise error
 
         monkeypatch.setattr("qparam.cli.circuit_metrics", fail)
-        code, _ = run_refused(capsys, tmp_path, self.CIRCUIT, "weft")
+        code, _, line = run_refused(capsys, tmp_path, self.CIRCUIT, "weft")
         assert code == 4
+        assert line.startswith(f"error: {type(error).__name__}")
 
     def test_non_finite_report_exits_4(self, capsys, tmp_path, monkeypatch):
         class Metrics:
@@ -463,7 +469,7 @@ class TestBackstop:
                 return {"weft": float("nan")}
 
         monkeypatch.setattr("qparam.cli.circuit_metrics", lambda c: Metrics())
-        code, _ = run_refused(capsys, tmp_path, self.CIRCUIT, "weft")
+        code, _, _ = run_refused(capsys, tmp_path, self.CIRCUIT, "weft")
         assert code == 4
 
 
@@ -476,34 +482,37 @@ class TestSamplerLimits:
     def test_non_finite_tau_is_usage_error(self, capsys, tmp_path, command, tau):
         document, extra = (self.AMP, []) if command == "amp-estimate" \
             else (self.BRAID, ["--k", "5"])
-        code, _ = run_refused(capsys, tmp_path, document, command, *extra,
-                              "--tau", tau, "--seed", "1")
+        code, _, _ = run_refused(capsys, tmp_path, document, command, *extra,
+                                 "--tau", tau, "--seed", "1")
         assert code == 3
 
     def test_oversized_sample_count_refused_up_front(self, capsys, tmp_path):
         # m(1e-5, 0.025) ~ 8.8e10 samples: 653 GiB of draws per part
-        code, elapsed = run_refused(capsys, tmp_path, self.AMP, "amp-estimate",
-                                    "--tau", "1e-5", "--seed", "1")
+        code, elapsed, line = run_refused(capsys, tmp_path, self.AMP, "amp-estimate",
+                                          "--tau", "1e-5", "--seed", "1")
         assert code == 4
         assert elapsed < 1.0
+        assert not line.startswith("error: MemoryError")
 
     def test_oversized_path_model_refused_up_front(self, capsys, tmp_path):
         # C(30, 15) ~ 1.55e8 walks: refused once one step passes the limit
         braid = {"strands": 30, "word": [1, 2, -3]}
-        code, elapsed = run_refused(capsys, tmp_path, braid, "jones", "--k", "31",
-                                    "--seed", "1")
+        code, elapsed, line = run_refused(capsys, tmp_path, braid, "jones", "--k", "31",
+                                          "--seed", "1")
         assert code == 4
         assert elapsed < 1.0
+        assert not line.startswith("error: MemoryError")
 
     def test_long_word_refused_up_front(self, capsys, tmp_path, rng):
         # (2 + 256) × 100001 entry steps pass 2^24 before the first walk
         letters = rng.integers(1, 10, size=100_000)
         signs = rng.choice([-1, 1], size=letters.size)
         braid = {"strands": 10, "word": (letters * signs).tolist()}
-        code, elapsed = run_refused(capsys, tmp_path, braid, "jones", "--k", "7",
-                                    "--seed", "1")
+        code, elapsed, line = run_refused(capsys, tmp_path, braid, "jones", "--k", "7",
+                                          "--seed", "1")
         assert code == 4
         assert elapsed < 1.0
+        assert not line.startswith("error: MemoryError")
 
 
 class TestCircuitInputErrors:
@@ -572,9 +581,11 @@ class TestCircuitInputErrors:
     def test_oversized_circuit_refused_up_front(self, capsys, tmp_path):
         # 2^40 amplitudes would need 16 TiB
         circuit = dict(self.CIRCUIT, ancilla_qubits=38, accept_qubit=39)
-        code, elapsed = self.run_hwqcs(capsys, tmp_path, circuit)
+        code, elapsed, line = run_refused(capsys, tmp_path, circuit, "hwqcs-decide",
+                                          "--k", "1", "--a", "0.1", "--b", "0.9")
         assert code == 4
         assert elapsed < 1.0
+        assert not line.startswith("error: MemoryError")
 
 
 class TestEstimatorCommands:
@@ -771,8 +782,8 @@ class TestJonesCommands:
     @pytest.mark.parametrize("command", ["jones", "jones-exact"])
     def test_level_beyond_float_range_is_usage_error(self, capsys, tmp_path,
                                                      command):
-        code, _ = run_refused(capsys, tmp_path, {"strands": 4, "word": [1]},
-                              command, "--k", str(10**400))
+        code, _, _ = run_refused(capsys, tmp_path, {"strands": 4, "word": [1]},
+                                 command, "--k", str(10**400))
         assert code == 3
 
     def test_determinism_across_runs(self, capsys, tmp_path):

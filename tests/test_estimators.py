@@ -237,6 +237,11 @@ class TestExactGap:
         with pytest.raises(InvalidInputError):
             GapInstance(2, circuit)
 
+    def test_path_bits_must_match_predicate_witness(self):
+        circuit = QuantumCircuit(2, 1, (Gate("X", targets=(2,)),), 2)
+        with pytest.raises(InvalidInputError):
+            GapInstance(3, circuit)
+
 
 class TestEstimateGap:
     def test_always_accept_is_exact(self):
@@ -385,6 +390,10 @@ class TestAmplifyGap:
     def test_even_repetitions_rejected(self):
         with pytest.raises(InvalidInputError):
             amplify_gap(0.7, 4)
+
+    def test_probability_out_of_range_rejected(self):
+        with pytest.raises(InvalidInputError):
+            amplify_gap(1.5, 3)
 
 
 class TestSliceDeciders:

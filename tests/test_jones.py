@@ -234,6 +234,17 @@ class TestPathModel:
         model = PathModel(4, 7)
         assert model.cap_walk() in model.basis
 
+    def test_odd_strands_rejected(self):
+        with pytest.raises(InvalidInputError):
+            PathModel(3, 7)
+
+    # all steps down leaves 1..k-1 at once; all steps up passes k-1 = 4,
+    # and its mask lies above every walk of the basis
+    @pytest.mark.parametrize("walk", [0b0000, 0b1111], ids=["below", "above"])
+    def test_index_of_absent_walk_rejected(self, walk):
+        with pytest.raises(ValueError, match="not in the path model"):
+            PathModel(4, 5).index(walk)
+
     def test_identity_braid(self):
         rho = ajl_braid_unitary(BraidWord(4, ()), 5)
         assert np.allclose(rho, np.eye(rho.shape[0]))

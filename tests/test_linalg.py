@@ -81,6 +81,10 @@ class TestMinEigenvalue:
         with pytest.raises(InvalidInputError):
             min_eigenvalue(np.eye(2), mode="magic")
 
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInputError, match="square"):
+            min_eigenvalue(np.zeros((2, 3)))
+
     @pytest.mark.parametrize("found, best", [([4.5], 0.5), ([], None)],
                              ids=["estimate", "none"])
     def test_non_convergence_carries_best_estimate(self, monkeypatch, found, best):
