@@ -14,7 +14,7 @@ from math import ceil, comb, log2
 import numpy as np
 
 from .decision import Report
-from .errors import InvalidInputError, ResourceError
+from .errors import InvalidInputError, require_within
 from .linalg import json_int, matrix_from_json, require_unitary
 from .states import StateVector
 from .weightenum import WeightEnumeration
@@ -442,8 +442,7 @@ def decode_weight_witness(n: int, k: int, compressed: StateVector) -> StateVecto
         )
     if np.max(np.abs(compressed.amplitudes[enum.dim:]), initial=0.0) > SUPPORT_TOL:
         raise InvalidInputError("padded-index amplitude above tolerance")
-    if n > DECODE_QUBIT_LIMIT:
-        raise ResourceError(f"n={n} exceeds the decode limit {DECODE_QUBIT_LIMIT}")
+    require_within(n, DECODE_QUBIT_LIMIT, "decoded qubits")
     indices = enum.indices()
     out = np.zeros(2**n, dtype=complex)
     out[indices] = compressed.amplitudes[: enum.dim]

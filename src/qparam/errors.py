@@ -9,6 +9,13 @@ class ResourceError(RuntimeError):
     """The request exceeds a configured desk-scale limit."""
 
 
+def require_within(amount, limit, what: str) -> None:
+    """The one refusal rule for desk-scale limits: ``ResourceError`` when
+    ``amount`` of ``what`` exceeds ``limit``; an amount at the limit passes."""
+    if amount > limit:
+        raise ResourceError(f"{what} {amount} exceeds limit {limit}")
+
+
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge.
 

@@ -22,7 +22,7 @@ from .circuits import (
     simulate,
 )
 from .decision import Report, Verdict
-from .errors import InvalidInputError, ResourceError
+from .errors import InvalidInputError, require_within
 from .linalg import full_spectrum
 from .weightenum import INDEX_BITS, WeightEnumeration
 
@@ -34,6 +34,9 @@ QMAK_NO_TRACE = 1 / 3
 CLASSICAL_GATES = ("X", "CX", "TOFFOLI")
 # samples one estimate may draw (8 B each per part), refused before allocating
 SAMPLE_LIMIT = 2**24
+# paths × wires held (the accept wire and every gate wire) that the gap
+# evaluator keeps as bools, 256 MiB; refused before any path is drawn
+GAP_ENTRY_LIMIT = 2**28
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
@@ -52,8 +55,7 @@ def sample_count(tau: float, delta: float) -> int:
     if not 0 < delta < 1:
         raise InvalidInputError(f"delta must lie in (0,1), got {delta}")
     count = 2 * log(2 / delta) / max(tau**2, ulp(0.0))  # tau**2 may underflow
-    if count > SAMPLE_LIMIT:
-        raise ResourceError(f"{count:.3g} samples exceed limit {SAMPLE_LIMIT}")
+    require_within(count, SAMPLE_LIMIT, "samples")
     return ceil(count)
 
 
@@ -179,8 +181,10 @@ class GapInstance:
 def exact_gap(instance: GapInstance) -> int:
     """(#accepting − #rejecting) over all 2^p paths, by full enumeration."""
     p = instance.path_bits
-    if p > EXACT_GAP_LIMIT:
-        raise ResourceError(f"path_bits={p} exceeds limit {EXACT_GAP_LIMIT}")
+    require_within(p, EXACT_GAP_LIMIT, "path bits")
+    circuit = instance.predicate
+    wires = {circuit.accept_qubit}.union(*(g.wires for g in circuit.gates))
+    require_within(2**p * len(wires), GAP_ENTRY_LIMIT, "gap path-wire entries")
     indices = np.arange(2**p, dtype=np.int64)
     accept = instance.evaluate(indices)
     accepted = int(np.sum(accept))
@@ -194,9 +198,11 @@ def estimate_gap(
     |g̃ − g| ≤ τ_rel·2^p except with probability δ. Paths are drawn as
     int64 indices, so at most ``INDEX_BITS`` path bits are accepted."""
     p = instance.path_bits
-    if p > INDEX_BITS:
-        raise ResourceError(f"path_bits={p} exceeds limit {INDEX_BITS}")
+    require_within(p, INDEX_BITS, "path bits")
     m = sample_count(tau_rel, delta)
+    circuit = instance.predicate
+    wires = {circuit.accept_qubit}.union(*(g.wires for g in circuit.gates))
+    require_within(m * len(wires), GAP_ENTRY_LIMIT, "gap path-wire entries")
     rng = rng_stream(seed, 0)
     indices = rng.integers(0, 2**p, size=m)
     accept = instance.evaluate(indices)
@@ -208,14 +214,6 @@ def estimate_gap(
     )
 
 
-def _require_qubit_limit(circuit: QuantumCircuit) -> None:
-    """Refuse a circuit too large for the witness block, before allocating."""
-    if circuit.total_qubits > QMAK_QUBIT_LIMIT:
-        raise ResourceError(
-            f"circuit has {circuit.total_qubits} qubits, limit {QMAK_QUBIT_LIMIT}"
-        )
-
-
 def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
     """The positive-semidefinite operator Q on the k-qubit witness register
     whose diagonal sums to 2^k times the maximally-mixed acceptance."""
@@ -223,7 +221,7 @@ def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
         raise InvalidInputError(
             f"verifier has {verifier.witness_qubits} witness qubits, expected {k}"
         )
-    _require_qubit_limit(verifier)
+    require_within(verifier.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
     phi = accept_projected_columns(verifier, np.arange(2**k))
     q = phi.conj().T @ phi
     return q, float(np.trace(q).real)
@@ -279,7 +277,7 @@ def _weight_k_columns(
     if b <= a:
         raise InvalidInputError(f"need b > a, got a={a}, b={b}")
     enum = WeightEnumeration(circuit.witness_qubits, k)
-    _require_qubit_limit(circuit)
+    require_within(circuit.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
     return enum, accept_projected_columns(circuit, enum.indices())
 
 

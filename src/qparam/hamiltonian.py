@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from .circuits import apply_gate_matrix
 from .decision import Report, Verdict
-from .errors import InvalidInputError, ResourceError
+from .errors import InvalidInputError, require_within
 from .linalg import (is_hermitian, json_finite, json_int, matrix_from_json,
                      min_eigenvalue)
 from .states import StateVector
@@ -113,11 +113,7 @@ def restrict_to_weight(h: LocalHamiltonian, k: int):
     enum = WeightEnumeration(h.n, k)
     dim = enum.dim
     size = dim * (1 + sum(2 ** len(term.qubits) for term in h.terms))
-    if size > RESTRICT_ENTRY_LIMIT:
-        raise ResourceError(
-            f"weight-{k} restriction of n={h.n} needs {size} entries, "
-            f"limit {RESTRICT_ENTRY_LIMIT}"
-        )
+    require_within(size, RESTRICT_ENTRY_LIMIT, f"weight-{k} restriction entries")
     basis = enum.indices()
     rows = [np.empty(0, dtype=np.intp)]
     cols = [np.empty(0, dtype=np.intp)]

@@ -20,7 +20,7 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceError
+from .errors import InvalidInputError, ResourceError, require_within
 from .estimators import EstimateReport, sample_amplitude
 from .linalg import json_int
 from .weightenum import INDEX_BITS
@@ -92,14 +92,6 @@ def plat_closure(braid: BraidWord) -> LinkDiagram:
                        tuple((abs(g), 1 if g > 0 else -1) for g in braid.word))
 
 
-def _require_work(matchings: int, strands: int, crossings_left: int):
-    if matchings * strands * (crossings_left + 1) > BRACKET_ENTRY_LIMIT:
-        raise ResourceError(
-            f"bracket transfer holds {matchings} matchings of {strands} strand "
-            f"ends, {crossings_left} crossings left: over {BRACKET_ENTRY_LIMIT}"
-        )
-
-
 def _closed_loops(partner: tuple[int, ...]) -> int:
     """Loops formed when the right caps (j, j ^ 1) close a matching."""
     seen, loops = bytearray(len(partner)), 0
@@ -125,8 +117,9 @@ def kauffman_bracket(diagram: LinkDiagram, a_value: complex) -> complex:
     do, checked before the first matching and after each crossing, or for a
     value beyond the float range, it raises ``ResourceError``.
     """
-    strands = diagram.strands
-    _require_work(1, strands, len(diagram.crossings))
+    strands, crossings = diagram.strands, len(diagram.crossings)
+    require_within(strands * (crossings + 1), BRACKET_ENTRY_LIMIT,
+                   "bracket entry steps")
     a = complex(a_value)
     delta = -(a**2) - a ** (-2)
     states = {tuple(j ^ 1 for j in range(strands)): 1.0 + 0.0j}
@@ -144,7 +137,8 @@ def kauffman_bracket(diagram: LinkDiagram, a_value: complex) -> complex:
                 joined = tuple(new)
             out[joined] = out.get(joined, 0.0) + join * coeff
         states = out
-        _require_work(len(states), strands, len(diagram.crossings) - done)
+        require_within(len(states) * strands * (crossings - done + 1),
+                       BRACKET_ENTRY_LIMIT, "bracket entry steps")
     try:  # the right caps close each matching into loops
         total = sum(c * delta ** (_closed_loops(m) - 1) for m, c in states.items())
     except OverflowError:
@@ -160,14 +154,6 @@ def jones_exact(braid: BraidWord, k: int) -> complex:
     a = np.exp(-1j * pi / (2 * k))
     w = writhe(braid)
     return complex((-a) ** (-3 * w) * kauffman_bracket(plat_closure(braid), a))
-
-
-def _require_path_work(entries: int, letters: int):
-    if (entries + PATH_LETTER_ENTRIES) * (letters + 1) > PATH_MODEL_WORK_LIMIT:
-        raise ResourceError(
-            f"path model holds {entries} entries for {letters} letters: over "
-            f"{PATH_MODEL_WORK_LIMIT} entry steps"
-        )
 
 
 @dataclass(frozen=True)
@@ -202,11 +188,10 @@ class PathModel:
             raise InvalidInputError(
                 f"strand count must be even and positive, got {self.strands}"
             )
-        if self.strands > INDEX_BITS:
-            raise ResourceError(
-                f"{self.strands} strands exceed the {INDEX_BITS}-bit walk masks"
-            )
-        _require_path_work(2, self.letters)  # one walk, one column
+        require_within(self.strands, INDEX_BITS, "strands")
+        steps = self.letters + 1
+        require_within((2 + PATH_LETTER_ENTRIES) * steps, PATH_MODEL_WORK_LIMIT,
+                       "path-model entry steps")  # one walk, one column
         top = min(self.k - 1, self.strands + 1)
         masks = np.zeros(1, dtype=np.int64)
         heights = np.ones(1, dtype=np.int8)
@@ -218,7 +203,8 @@ class PathModel:
                 down &= heights - 2 <= left
             walks = int(np.count_nonzero(up)) + int(np.count_nonzero(down))
             columns = 1 if self.closed else walks
-            _require_path_work(walks * (1 + columns), self.letters)
+            require_within((walks * (1 + columns) + PATH_LETTER_ENTRIES) * steps,
+                           PATH_MODEL_WORK_LIMIT, "path-model entry steps")
             # the new bit is above every old one, so the order is kept
             masks = np.concatenate([masks[down], masks[up] | (1 << j)])
             heights = np.concatenate([heights[down] - 1, heights[up] + 1])

@@ -18,7 +18,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, InvalidInputError, ResourceError
+from .errors import ConvergenceError, InvalidInputError, require_within
 
 DENSE_THRESHOLD = 2048
 HERMITIAN_TOL = 1e-12
@@ -101,10 +101,7 @@ def min_eigenvalue(matrix, mode: str = "dense") -> float:
 def full_spectrum(matrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending."""
     m = require_hermitian(matrix)
-    if m.shape[0] > DENSE_THRESHOLD:
-        raise ResourceError(
-            f"dimension {m.shape[0]} exceeds dense threshold {DENSE_THRESHOLD}"
-        )
+    require_within(m.shape[0], DENSE_THRESHOLD, "dense dimension")
     dense = m.toarray() if sp.issparse(m) else m
     return np.sort(np.linalg.eigvalsh(dense))
 

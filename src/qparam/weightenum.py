@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceError
+from .errors import InvalidInputError, require_within
 
 # basis indices are int64, so qubit 0 (bit n - 1) must stay below the sign bit
 INDEX_BITS = 63
@@ -73,10 +73,7 @@ class WeightEnumeration:
         if not 0 <= self.k <= self.n:
             raise InvalidInputError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
         # before C(n, k): at n = 10^6 that alone takes seconds
-        if self.n > INDEX_BITS:
-            raise ResourceError(
-                f"n={self.n} exceeds the {INDEX_BITS}-bit basis index limit"
-            )
+        require_within(self.n, INDEX_BITS, "basis index bits")
         object.__setattr__(self, "dim", comb(self.n, self.k))
 
     def strings(self):

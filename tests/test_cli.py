@@ -173,8 +173,13 @@ class TestErrorPaths:
         # 2^30 amplitudes (16 GiB) from a 5-qubit rank register
         ({"num_qubits": 5, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 31},
          ["decode-witness", "--n", "30", "--k", "1"]),
+        # 15.6M sampled paths × 300 ancilla wires, 4.7 GB of bools
+        ({"witness_qubits": 4, "ancilla_qubits": 300, "accept_qubit": 4,
+          "gates": [{"name": "X", "targets": [4 + i]} for i in range(300)],
+          "classical_only": True},
+         ["gapp-estimate", "--tau", "0.00075", "--delta", "0.025", "--seed", "1"]),
     ], ids=["ham-decide", "decode-witness", "hwqcs-decide", "restriction-entries",
-            "decode-witness-qubits"])
+            "decode-witness-qubits", "gap-path-wires"])
     def test_oversized_weight_parameter_refused_up_front(self, capsys, tmp_path,
                                                          document, argv):
         # C(n, k) at the first three sizes takes seconds; n past 63 bits is
@@ -521,17 +526,7 @@ class TestCircuitInputErrors:
         "gates": [{"name": "CX", "controls": [0], "targets": [2]}],
     }
 
-    def run_hwqcs(self, capsys, tmp_path, circuit):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(circuit))
-        start = time.perf_counter()
-        code = main(["hwqcs-decide", "--input", str(path),
-                     "--k", "1", "--a", "0.1", "--b", "0.9"])
-        elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-        return code, elapsed
+    HWQCS = ("hwqcs-decide", "--k", "1", "--a", "0.1", "--b", "0.9")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_unitary_is_usage_error(self, capsys, tmp_path, bad):
@@ -539,7 +534,7 @@ class TestCircuitInputErrors:
             "name": "UNITARY", "targets": [0],
             "matrix": [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
         }])
-        code, _ = self.run_hwqcs(capsys, tmp_path, circuit)
+        code, _, _ = run_refused(capsys, tmp_path, circuit, *self.HWQCS)
         assert code == 3
 
     @pytest.mark.parametrize("field, value", [
@@ -556,7 +551,7 @@ class TestCircuitInputErrors:
             circuit["gates"][0][field] = value
         else:
             circuit[field] = value
-        code, _ = self.run_hwqcs(capsys, tmp_path, circuit)
+        code, _, _ = run_refused(capsys, tmp_path, circuit, *self.HWQCS)
         assert code == 3
 
     @pytest.mark.parametrize("gate", [
@@ -566,7 +561,8 @@ class TestCircuitInputErrors:
     ], ids=["H-with-Z", "X-with-1x1", "CX-with-Z"])
     def test_matrix_on_named_gate_is_usage_error(self, capsys, tmp_path, gate):
         # only UNITARY reads its matrix; a named gate would run as its name
-        code, _ = self.run_hwqcs(capsys, tmp_path, dict(self.CIRCUIT, gates=[gate]))
+        code, _, _ = run_refused(capsys, tmp_path, dict(self.CIRCUIT, gates=[gate]),
+                                 *self.HWQCS)
         assert code == 3
 
     @pytest.mark.parametrize("gate", [
@@ -575,7 +571,8 @@ class TestCircuitInputErrors:
         {"name": "SWAP", "controls": [0], "targets": [2]},
     ], ids=["CX", "CZ", "SWAP"])
     def test_bad_wire_count_is_usage_error(self, capsys, tmp_path, gate):
-        code, _ = self.run_hwqcs(capsys, tmp_path, dict(self.CIRCUIT, gates=[gate]))
+        code, _, _ = run_refused(capsys, tmp_path, dict(self.CIRCUIT, gates=[gate]),
+                                 *self.HWQCS)
         assert code == 3
 
     def test_oversized_circuit_refused_up_front(self, capsys, tmp_path):

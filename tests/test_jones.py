@@ -198,9 +198,9 @@ class TestPathModelLimit:
 
     def test_more_steps_than_mask_bits_refused(self):
         # refused by the mask width before any work bound is reached
-        with pytest.raises(ResourceError, match="63-bit walk masks"):
+        with pytest.raises(ResourceError, match="^strands .* exceeds limit 63$"):
             PathModel(64, 5, closed=True)
-        with pytest.raises(ResourceError, match="63-bit walk masks"):
+        with pytest.raises(ResourceError, match="^strands .* exceeds limit 63$"):
             PathModel(2**70, 5, closed=True)
 
 
