@@ -1,8 +1,8 @@
 """Monte-Carlo estimators, exact slice deciders, and the maximally-mixed-
 witness decision procedure.
 
-Sampling is emulated: each Hadamard-test outcome is a Bernoulli draw from the
-exactly computed outcome probability, (1 + Re or Im ⟨ψ|U|ψ⟩)/2. Randomness
+Sampling is emulated: the zeros among one part's m Hadamard tests are one
+Binomial(m, p₀) count, p₀ = (1 + Re or Im ⟨ψ|U|ψ⟩)/2 exactly. Randomness
 comes from a counter-based Philox generator keyed by (seed, stream), so
 results are reproducible under any execution order.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from math import ceil, comb, inf, log, ulp
+from math import ceil, comb, inf, isfinite, log, sqrt, ulp
 
 import numpy as np
 
@@ -32,7 +32,7 @@ QMAK_QUBIT_LIMIT = 12
 QMAK_YES_TRACE = 2 / 3
 QMAK_NO_TRACE = 1 / 3
 CLASSICAL_GATES = ("X", "CX", "TOFFOLI")
-# samples one estimate may draw (8 B each per part), refused before allocating
+# Hoeffding samples of any estimate; only gapp-estimate holds them (8 B each)
 SAMPLE_LIMIT = 2**24
 # paths × wires held (the accept wire and every gate wire) that the gap
 # evaluator keeps as bools, 256 MiB; refused before any path is drawn
@@ -54,7 +54,8 @@ def sample_count(tau: float, delta: float) -> int:
         raise InvalidInputError(f"tau must be positive and finite, got {tau}")
     if not 0 < delta < 1:
         raise InvalidInputError(f"delta must lie in (0,1), got {delta}")
-    count = 2 * log(2 / delta) / max(tau**2, ulp(0.0))  # tau**2 may underflow
+    # every τ ≥ 64 takes 1 sample (2 ln(2/δ) < 1420 < 64²); τ² over- or underflows
+    count = 2 * log(2 / delta) / max(min(tau, 64.0) ** 2, ulp(0.0))
     require_within(count, SAMPLE_LIMIT, "samples")
     return ceil(count)
 
@@ -67,24 +68,28 @@ class EstimateReport(Report):
     samples: int
     seed: int
     mode: str
-    bound: float | None = None
+    bound: float
     warning: bool | None = None  # True, or None and left out of the JSON
+
+    def __post_init__(self):  # τ·√2 overflows near the float maximum; JSON has no Inf
+        if not isfinite(self.bound):
+            raise InvalidInputError(f"tau {self.tau} gives a bound past the float range")
 
 
 def sample_amplitude(q: complex, tau: float, delta: float, seed: int) -> EstimateReport:
     """Estimate of a known amplitude q = ⟨ψ|U|ψ⟩ from emulated Hadamard tests;
     |q̃ − q| ≤ τ·√2 except with probability 2δ. A test measures 0 with
-    probability (1 + Re q)/2, or (1 + Im q)/2 with S† before the last H; each
-    part is the mean of m(τ, δ) outcomes ±1, on stream 0 (Re) or 1 (Im)."""
+    probability p₀ = (1 + Re q)/2, or (1 + Im q)/2 with S† before the last H;
+    each part is the mean (2z − m)/m of m(τ, δ) outcomes ±1, one draw of
+    z ~ Binomial(m, p₀) zeros on stream 0 (Re) or 1 (Im)."""
     m = sample_count(tau, delta)
     parts = []
     for stream, part in enumerate((q.real, q.imag)):
         p_zero = min(1.0, max(0.0, (1.0 + part) / 2))
-        zeros = rng_stream(seed, stream).random(m) < p_zero
-        parts.append(float(np.mean(np.where(zeros, 1.0, -1.0))))
+        parts.append((2 * rng_stream(seed, stream).binomial(m, p_zero) - m) / m)
     return EstimateReport(
         value=complex(*parts), tau=tau, delta=delta, samples=m,
-        seed=seed, mode="additive", bound=tau * np.sqrt(2.0),
+        seed=seed, mode="additive", bound=tau * sqrt(2.0),
     )
 
 
@@ -118,7 +123,7 @@ def estimate_amplitude_multiplicative(
         raise InvalidInputError(f"lower bound must be positive, got {lower_bound}")
     if epsilon <= 0:
         raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    tau = epsilon * lower_bound / np.sqrt(2.0)
+    tau = epsilon * lower_bound / sqrt(2.0)
     base = estimate_amplitude(unitary, prep, tau, delta, seed)
     warning = abs(base.value) < lower_bound * (1.0 - epsilon)
     return replace(base, mode="multiplicative", bound=epsilon * lower_bound,
@@ -205,9 +210,8 @@ def estimate_gap(
     require_within(m * len(wires), GAP_ENTRY_LIMIT, "gap path-wire entries")
     rng = rng_stream(seed, 0)
     indices = rng.integers(0, 2**p, size=m)
-    accept = instance.evaluate(indices)
-    x = 2.0 * accept - 1.0
-    value = float(2**p / m * np.sum(x))
+    accepted = int(np.sum(instance.evaluate(indices)))
+    value = 2**p / m * (2 * accepted - m)
     return EstimateReport(
         value=value, tau=tau_rel, delta=delta, samples=m, seed=seed,
         mode="additive", bound=tau_rel * 2**p,

@@ -18,9 +18,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, InvalidInputError, require_within
+from .errors import ConvergenceError, InvalidInputError
 
-DENSE_THRESHOLD = 2048
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 LANCZOS_TOL = 1e-10
@@ -101,9 +100,8 @@ def min_eigenvalue(matrix, mode: str = "dense") -> float:
 def full_spectrum(matrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending."""
     m = require_hermitian(matrix)
-    require_within(m.shape[0], DENSE_THRESHOLD, "dense dimension")
     dense = m.toarray() if sp.issparse(m) else m
-    return np.sort(np.linalg.eigvalsh(dense))
+    return np.linalg.eigvalsh(dense)
 
 
 def json_int(value, what: str) -> int:

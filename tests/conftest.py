@@ -5,7 +5,8 @@ algorithm than the library code it checks: dense entry-by-entry embeddings
 and bitwise scatters for gate application and Hamiltonian assembly,
 exhaustive DAG traversal for weft, a Temperley-Lieb diagram-algebra
 evaluation and a 2^c state sum with union-find loop counts for the bracket,
-and simulated controlled-U Hadamard-test circuits for the amplitude sampler.
+and simulated controlled-U Hadamard-test circuits for the outcome probabilities
+of the amplitude sampler.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from qparam.circuits import (
     acceptance_probability,
     hadamard_test_circuit,
 )
-from qparam.estimators import rng_stream, sample_count
 from qparam.states import StateVector
 
 
@@ -222,24 +222,19 @@ def accept_projected_oracle(circuit: QuantumCircuit) -> np.ndarray:
     return full
 
 
-# --- Temperley-Lieb diagram-algebra bracket oracle ------------------------
-
-def hadamard_circuit_estimate(unitary, prep, tau, delta, seed):
-    """(Re, Im, samples) of ⟨ψ|U|ψ⟩ sampled from simulated Hadamard-test
-    circuits with a controlled-U: p₀ = 1 − Pr[accept], m(τ, δ) draws of
-    ``rng.random(m) < p₀`` on stream 0 (Re) and 1 (Im)."""
-    m = sample_count(tau, delta)
-    parts = []
-    for stream, part in enumerate(("real", "imag")):
+def hadamard_circuit_probabilities(unitary, prep):
+    """(p_re, p_im): the probability that the simulated Hadamard-test circuit
+    with a controlled-U measures 0, p₀ = 1 − Pr[accept], for each part."""
+    probabilities = []
+    for part in ("real", "imag"):
         circuit = hadamard_test_circuit(unitary, part=part, prep=prep)
-        p_zero = 1.0 - acceptance_probability(
+        probabilities.append(1.0 - acceptance_probability(
             circuit, StateVector.zero(circuit.witness_qubits)
-        )
-        p_zero = min(1.0, max(0.0, p_zero))
-        zeros = rng_stream(seed, stream).random(m) < p_zero
-        parts.append(float(np.mean(np.where(zeros, 1.0, -1.0))))
-    return parts[0], parts[1], m
+        ))
+    return tuple(probabilities)
 
+
+# --- Temperley-Lieb diagram-algebra bracket oracle ------------------------
 
 def _tl_identity(strands: int):
     return frozenset(frozenset({("t", i), ("b", i)}) for i in range(strands))

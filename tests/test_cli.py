@@ -491,8 +491,34 @@ class TestSamplerLimits:
                                  "--tau", tau, "--seed", "1")
         assert code == 3
 
+    GAP = {"witness_qubits": 1, "ancilla_qubits": 1, "accept_qubit": 1,
+           "gates": [{"name": "CX", "controls": [0], "targets": [1]}],
+           "classical_only": True}
+    HUGE_TAU = {"amp-estimate": (AMP, []), "gapp-estimate": (GAP, []),
+                "jones": (BRAID, ["--k", "5"])}
+
+    @pytest.mark.parametrize("command", HUGE_TAU)
+    def test_huge_tau_takes_one_sample(self, capsys, tmp_path, command):
+        # τ² overflows past 1.3e154; every τ ≥ 64 already takes one sample
+        document, extra = self.HUGE_TAU[command]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(document))
+        code, out = run(capsys, command, "--input", str(path), *extra,
+                        "--tau", "1e200", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["result"]["samples"] == 1
+
+    @pytest.mark.parametrize("command", HUGE_TAU)
+    def test_infinite_bound_is_usage_error(self, capsys, tmp_path, command):
+        # τ·√2 (τ·2^p for the gap) overflows: no Inf reaches the report
+        document, extra = self.HUGE_TAU[command]
+        code, _, line = run_refused(capsys, tmp_path, document, command, *extra,
+                                    "--tau", "1.7e308", "--seed", "1")
+        assert code == 3
+        assert "bound past the float range" in line
+
     def test_oversized_sample_count_refused_up_front(self, capsys, tmp_path):
-        # m(1e-5, 0.025) ~ 8.8e10 samples: 653 GiB of draws per part
+        # m(1e-5, 0.025) ~ 8.8e10 samples, past SAMPLE_LIMIT = 2^24
         code, elapsed, line = run_refused(capsys, tmp_path, self.AMP, "amp-estimate",
                                           "--tau", "1e-5", "--seed", "1")
         assert code == 4

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from conftest import (
     accept_projected_oracle,
     all_kinds_circuit,
-    hadamard_circuit_estimate,
+    hadamard_circuit_probabilities,
     random_circuit,
     random_unitary,
 )
+from qparam import estimators
 from qparam.circuits import Gate, QuantumCircuit, acceptance_probability, simulate
 from qparam.decision import Verdict
 from qparam.errors import InvalidInputError, ResourceError
@@ -27,6 +29,7 @@ from qparam.estimators import (
     qmak_decide,
     qmak_operator,
     rng_stream,
+    sample_amplitude,
     sample_count,
 )
 from qparam.states import StateVector
@@ -85,6 +88,44 @@ class TestSampleCount:
             sample_count(tau, delta)
 
 
+class TestSampleAmplitude:
+    @pytest.mark.parametrize("q", [0.3 + 0.4j, -0.9 + 0.05j, 0.5 - 0.999j],
+                             ids=["inside", "near-minus-one", "near-minus-i"])
+    def test_each_part_is_one_binomial_count(self, q):
+        # [DERIVED] z ~ Binomial(m, p₀) zeros on the part's stream give the
+        # mean (2z − m)/m of m outcomes ±1
+        seed, m = 11, sample_count(0.05, 0.01)
+        parts = []
+        for stream, part in enumerate((q.real, q.imag)):
+            zeros = rng_stream(seed, stream).binomial(m, (1 + part) / 2)
+            parts.append((2 * zeros - m) / m)
+        report = sample_amplitude(q, 0.05, 0.01, seed)
+        assert report.value == complex(*parts)
+        assert (report.samples, report.bound) == (m, 0.05 * math.sqrt(2))
+
+    @pytest.mark.parametrize("q, value", [
+        (1 - 1j, 1 - 1j), (-1 + 1j, -1 + 1j),
+        (complex(1 + 4e-16, -1 - 4e-16), 1 - 1j),
+        (complex(-1 - 4e-16, 1 + 4e-16), -1 + 1j),
+    ], ids=["plus-one", "minus-one", "a-hair-beyond-plus-one",
+            "a-hair-beyond-minus-one"])
+    def test_certain_outcomes_give_exact_parts(self, q, value):
+        # p₀ is clamped into [0, 1], where the binomial is defined
+        assert sample_amplitude(q, 0.05, 0.01, seed=3).value == value
+
+    def test_memory_does_not_grow_with_samples(self):
+        # one count per part, where m draws would hold 8m bytes (121 MB here)
+        tau = delta = 1e-3
+        assert SAMPLE_LIMIT // 2 < sample_count(tau, delta) <= SAMPLE_LIMIT
+        tracemalloc.start()
+        try:
+            sample_amplitude(0.3 + 0.4j, tau, delta, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestEstimateAmplitude:
     def test_identity(self):
         report = estimate_amplitude(np.eye(2), None, 0.05, 0.025, seed=1)
@@ -115,16 +156,28 @@ class TestEstimateAmplitude:
         assert a == b
         assert a.to_json() == b.to_json()
 
-    def test_matches_hadamard_circuit_route(self, rng):
-        # [DERIVED] simulated controlled-U Hadamard-test circuits
+    def test_matches_hadamard_circuit_route(self, rng, monkeypatch):
+        # [DERIVED] simulated controlled-U Hadamard-test circuits measure 0
+        # with probability (1 + Re q)/2 and (1 + Im q)/2 for the q = ⟨ψ|U|ψ⟩
+        # handed to the sampler, and the estimate is the sampler's on that q
+        amplitudes = []
+
+        def spy(q, *args):
+            amplitudes.append(q)
+            return sample_amplitude(q, *args)
+
+        monkeypatch.setattr(estimators, "sample_amplitude", spy)
         for seed in range(24):
             qubits = int(rng.integers(2, 4))
             u = random_unitary(rng, 2**qubits)
             prep = random_circuit(rng, qubits, 4) if seed % 2 else None
             report = estimate_amplitude(u, prep, 0.03, 0.01, seed=seed)
-            re, im, m = hadamard_circuit_estimate(u, prep, 0.03, 0.01, seed)
-            assert report.value == complex(re, im)
-            assert report.samples == m
+            (q,) = amplitudes
+            amplitudes.clear()
+            p_re, p_im = hadamard_circuit_probabilities(u, prep)
+            assert abs(p_re - (1 + q.real) / 2) <= 1e-12
+            assert abs(p_im - (1 + q.imag) / 2) <= 1e-12
+            assert report == sample_amplitude(q, 0.03, 0.01, seed)
 
     def test_report_schema(self):
         report = estimate_amplitude(np.eye(2), None, 0.1, 0.1, seed=0)

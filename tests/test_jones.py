@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hadamard_circuit_estimate, state_sum_bracket, tl_bracket
+from conftest import hadamard_circuit_probabilities, state_sum_bracket, tl_bracket
 from qparam import jones
 from qparam.circuits import Gate, QuantumCircuit
 from qparam.errors import InvalidInputError, ResourceError
+from qparam.estimators import sample_amplitude
 from qparam.jones import (
     BraidWord,
     PathModel,
@@ -357,7 +358,9 @@ class TestEstimateJones:
 
     def test_matches_padded_hadamard_route(self, rng):
         # [DERIVED] Hadamard-test circuits on (-1)^{n-1}ρ(b) padded with the
-        # identity to a power of two, the cap walk prepared by X gates
+        # identity to a power of two, the cap walk prepared by X gates: they
+        # measure 0 with probability (1 + Re q)/2 and (1 + Im q)/2 for the
+        # plat amplitude q, and the estimate is the sampler's on that q
         for seed in range(24):
             braid = random_braid(rng, max_strands=8, max_len=10)
             k = int(rng.choice([5, 7, 8]))
@@ -373,12 +376,16 @@ class TestEstimateJones:
                 Gate("X", targets=(q,)) for q in range(num_sys)
                 if (cap >> (num_sys - 1 - q)) & 1
             ), 0)
-            re, im, m = hadamard_circuit_estimate(padded, prep, 0.05, 0.01, seed)
+            q = plat_amplitude(braid, k)
+            p_re, p_im = hadamard_circuit_probabilities(padded, prep)
+            assert abs(p_re - (1 + q.real) / 2) <= 1e-12
+            assert abs(p_im - (1 + q.imag) / 2) <= 1e-12
+            sampled = sample_amplitude(q, 0.05, 0.01, seed)
             report = estimate_jones(braid, k, 0.05, 0.01, seed=seed)
             assert report.value == jones_from_amplitude(
-                complex(re, im), writhe(braid), n, k
+                sampled.value, writhe(braid), n, k
             )
-            assert report.samples == m
+            assert report.samples == sampled.samples
 
     def test_deterministic_given_seed(self):
         a = estimate_jones(TREFOIL, 5, 0.1, 0.05, seed=77)

@@ -3,24 +3,27 @@
 The boundary table sets each limit to the exact size of a small request:
 the request must run at the limit and be refused one below it, with a
 message that names the limit, so a ``>`` that turned into ``>=`` fails here.
-Requests that are cheap at the real limit use its real value. The AST test
-keeps ``raise ResourceError`` in one place.
+Requests that are cheap at the real limit use its real value. The AST tests
+keep ``raise ResourceError`` in one place and the README Limits table in step
+with the constants that ``require_within`` is given.
 """
 import ast
+import importlib
 import math
+import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from qparam import circuits, estimators, hamiltonian, jones, linalg, weightenum
+from qparam import circuits, estimators, hamiltonian, jones, weightenum
 from qparam.errors import ResourceError, require_within
 from qparam.jones import BraidWord, PathModel, plat_closure
 from qparam.states import StateVector
 from test_estimators import always_reject, parity, reject_verifier
 from test_hamiltonian import sum_z
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qparam"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qparam"
 A = complex(math.cos(0.3), -math.sin(0.3))
 # 3 path bits, each CX-ed into the ancilla: wires 0-3 held
 PARITY = parity(3)
@@ -34,8 +37,6 @@ BOUNDARIES = {
     "restriction-entries": (
         hamiltonian, "RESTRICT_ENTRY_LIMIT", 54,
         lambda: hamiltonian.restrict_to_weight(sum_z(4), 2)),
-    "dense-dimension": (
-        linalg, "DENSE_THRESHOLD", 3, lambda: linalg.full_spectrum(np.eye(3))),
     "decoded-qubits": (
         circuits, "DECODE_QUBIT_LIMIT", 20,
         lambda: circuits.decode_weight_witness(20, 1, StateVector.basis(5, 0))),
@@ -129,3 +130,45 @@ def test_resource_error_is_raised_only_by_require_within():
         "errors.py": [("require_within", None)],
         "jones.py": [("kauffman_bracket", "bracket value is beyond the float range")],
     }
+
+
+def require_within_limits() -> set[str]:
+    """``module.NAME`` of every limit passed to ``require_within`` in the
+    package, named by the module that assigns the constant."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    owner = {target.id: module for module, tree in trees.items()
+             for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+    limits = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "require_within"):
+                limit = node.args[1]
+                assert isinstance(limit, ast.Name), ast.unparse(node)
+                limits.add(f"{owner[limit.id]}.{limit.id}")
+    return limits
+
+
+def readme_limit_rows() -> list[tuple[str, str]]:
+    """(constant, value) of each row of the README Limits table."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Limits", 1)[1].split("| Constant |", 1)[1]
+    rows = []
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        # an escaped \| inside a cell is a literal bar, not a column break
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        rows.append((cells[0].strip("`"), cells[2]))
+    return rows
+
+
+def test_readme_limits_table_names_every_limit_and_its_value():
+    rows = readme_limit_rows()
+    assert {constant for constant, _ in rows} == require_within_limits()
+    for constant, value in rows:
+        module, name = constant.split(".")
+        base, _, power = re.fullmatch(r"(\d+)(\^(\d+))?", value).groups()
+        expected = int(base) ** int(power or 1)
+        assert getattr(importlib.import_module(f"qparam.{module}"), name) == expected

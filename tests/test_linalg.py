@@ -4,9 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import random_hermitian
-from qparam.errors import ConvergenceError, InvalidInputError, ResourceError
+from qparam.errors import ConvergenceError, InvalidInputError
 from qparam.linalg import (
-    DENSE_THRESHOLD,
     full_spectrum,
     is_hermitian,
     matrix_from_json,
@@ -118,11 +117,6 @@ class TestFullSpectrum:
         perm = rng.permutation(6)
         permuted = m[np.ix_(perm, perm)]
         assert np.allclose(full_spectrum(m), full_spectrum(permuted))
-
-    def test_resource_limit(self):
-        big = sp.identity(DENSE_THRESHOLD + 1, format="csr")
-        with pytest.raises(ResourceError):
-            full_spectrum(big)
 
 
 class TestSerialization:
