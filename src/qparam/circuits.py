@@ -354,6 +354,24 @@ def accept_projected_columns(
     return out
 
 
+def accept_light_cone(circuit: QuantumCircuit) -> QuantumCircuit:
+    """The circuit cut to the accept qubit's backward light cone.
+
+    Walking back from the accept qubit, a gate is kept when its wires meet
+    the live set, and its wires then join it; the kept gates stay in order.
+    Each dropped gate commutes with every later kept gate and with Π₁, so it
+    cancels in U†Π₁U: the accept rows of U|x⟩ change only by a unitary on
+    those rows, which leaves every Gram matrix of them unchanged.
+    """
+    live = {circuit.accept_qubit}
+    kept = []
+    for gate in reversed(circuit.gates):
+        if not live.isdisjoint(gate.wires):
+            live.update(gate.wires)
+            kept.append(gate)
+    return replace(circuit, gates=tuple(reversed(kept)))
+
+
 def acceptance_probability(circuit: QuantumCircuit, input_state: StateVector) -> float:
     """Probability of measuring the accept qubit as 1 on the output state."""
     out = simulate(circuit, input_state)

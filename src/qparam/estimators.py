@@ -17,6 +17,7 @@ import numpy as np
 from .circuits import (
     QuantumCircuit,
     StateVector,
+    accept_light_cone,
     accept_projected_columns,
     hadamard_test_unitary,
     simulate,
@@ -118,15 +119,22 @@ def estimate_amplitude_multiplicative(
     lower_bound: float,
     seed: int,
 ) -> EstimateReport:
-    """Relative-error variant: |q̃ − q| ≤ ε·|q| whenever |q| ≥ lower_bound."""
-    if lower_bound <= 0:
-        raise InvalidInputError(f"lower bound must be positive, got {lower_bound}")
-    if epsilon <= 0:
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
-    tau = epsilon * lower_bound / sqrt(2.0)
+    """Relative-error variant: |q̃ − q| ≤ ε·|q| whenever |q| ≥ lower_bound.
+
+    It runs the additive estimate at τ = ε·L/√2. An ε·L past the float range
+    is refused; a τ that underflows to 0 runs as the least positive float, so
+    its sample count is refused like that of any τ too small to schedule."""
+    for name, value in (("lower bound", lower_bound), ("epsilon", epsilon)):
+        if not 0 < value < inf:
+            raise InvalidInputError(f"{name} must be positive and finite, got {value}")
+    bound = epsilon * lower_bound
+    if bound == inf:
+        raise InvalidInputError(f"epsilon {epsilon} times lower bound {lower_bound} "
+                                f"is past the float range")
+    tau = max(bound / sqrt(2.0), ulp(0.0))
     base = estimate_amplitude(unitary, prep, tau, delta, seed)
     warning = abs(base.value) < lower_bound * (1.0 - epsilon)
-    return replace(base, mode="multiplicative", bound=epsilon * lower_bound,
+    return replace(base, mode="multiplicative", bound=bound,
                    warning=bool(warning) or None)
 
 
@@ -220,13 +228,17 @@ def estimate_gap(
 
 def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
     """The positive-semidefinite operator Q on the k-qubit witness register
-    whose diagonal sums to 2^k times the maximally-mixed acceptance."""
+    whose diagonal sums to 2^k times the maximally-mixed acceptance.
+
+    Q = ⟨w,0|U†Π₁U|w′,0⟩ is the Gram matrix of the accept-projected columns,
+    evolved through the accept qubit's backward light cone only: the gates
+    outside it cancel in U†Π₁U. The qubit limit counts the whole circuit."""
     if verifier.witness_qubits != k:
         raise InvalidInputError(
             f"verifier has {verifier.witness_qubits} witness qubits, expected {k}"
         )
     require_within(verifier.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
-    phi = accept_projected_columns(verifier, np.arange(2**k))
+    phi = accept_projected_columns(accept_light_cone(verifier), np.arange(2**k))
     q = phi.conj().T @ phi
     return q, float(np.trace(q).real)
 
@@ -276,13 +288,14 @@ def _weight_k_columns(
     circuit: QuantumCircuit, k: int, a: float, b: float
 ) -> tuple[WeightEnumeration, np.ndarray]:
     """The weight-k witness basis and its accept-projected columns for both
-    slice deciders. The checks run in a fixed order: b > a, then the
-    enumeration's own, then the qubit limit, so a usage error comes first."""
+    slice deciders, evolved through the accept qubit's backward light cone.
+    The checks run in a fixed order: b > a, then the enumeration's own, then
+    the qubit limit of the whole circuit, so a usage error comes first."""
     if b <= a:
         raise InvalidInputError(f"need b > a, got a={a}, b={b}")
     enum = WeightEnumeration(circuit.witness_qubits, k)
     require_within(circuit.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
-    return enum, accept_projected_columns(circuit, enum.indices())
+    return enum, accept_projected_columns(accept_light_cone(circuit), enum.indices())
 
 
 def decide_weight_qcs_exact(
@@ -291,7 +304,9 @@ def decide_weight_qcs_exact(
     """Maximum acceptance over all weight-k witness states, exactly.
 
     The Gram matrix of accept-projected outputs over the weight-k basis has
-    the maximum acceptance as its largest eigenvalue.
+    the maximum acceptance as its largest eigenvalue. The outputs come from
+    the accept qubit's backward light cone alone; the gates outside it cancel
+    in U†Π₁U, so the Gram matrix is that of the whole circuit.
     """
     _, phi = _weight_k_columns(circuit, k, a, b)
     gram = phi.conj().T @ phi
@@ -302,7 +317,10 @@ def decide_weight_qcs_exact(
 def decide_hamming_weight_qcs_exact(
     circuit: QuantumCircuit, k: int, a: float, b: float
 ) -> SliceDecision:
-    """Maximum acceptance over weight-k basis-string witnesses, exactly."""
+    """Maximum acceptance over weight-k basis-string witnesses, exactly.
+
+    Each string's acceptance is the squared norm of its accept-projected
+    output, evolved through the accept qubit's backward light cone alone."""
     enum, phi = _weight_k_columns(circuit, k, a, b)
     # squared column norms: the diagonal of the Gram matrix wqcs diagonalises
     accept = np.sum(np.abs(phi) ** 2, axis=0)

@@ -41,20 +41,6 @@ class StateVector:
         amps[index] = 1.0
         return cls(num_qubits, amps)
 
-    @classmethod
-    def from_bits(cls, bitstring: str) -> "StateVector":
-        if any(c not in "01" for c in bitstring):
-            raise InvalidInputError(f"not a bitstring: {bitstring!r}")
-        return cls.basis(len(bitstring), int(bitstring, 2) if bitstring else 0)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "StateVector") -> complex:
-        if other.num_qubits != self.num_qubits:
-            raise InvalidInputError("qubit-count mismatch in inner product")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_json(self) -> dict:
         return {
             "num_qubits": self.num_qubits,

@@ -45,6 +45,11 @@ def random_state(rng, num_qubits: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def bits_state(bits: str) -> StateVector:
+    """The basis state |bits⟩, qubit 0 first."""
+    return StateVector.basis(len(bits), int(bits, 2))
+
+
 def embed_oracle(matrix: np.ndarray, wires, n: int) -> np.ndarray:
     """Full 2^n unitary for a gate matrix on the given wires.
 

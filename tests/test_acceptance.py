@@ -180,7 +180,8 @@ def test_criterion_5_witness_gadget_roundtrips(capsys):
         worst_round = max(
             worst_round, float(np.max(np.abs(back.amplitudes - a.amplitudes)))
         )
-        worst_inner = max(worst_inner, abs(ea.inner(eb) - a.inner(b)))
+        worst_inner = max(worst_inner, abs(np.vdot(ea.amplitudes, eb.amplitudes)
+                                           - np.vdot(a.amplitudes, b.amplitudes)))
     onehot_ok = True
     for size in range(1, 9):
         width = max(1, math.ceil(math.log2(size))) if size > 1 else 1

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     accept_projected_oracle,
     all_kinds_circuit,
+    bits_state,
     circuit_unitary_oracle,
     dag_metrics_oracle,
     evolve_oracle,
@@ -18,6 +19,7 @@ from qparam.circuits import (
     Gate,
     QuantumCircuit,
     REJECT,
+    accept_light_cone,
     accept_projected_columns,
     acceptance_probability,
     circuit_metrics,
@@ -78,9 +80,7 @@ class TestGate:
 class TestStateVector:
     @pytest.mark.parametrize("make", [
         lambda: StateVector.basis(2, 4),
-        lambda: StateVector.from_bits("012"),
-        lambda: StateVector.zero(1).inner(StateVector.zero(2)),
-    ], ids=["basis-index-out-of-range", "non-bitstring", "inner-qubit-mismatch"])
+    ], ids=["basis-index-out-of-range"])
     def test_invalid_request_rejected(self, make):
         with pytest.raises(InvalidInputError):
             make()
@@ -89,7 +89,7 @@ class TestStateVector:
 class TestSimulate:
     def test_empty_circuit_appends_ancillas(self):
         c = QuantumCircuit(1, 2, (), 0)
-        out = simulate(c, StateVector.from_bits("1"))
+        out = simulate(c, bits_state("1"))
         expected = np.zeros(8, dtype=complex)
         expected[0b100] = 1.0
         assert np.allclose(out.amplitudes, expected)
@@ -119,7 +119,7 @@ class TestSimulate:
     def test_norm_preserved(self, rng):
         c = random_circuit(rng, 3, 12)
         out = simulate(c, StateVector(3, random_state(rng, 3)))
-        assert out.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
     def test_wrong_input_size_rejected(self):
         c = QuantumCircuit(2, 0, (), 0)
@@ -143,6 +143,30 @@ class TestAcceptProjectedColumns:
             assert np.allclose(
                 got, expected[reads_one][:, witnesses << 1], atol=1e-10
             )
+
+
+class TestAcceptLightCone:
+    def test_keeps_exactly_the_backward_cone(self):
+        gates = (
+            Gate("H", targets=(4,)),  # wire 4 never meets the cone
+            Gate("H", targets=(3,)),  # joins only through the CX after it
+            Gate("H", targets=(2,)),  # joins only through the CZ after it
+            Gate("CX", controls=(1,), targets=(3,)),  # meets it by its control
+            Gate("H", targets=(1,)),  # before the CX into the accept wire
+            Gate("CZ", controls=(2,), targets=(1,)),
+            Gate("CX", controls=(1,), targets=(0,)),
+            Gate("H", targets=(1,)),  # after the CX: never reaches wire 0
+            Gate("SWAP", targets=(2, 4)),
+            Gate("T", targets=(0,)),
+        )
+        circuit = QuantumCircuit(3, 2, gates, 0)
+        cone = accept_light_cone(circuit)
+        assert cone.gates == tuple(gates[i] for i in (1, 2, 3, 4, 5, 6, 9))
+        assert (cone.witness_qubits, cone.ancilla_qubits, cone.accept_qubit) == (3, 2, 0)
+
+    def test_untouched_accept_wire_has_an_empty_cone(self, rng):
+        circuit = QuantumCircuit(4, 1, random_circuit(rng, 4, 10).gates, 4)
+        assert accept_light_cone(circuit).gates == ()
 
 
 def _u(rng, *wires):
@@ -293,13 +317,13 @@ class TestMetrics:
 
 class TestProjectWeightK:
     def test_weight_k_basis_state_fixed(self):
-        state = StateVector.from_bits("0110")
+        state = bits_state("0110")
         projected, prob = project_weight_k(state, 2)
         assert prob == pytest.approx(1.0)
         assert np.allclose(projected.amplitudes, state.amplitudes)
 
     def test_wrong_weight_gives_flagged_zero(self):
-        projected, prob = project_weight_k(StateVector.from_bits("0111"), 2)
+        projected, prob = project_weight_k(bits_state("0111"), 2)
         assert prob == 0.0
         assert np.allclose(projected.amplitudes, 0)
 
@@ -332,7 +356,7 @@ def random_weight_k_state(rng, n, k):
 
 class TestWitnessCompression:
     def test_rank_zero_string(self):
-        out = encode_weight_witness(4, 2, StateVector.from_bits("0011"))
+        out = encode_weight_witness(4, 2, bits_state("0011"))
         assert out.num_qubits == 3
         assert np.allclose(out.amplitudes, [1, 0, 0, 0, 0, 0, 0, 0])
 
@@ -355,16 +379,16 @@ class TestWitnessCompression:
 
     def test_off_support_rejected(self):
         with pytest.raises(InvalidInputError):
-            encode_weight_witness(4, 2, StateVector.from_bits("0111"))
+            encode_weight_witness(4, 2, bits_state("0111"))
 
     def test_wrong_qubit_count_rejected(self):
         with pytest.raises(InvalidInputError):
-            encode_weight_witness(4, 2, StateVector.from_bits("011"))
+            encode_weight_witness(4, 2, bits_state("011"))
 
     def test_decode_rank_zero(self):
         compressed = StateVector.basis(3, 0)
         out = decode_weight_witness(4, 2, compressed)
-        assert np.allclose(out.amplitudes, StateVector.from_bits("0011").amplitudes)
+        assert np.allclose(out.amplitudes, bits_state("0011").amplitudes)
 
     def test_roundtrip_and_inner_products(self, rng):
         for _ in range(20):
@@ -374,7 +398,8 @@ class TestWitnessCompression:
             eb = encode_weight_witness(6, 3, b)
             back = decode_weight_witness(6, 3, ea)
             assert np.allclose(back.amplitudes, a.amplitudes, atol=1e-12)
-            assert ea.inner(eb) == pytest.approx(a.inner(b), abs=1e-10)
+            assert np.vdot(ea.amplitudes, eb.amplitudes) == pytest.approx(
+                np.vdot(a.amplitudes, b.amplitudes), abs=1e-10)
 
     def test_padded_amplitude_rejected(self):
         bad = StateVector.basis(3, 7)  # index 7 >= C(4,2) = 6
@@ -391,7 +416,7 @@ class TestClassicalWeightState:
     def test_single_x_routed(self):
         gen = QuantumCircuit(1, 0, (Gate("X", targets=(0,)),), 0)
         out = prepare_classical_weight_state(4, 1, gen, [3, 0, 1, 2])
-        assert np.allclose(out.amplitudes, StateVector.from_bits("0001").amplitudes)
+        assert np.allclose(out.amplitudes, bits_state("0001").amplitudes)
 
     def test_against_index_permutation_oracle(self, rng):
         # [DERIVED] permute each basis index bitwise and compare amplitudes

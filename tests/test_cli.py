@@ -525,6 +525,21 @@ class TestSamplerLimits:
         assert elapsed < 1.0
         assert not line.startswith("error: MemoryError")
 
+    @pytest.mark.parametrize("scale, code, message", [
+        ("1e300", 3, "epsilon 1e+300 times lower bound 1e+300"),
+        ("1e-200", 4, "samples inf exceeds limit"),
+        ("1e-160", 4, "samples inf exceeds limit"),
+    ], ids=["product-overflows", "tau-underflows", "tau-subnormal"])
+    def test_multiplicative_tau_out_of_range(self, capsys, tmp_path, scale, code,
+                                             message):
+        # τ = ε·L/√2: an ε·L past the float range is a usage error; a τ that
+        # underflows to 0 is too small to schedule, like any subnormal τ
+        exit_code, _, line = run_refused(capsys, tmp_path, self.AMP, "amp-estimate",
+                                         "--epsilon", scale, "--lower-bound", scale,
+                                         "--seed", "1")
+        assert exit_code == code
+        assert line.startswith(f"error: {message}")
+
     def test_oversized_path_model_refused_up_front(self, capsys, tmp_path):
         # C(30, 15) ~ 1.55e8 walks: refused once one step passes the limit
         braid = {"strands": 30, "word": [1, 2, -3]}

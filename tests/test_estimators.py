@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,20 @@ import pytest
 from conftest import (
     accept_projected_oracle,
     all_kinds_circuit,
+    bits_state,
     hadamard_circuit_probabilities,
     random_circuit,
     random_unitary,
 )
-from qparam import estimators
-from qparam.circuits import Gate, QuantumCircuit, acceptance_probability, simulate
+from qparam import circuits, estimators
+from qparam.circuits import (
+    Gate,
+    QuantumCircuit,
+    accept_light_cone,
+    accept_projected_columns,
+    acceptance_probability,
+    simulate,
+)
 from qparam.decision import Verdict
 from qparam.errors import InvalidInputError, ResourceError
 from qparam.estimators import (
@@ -225,6 +234,14 @@ class TestMultiplicative:
             estimate_amplitude_multiplicative(
                 np.eye(2), None, 0.1, 0.1, lower_bound=0.0, seed=0
             )
+
+    @pytest.mark.parametrize("name", ["epsilon", "lower_bound"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_factor_refused_by_name(self, name, bad):
+        args = {"epsilon": 0.1, "lower_bound": 0.5, name: bad}
+        with pytest.raises(InvalidInputError, match=name.replace("_", " ")):
+            estimate_amplitude_multiplicative(np.eye(2), None, delta=0.1, seed=0,
+                                              **args)
 
 
 def always_accept(p):
@@ -518,7 +535,7 @@ class TestSliceDeciders:
                 np.linalg.norm(column) ** 2, abs=1e-10
             )
             assert value == pytest.approx(
-                acceptance_probability(circuit, StateVector.from_bits(bits)),
+                acceptance_probability(circuit, bits_state(bits)),
                 abs=1e-10,
             )
         assert decision.max_acceptance == max(decision.table.values())
@@ -534,3 +551,76 @@ class TestSliceDeciders:
         circuit = QuantumCircuit(2, 1, (), 2)
         with pytest.raises(InvalidInputError):
             decide_weight_qcs_exact(circuit, 1, 0.9, 0.1)
+
+
+def wires_shifted(gates, by):
+    return tuple(replace(g, controls=tuple(w + by for w in g.controls),
+                         targets=tuple(w + by for w in g.targets)) for g in gates)
+
+
+class TestAcceptLightCone:
+    """The deciders evolve the accept qubit's backward light cone only; the
+    Gram matrix of the whole circuit's columns is the reference."""
+
+    @staticmethod
+    def assert_deciders_match_unpruned(circuit, k):
+        n = circuit.witness_qubits
+        phi = accept_projected_columns(circuit, np.arange(2**n))
+        full = phi.conj().T @ phi
+        q, trace = qmak_operator(circuit, n)
+        assert np.max(np.abs(q - full)) <= 1e-12
+        assert abs(trace - np.trace(full).real) <= 1e-12
+        enum = WeightEnumeration(n, k)
+        gram = full[np.ix_(enum.indices(), enum.indices())]
+        lam_max = np.linalg.eigvalsh(gram)[-1]
+        assert abs(decide_weight_qcs_exact(circuit, k, 0.0, 1.0).max_acceptance
+                   - lam_max) <= 1e-12
+        table = decide_hamming_weight_qcs_exact(circuit, k, 0.0, 1.0).table
+        assert list(table) == list(enum.strings())
+        assert np.max(np.abs(np.array(list(table.values()))
+                             - np.diag(gram).real)) <= 1e-12
+        return trace
+
+    @pytest.mark.parametrize("accept", [2, 5], ids=["witness", "ancilla"])
+    def test_deciders_match_the_unpruned_columns(self, rng, accept):
+        dropped = 0
+        for trial in range(12):
+            if trial % 2:
+                circuit = all_kinds_circuit(rng, 4, 2, accept)
+            else:
+                gates = random_circuit(rng, 6, 10).gates
+                circuit = QuantumCircuit(4, 2, gates, accept)
+            dropped += len(circuit.gates) - len(accept_light_cone(circuit).gates)
+            self.assert_deciders_match_unpruned(circuit, 2)
+        assert dropped > 0  # the cone cut something, so the check is not vacuous
+
+    @pytest.mark.parametrize("accept, shift, trace", [(0, 1, 4.0), (4, 0, 0.0)],
+                             ids=["witness", "ancilla"])
+    def test_empty_cone(self, rng, accept, shift, trace):
+        # the gates act on wires 1-3 or 0-2 and never on the accept wire,
+        # which then reads its own witness bit, or 0 for an ancilla
+        gates = wires_shifted(random_circuit(rng, 3, 10).gates, shift)
+        circuit = QuantumCircuit(3, 2, gates, accept)
+        assert accept_light_cone(circuit).gates == ()
+        assert self.assert_deciders_match_unpruned(circuit, 1) == trace
+
+    def test_dense_gates_outside_the_cone_are_not_applied(self, monkeypatch):
+        # H and UNITARY act on wire 0 only, which never meets the accept wire
+        circuit = QuantumCircuit(2, 1, (
+            Gate("H", targets=(0,)),
+            Gate("CX", controls=(1,), targets=(2,)),
+            Gate("UNITARY", targets=(0,), matrix=np.array([[0, 1j], [1j, 0]])),
+            Gate("H", targets=(0,)),
+        ), 2)
+        applied = []
+        apply = circuits.apply_gate_matrix
+
+        def counting(*args):
+            applied.append(args[2])
+            return apply(*args)
+
+        monkeypatch.setattr(circuits, "apply_gate_matrix", counting)
+        assert qmak_decide(circuit, 2).trace == pytest.approx(2.0)
+        assert applied == []
+        accept_projected_columns(circuit, np.arange(4))
+        assert len(applied) == 3
