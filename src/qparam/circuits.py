@@ -426,9 +426,8 @@ def project_weight_k(state: StateVector, k: int) -> tuple[StateVector, float]:
 
 
 def compressed_qubits(n: int, k: int) -> int:
-    """ceil(log2 C(n,k)) qubits for the rank register."""
-    dim = comb(n, k)
-    return max(0, ceil(log2(dim))) if dim > 1 else 0
+    """ceil(log2 C(n,k)) qubits for the rank register, in exact integers."""
+    return (comb(n, k) - 1).bit_length()
 
 
 def encode_weight_witness(n: int, k: int, state: StateVector) -> StateVector:

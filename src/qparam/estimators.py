@@ -8,7 +8,9 @@ results are reproducible under any execution order.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from decimal import Context, Decimal
 from functools import reduce
 from math import ceil, comb, inf, isfinite, log, sqrt, ulp
 
@@ -35,8 +37,7 @@ QMAK_NO_TRACE = 1 / 3
 CLASSICAL_GATES = ("X", "CX", "TOFFOLI")
 # Hoeffding samples of any estimate; only gapp-estimate holds them (8 B each)
 SAMPLE_LIMIT = 2**24
-# paths × wires held (the accept wire and every gate wire) that the gap
-# evaluator keeps as bools, 256 MiB; refused before any path is drawn
+# bytes that GapInstance.evaluate holds, 256 MiB; refused before any path is drawn
 GAP_ENTRY_LIMIT = 2**28
 
 
@@ -57,7 +58,9 @@ def sample_count(tau: float, delta: float) -> int:
         raise InvalidInputError(f"delta must lie in (0,1), got {delta}")
     # every τ ≥ 64 takes 1 sample (2 ln(2/δ) < 1420 < 64²); τ² over- or underflows
     count = 2 * log(2 / delta) / max(min(tau, 64.0) ** 2, ulp(0.0))
-    require_within(count, SAMPLE_LIMIT, "samples")
+    if count == inf:  # τ below about 1e-154: 3 digits of the exact quotient
+        count = Context(prec=3).divide(Decimal(2 * log(2 / delta)), Decimal(tau) ** 2)
+    require_within(count, SAMPLE_LIMIT, f"samples for tau {tau}:")
     return ceil(count)
 
 
@@ -190,17 +193,20 @@ class GapInstance:
             wires[gate.targets[0]] = wire(gate.targets[0]) ^ fire
         return wire(self.predicate.accept_qubit)
 
+    def require_evaluable(self, paths: int) -> None:
+        """Refuse ``paths`` paths past ``GAP_ENTRY_LIMIT`` bytes of :meth:`evaluate`:
+        each path's int64 index, one int64 temporary and a bool per wire held."""
+        circuit = self.predicate
+        wires = {circuit.accept_qubit}.union(*(g.wires for g in circuit.gates))
+        require_within(paths * (16 + len(wires)), GAP_ENTRY_LIMIT, "gap evaluator bytes")
+
 
 def exact_gap(instance: GapInstance) -> int:
     """(#accepting − #rejecting) over all 2^p paths, by full enumeration."""
     p = instance.path_bits
     require_within(p, EXACT_GAP_LIMIT, "path bits")
-    circuit = instance.predicate
-    wires = {circuit.accept_qubit}.union(*(g.wires for g in circuit.gates))
-    require_within(2**p * len(wires), GAP_ENTRY_LIMIT, "gap path-wire entries")
-    indices = np.arange(2**p, dtype=np.int64)
-    accept = instance.evaluate(indices)
-    accepted = int(np.sum(accept))
+    instance.require_evaluable(2**p)
+    accepted = int(np.sum(instance.evaluate(np.arange(2**p, dtype=np.int64))))
     return 2 * accepted - 2**p
 
 
@@ -213,11 +219,8 @@ def estimate_gap(
     p = instance.path_bits
     require_within(p, INDEX_BITS, "path bits")
     m = sample_count(tau_rel, delta)
-    circuit = instance.predicate
-    wires = {circuit.accept_qubit}.union(*(g.wires for g in circuit.gates))
-    require_within(m * len(wires), GAP_ENTRY_LIMIT, "gap path-wire entries")
-    rng = rng_stream(seed, 0)
-    indices = rng.integers(0, 2**p, size=m)
+    instance.require_evaluable(m)
+    indices = rng_stream(seed, 0).integers(0, 2**p, size=m)
     accepted = int(np.sum(instance.evaluate(indices)))
     value = 2**p / m * (2 * accepted - m)
     return EstimateReport(
@@ -226,19 +229,25 @@ def estimate_gap(
     )
 
 
+def _accept_columns(circuit: QuantumCircuit, witness: Callable) -> np.ndarray:
+    """Accept-projected columns of the witness indices ``witness()`` builds
+    once the whole circuit passes the qubit limit, evolved through the accept
+    qubit's backward light cone only: the gates outside it cancel in U†Π₁U."""
+    require_within(circuit.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
+    return accept_projected_columns(accept_light_cone(circuit), witness())
+
+
 def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
     """The positive-semidefinite operator Q on the k-qubit witness register
     whose diagonal sums to 2^k times the maximally-mixed acceptance.
 
-    Q = ⟨w,0|U†Π₁U|w′,0⟩ is the Gram matrix of the accept-projected columns,
-    evolved through the accept qubit's backward light cone only: the gates
-    outside it cancel in U†Π₁U. The qubit limit counts the whole circuit."""
+    Q = ⟨w,0|U†Π₁U|w′,0⟩ is the Gram matrix of the accept-projected columns
+    of all 2^k witness basis states."""
     if verifier.witness_qubits != k:
         raise InvalidInputError(
             f"verifier has {verifier.witness_qubits} witness qubits, expected {k}"
         )
-    require_within(verifier.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
-    phi = accept_projected_columns(accept_light_cone(verifier), np.arange(2**k))
+    phi = _accept_columns(verifier, lambda: np.arange(2**k))
     q = phi.conj().T @ phi
     return q, float(np.trace(q).real)
 
@@ -287,27 +296,20 @@ class SliceDecision(Report):
 def _weight_k_columns(
     circuit: QuantumCircuit, k: int, a: float, b: float
 ) -> tuple[WeightEnumeration, np.ndarray]:
-    """The weight-k witness basis and its accept-projected columns for both
-    slice deciders, evolved through the accept qubit's backward light cone.
-    The checks run in a fixed order: b > a, then the enumeration's own, then
-    the qubit limit of the whole circuit, so a usage error comes first."""
+    """The weight-k witness basis and its accept-projected columns for both slice
+    deciders, checking b > a, then the enumeration, then the qubit limit."""
     if b <= a:
         raise InvalidInputError(f"need b > a, got a={a}, b={b}")
     enum = WeightEnumeration(circuit.witness_qubits, k)
-    require_within(circuit.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
-    return enum, accept_projected_columns(accept_light_cone(circuit), enum.indices())
+    return enum, _accept_columns(circuit, enum.indices)
 
 
 def decide_weight_qcs_exact(
     circuit: QuantumCircuit, k: int, a: float, b: float
 ) -> SliceDecision:
-    """Maximum acceptance over all weight-k witness states, exactly.
-
-    The Gram matrix of accept-projected outputs over the weight-k basis has
-    the maximum acceptance as its largest eigenvalue. The outputs come from
-    the accept qubit's backward light cone alone; the gates outside it cancel
-    in U†Π₁U, so the Gram matrix is that of the whole circuit.
-    """
+    """Maximum acceptance over all weight-k witness states, exactly: the
+    largest eigenvalue of the Gram matrix of the weight-k basis's
+    accept-projected columns."""
     _, phi = _weight_k_columns(circuit, k, a, b)
     gram = phi.conj().T @ phi
     lam_max = float(full_spectrum(gram)[-1])
@@ -320,7 +322,7 @@ def decide_hamming_weight_qcs_exact(
     """Maximum acceptance over weight-k basis-string witnesses, exactly.
 
     Each string's acceptance is the squared norm of its accept-projected
-    output, evolved through the accept qubit's backward light cone alone."""
+    column."""
     enum, phi = _weight_k_columns(circuit, k, a, b)
     # squared column norms: the diagonal of the Gram matrix wqcs diagonalises
     accept = np.sum(np.abs(phi) ** 2, axis=0)

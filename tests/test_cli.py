@@ -527,8 +527,8 @@ class TestSamplerLimits:
 
     @pytest.mark.parametrize("scale, code, message", [
         ("1e300", 3, "epsilon 1e+300 times lower bound 1e+300"),
-        ("1e-200", 4, "samples inf exceeds limit"),
-        ("1e-160", 4, "samples inf exceeds limit"),
+        ("1e-200", 4, "samples for tau 5e-324: 3.59E+647 exceeds limit 16777216"),
+        ("1e-160", 4, "samples for tau 7.07e-321: 1.75E+641 exceeds limit 16777216"),
     ], ids=["product-overflows", "tau-underflows", "tau-subnormal"])
     def test_multiplicative_tau_out_of_range(self, capsys, tmp_path, scale, code,
                                              message):
@@ -539,6 +539,14 @@ class TestSamplerLimits:
                                          "--seed", "1")
         assert exit_code == code
         assert line.startswith(f"error: {message}")
+
+    def test_tiny_tau_refusal_names_tau(self, capsys, tmp_path):
+        # 2·ln(2/δ)/τ² passes the float range below τ ≈ 1e-154: the line
+        # gives the count to 3 digits after the τ that asked for it
+        code, _, line = run_refused(capsys, tmp_path, self.AMP, "amp-estimate",
+                                    "--tau", "1e-160", "--seed", "1")
+        assert code == 4
+        assert line == "error: samples for tau 1e-160: 8.76E+320 exceeds limit 16777216"
 
     def test_oversized_path_model_refused_up_front(self, capsys, tmp_path):
         # C(30, 15) ~ 1.55e8 walks: refused once one step passes the limit
@@ -769,6 +777,19 @@ class TestGadgetCommands:
             )
             assert code == 0
             assert json.loads(out)["result"]["max_acceptance"] == pytest.approx(1.0)
+
+    def test_witness_free_hwqcs_table_key_is_empty(self, capsys, tmp_path):
+        # the one weight-0 string of an empty witness register is ""
+        circuit = {
+            "witness_qubits": 0, "ancilla_qubits": 1, "accept_qubit": 0,
+            "gates": [{"name": "X", "controls": [], "targets": [0]}],
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(circuit))
+        code, out = run(capsys, "hwqcs-decide", "--input", str(path),
+                        "--k", "0", "--a", "0.1", "--b", "0.9")
+        assert code == 0
+        assert json.loads(out)["result"]["table"] == {"": 1.0}
 
     def test_qmak_decide(self, capsys, tmp_path):
         circuit = {

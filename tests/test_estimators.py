@@ -420,6 +420,23 @@ class TestQmak:
         with pytest.raises(ResourceError):
             qmak_operator(accept_verifier(3, ancillas=10), 3)
 
+    @pytest.mark.parametrize("decide", [
+        lambda verifier: qmak_operator(verifier, 12),
+        lambda verifier: decide_weight_qcs_exact(verifier, 6, 0.1, 0.9),
+        lambda verifier: decide_hamming_weight_qcs_exact(verifier, 6, 0.1, 0.9),
+    ], ids=["qmak", "wqcs", "hwqcs"])
+    def test_qubit_limit_comes_before_the_witness_basis(self, monkeypatch, decide):
+        # the 2^k or C(n, k) witness indices of a circuit past the limit are
+        # never built: at 40 witness qubits that alone takes terabytes
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("witness basis built before the qubit limit")
+
+        verifier = reject_verifier(12)  # 13 qubits
+        monkeypatch.setattr(np, "arange", unbuilt)
+        monkeypatch.setattr(WeightEnumeration, "indices", unbuilt)
+        with pytest.raises(ResourceError, match="^circuit qubits 13 exceeds limit 12$"):
+            decide(verifier)
+
     @pytest.mark.parametrize("accept", [1, 4], ids=["witness", "ancilla"])
     def test_trace_is_sum_of_witness_acceptances(self, rng, accept):
         # [DERIVED] per-witness acceptance from the dense oracle unitary

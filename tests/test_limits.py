@@ -50,12 +50,12 @@ BOUNDARIES = {
     "estimate-gap-path-bits": (
         estimators, "INDEX_BITS", 63,
         lambda: estimators.estimate_gap(always_reject(63), 0.5, 0.5, seed=1)),
-    # 2^3 paths × 4 wires
+    # 2^3 paths × (8 B index + 8 B temporary + 4 wires)
     "exact-gap-entries": (
-        estimators, "GAP_ENTRY_LIMIT", 32, lambda: estimators.exact_gap(PARITY)),
-    # 4 samples × 4 wires
+        estimators, "GAP_ENTRY_LIMIT", 160, lambda: estimators.exact_gap(PARITY)),
+    # 4 samples × (8 B index + 8 B temporary + 4 wires)
     "estimate-gap-entries": (
-        estimators, "GAP_ENTRY_LIMIT", 16,
+        estimators, "GAP_ENTRY_LIMIT", 80,
         lambda: estimators.estimate_gap(PARITY, 1.0, 2 / math.e**2, seed=1)),
     "qmak-qubits": (
         estimators, "QMAK_QUBIT_LIMIT", 12,

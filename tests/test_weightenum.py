@@ -1,23 +1,30 @@
-from math import comb
-
 import numpy as np
 import pytest
 
 from qparam.errors import InvalidInputError, ResourceError
-from qparam.weightenum import (
-    INDEX_BITS,
-    WeightEnumeration,
-    rank_weight_string,
-    unrank_weight_string,
-)
+from qparam.weightenum import INDEX_BITS, WeightEnumeration
+
+
+def brute_force(n: int, k: int) -> list[int]:
+    """[DERIVED] the weight-k indices: ascending range(2^n) with popcount k."""
+    return [x for x in range(2**n) if x.bit_count() == k]
+
+
+def rank_of(n: int, k: int, bitstring: str) -> int:
+    """Rank of a string: its position in the one order, ``strings()``."""
+    return list(WeightEnumeration(n, k).strings()).index(bitstring)
+
+
+def unrank(n: int, k: int, rank: int) -> str:
+    return list(WeightEnumeration(n, k).strings())[rank]
 
 
 class TestRank:
     def test_lexicographic_minimum(self):
-        assert rank_weight_string(4, 2, "0011") == 0
+        assert rank_of(4, 2, "0011") == 0
 
     def test_lexicographic_maximum(self):
-        assert rank_weight_string(4, 2, "1100") == 5
+        assert rank_of(4, 2, "1100") == 5
 
     def test_middle_value_against_enumeration(self):
         # [DERIVED] exhaustive enumeration of weight-2 strings of length 4
@@ -25,51 +32,33 @@ class TestRank:
             format(x, "04b") for x in range(16) if bin(x).count("1") == 2
         )
         assert ordered.index("0110") == 2
-        assert rank_weight_string(4, 2, "0110") == 2
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(InvalidInputError):
-            rank_weight_string(4, 2, "00110")
-
-    def test_wrong_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
-            rank_weight_string(4, 2, "0111")
-
-    def test_non_bitstring_rejected(self):
-        with pytest.raises(InvalidInputError):
-            rank_weight_string(4, 2, "0a11")
+        assert rank_of(4, 2, "0110") == 2
 
 
 class TestUnrank:
     def test_first(self):
-        assert unrank_weight_string(4, 2, 0) == "0011"
+        assert unrank(4, 2, 0) == "0011"
 
     def test_last(self):
-        assert unrank_weight_string(4, 2, 5) == "1100"
+        assert unrank(4, 2, 5) == "1100"
 
     def test_middle_value_against_enumeration(self):
         # [DERIVED] exhaustive enumeration
-        assert unrank_weight_string(4, 2, 3) == "1001"
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidInputError):
-            unrank_weight_string(4, 2, 6)
-        with pytest.raises(InvalidInputError):
-            unrank_weight_string(4, 2, -1)
+        assert unrank(4, 2, 3) == "1001"
 
 
 class TestRoundtrip:
     def test_exhaustive_up_to_16(self):
-        # every weight class of every length up to 16, in both directions
-        for n in range(1, 17):
-            counters = [0] * (n + 1)
-            for x in range(2**n):
-                bits = format(x, f"0{n}b")
-                k = bits.count("1")
-                rank = rank_weight_string(n, k, bits)
-                assert rank == counters[k]  # ranks ascend with the integers
-                assert unrank_weight_string(n, k, rank) == bits
-                counters[k] += 1
+        # every weight class of every length up to 16 partitions range(2^n):
+        # each integer x sits at its rank among the integers of its weight
+        for n in range(17):
+            x = np.arange(2**n, dtype=np.int64)
+            weight = np.zeros_like(x)
+            for bit in range(n):
+                weight += (x >> bit) & 1
+            for k in range(n + 1):
+                assert np.array_equal(WeightEnumeration(n, k).indices(),
+                                      x[weight == k])
 
 
 class TestWeightEnumeration:
@@ -88,13 +77,20 @@ class TestWeightEnumeration:
         assert [int(s, 2) for s in enum.strings()] == list(enum.indices())
 
     def test_indices_match_unrank_for_every_rank(self):
-        for n, k in [(1, 0), (1, 1), (6, 0), (6, 6), (7, 3), (10, 4), (12, 9)]:
+        # rank r unranks to the r-th entry of the brute-force list
+        for n, k in [(0, 0), (1, 0), (1, 1), (6, 0), (6, 6), (7, 3), (10, 4), (12, 9)]:
             indices = WeightEnumeration(n, k).indices()
             assert isinstance(indices, np.ndarray)
             assert indices.dtype == np.int64
-            assert indices.tolist() == [
-                int(unrank_weight_string(n, k, r), 2) for r in range(comb(n, k))
-            ]
+            assert indices.tolist() == brute_force(n, k)
+
+    def test_strings_match_brute_force(self):
+        # n = 0 included: its one string is "", though format(0, "00b") is "0"
+        for n in range(13):
+            for k in range(n + 1):
+                expected = ["".join(str(x >> (n - 1 - q) & 1) for q in range(n))
+                            for x in brute_force(n, k)]
+                assert list(WeightEnumeration(n, k).strings()) == expected
 
     def test_indices_at_the_int64_limit(self):
         n = INDEX_BITS
@@ -107,6 +103,9 @@ class TestWeightEnumeration:
     def test_extreme_weights(self):
         assert list(WeightEnumeration(4, 0).strings()) == ["0000"]
         assert list(WeightEnumeration(4, 4).strings()) == ["1111"]
+        assert list(WeightEnumeration(INDEX_BITS, INDEX_BITS).strings()) == [
+            "1" * INDEX_BITS
+        ]
 
     def test_invalid_k_rejected(self):
         with pytest.raises(InvalidInputError):
