@@ -226,23 +226,74 @@ def _monomial_map(gate: Gate, index: np.ndarray, num_qubits: int, position):
     return source, None
 
 
+def _fuse(gates: Iterable[Gate]) -> Iterator[Gate | tuple[list[Gate], list[int]]]:
+    """The gates in an equivalent order: monomial gates one at a time and
+    dense gates in fused runs (members, wires), the run's wires in the order
+    its members first touch them.
+
+    A run opens at a dense gate. A later monomial gate that touches none of
+    the run's wires commutes with it, so it is held back until the run
+    closes; its wires are then barred from the run, so that no gate it
+    precedes moves ahead of it. Any other gate joins the run if its wires
+    fit with the run's on three wires and miss the barred ones, and closes
+    the run if not. A dense gate on more than three wires is a run of its
+    own. Three, since a product with an 8×8 matrix costs about one pass over
+    a 2^12 × 64 block, like a 2×2 one.
+    """
+    run, wires, held, barred = None, [], [], set()
+    for gate in gates:
+        if run is not None:
+            if gate.name in MONOMIAL_GATES and set(wires).isdisjoint(gate.wires):
+                held.append(gate)
+                barred.update(gate.wires)
+                continue
+            wider = wires + [w for w in gate.wires if w not in wires]
+            if len(wider) <= 3 and barred.isdisjoint(gate.wires):
+                run.append(gate)
+                wires = wider
+                continue
+            yield run, wires
+            yield from held
+            run, held, barred = None, [], set()
+        if gate.name in MONOMIAL_GATES:
+            yield gate
+        else:
+            run, wires = [gate], list(gate.wires)
+    if run is not None:
+        yield run, wires
+        yield from held
+
+
+def _run_matrix(run: list[Gate], wires: list[int]) -> np.ndarray:
+    """The product of a fused run's gates on its wires, the first wire the
+    most significant bit."""
+    if len(run) == 1:
+        return run[0].local_matrix()
+    matrix = np.eye(2 ** len(wires), dtype=complex)
+    for gate in run:
+        at = tuple(wires.index(w) for w in gate.wires)
+        matrix = apply_gate_matrix(matrix, len(wires), at, gate.local_matrix())
+    return matrix
+
+
 def _compile(
     circuit: QuantumCircuit, keep: np.ndarray | None = None
 ) -> Iterator[tuple]:
-    """The circuit as steps (source, phase, dense gate), generated lazily.
+    """The circuit as steps (source, phase, dense matrix), generated lazily.
 
     A step gathers the block's rows by ``source``, scales them by ``phase``
-    (either may be ``None``), then applies its dense gate, if any, to the
-    top bit positions 0..s-1. Each run of monomial gates between two dense
-    gates folds into one index map, so it costs O(2^total) once rather than
+    (either may be ``None``), then applies its dense (matrix, positions), if
+    any, to the top bit positions 0..s-1. Each dense matrix is a run of
+    gates that :func:`_fuse` fuses. The monomial gates between two runs fold
+    into one index map, so they cost O(2^total) once rather than
     O(2^total · W) per block. Each map holds O(2^total) memory, so one block
     consumes the steps as they come.
 
     The block's bit positions hold the wires in a tracked order
-    (``layout[p]`` is the wire at position p). A dense gate whose wires are
-    not an ascending adjacent run, or that follows a pending gather, first
-    has its wires moved to the top positions in gate order; that row
-    permutation folds into the pending map like a monomial gate, so the gate
+    (``layout[p]`` is the wire at position p). A run whose wires are not an
+    ascending adjacent run of positions, or that follows a pending gather,
+    first has its wires moved to the top positions in run order; that row
+    permutation folds into the pending map like a monomial gate, so the run
     is one GEMM on a view. The last step restores the wire order and keeps
     only the rows ``keep`` (all rows when ``None``).
     """
@@ -266,18 +317,19 @@ def _compile(
         fold(axes.transpose([position[w] for w in order]).ravel(), None)
         layout[:] = order
 
-    for gate in circuit.gates:
+    for step in _fuse(circuit.gates):
         position = {w: p for p, w in enumerate(layout)}
-        if gate.name in MONOMIAL_GATES:
-            fold(*_monomial_map(gate, index, n, position))
+        if isinstance(step, Gate):
+            fold(*_monomial_map(step, index, n, position))
             continue
-        wires = [position[w] for w in gate.wires]
+        run, run_wires = step
+        wires = [position[w] for w in run_wires]
         s = len(wires)
         adjacent = wires == list(range(wires[0], wires[0] + s))
         if wires != list(range(s)) and (source is not None or not adjacent):
-            relayout(list(gate.wires) + [w for w in layout if w not in gate.wires])
+            relayout(run_wires + [w for w in layout if w not in run_wires])
             wires = list(range(s))
-        yield source, phase, (gate, tuple(wires))
+        yield source, phase, (_run_matrix(run, run_wires), tuple(wires))
         source = phase = None
     if layout != list(range(n)):
         relayout(list(range(n)))
@@ -298,8 +350,8 @@ def _evolve(steps: Iterable[tuple], block: np.ndarray, num_qubits: int) -> np.nd
             # in place: a fresh broadcast product costs several times more
             block *= phase[:, None]
         if dense is not None:
-            gate, wires = dense
-            block = apply_gate_matrix(block, num_qubits, wires, gate.local_matrix())
+            matrix, wires = dense
+            block = apply_gate_matrix(block, num_qubits, wires, matrix)
     return block
 
 
@@ -317,16 +369,15 @@ def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
     return StateVector(n, _evolve(_compile(circuit), block, n)[:, 0])
 
 
-def accept_projected_columns(
+def accept_column_blocks(
     circuit: QuantumCircuit, witness_indices: np.ndarray
-) -> np.ndarray:
-    """The accept rows of U|w, 0...0⟩ for witness basis indices w, as the
-    columns of a (2^(total-1), W) array.
+) -> Iterator[np.ndarray]:
+    """The accept rows of U|w, 0...0⟩ for witness basis indices w, as
+    (2^(total-1), ≤ ``WITNESS_CHUNK``) blocks of columns in the order of w.
 
     The accept rows are the basis indices whose accept qubit reads 1, in
     ascending order; the rows that Π₁ zeroes are left out. The circuit is
-    compiled once, holding one index map per dense gate, and the columns are
-    evolved ``WITNESS_CHUNK`` at a time.
+    compiled once, holding one index map per dense step.
     """
     n = circuit.total_qubits
     rows = np.asarray(witness_indices, dtype=np.int64) << circuit.ancilla_qubits
@@ -344,13 +395,26 @@ def accept_projected_columns(
     # a witness the map drops (at = -1) writes 0 into the last row of its
     # own column, which is zero anyway
     value = np.where(at >= 0, 1 if phase is None else phase[at], 0)
-    out = np.empty((2 ** (n - 1), len(rows)), dtype=complex)
     for start in range(0, len(rows), WITNESS_CHUNK):
         chunk = slice(start, start + WITNESS_CHUNK)
         width = len(at[chunk])
         block = np.zeros((len(source), width), dtype=complex)
         block[at[chunk], np.arange(width)] = value[chunk]
-        out[:, chunk] = _evolve(steps, block, n)
+        yield _evolve(steps, block, n)
+
+
+def accept_projected_columns(
+    circuit: QuantumCircuit, witness_indices: np.ndarray
+) -> np.ndarray:
+    """The accept rows of U|w, 0...0⟩ for witness basis indices w, as the
+    columns of a (2^(total-1), W) array: the blocks of
+    :func:`accept_column_blocks` side by side."""
+    n = circuit.total_qubits
+    out = np.empty((2 ** (n - 1), len(witness_indices)), dtype=complex)
+    start = 0
+    for block in accept_column_blocks(circuit, witness_indices):
+        out[:, start:start + block.shape[1]] = block
+        start += block.shape[1]
     return out
 
 

@@ -8,7 +8,7 @@ results are reproducible under any execution order.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from decimal import Context, Decimal
 from functools import reduce
@@ -19,8 +19,8 @@ import numpy as np
 from .circuits import (
     QuantumCircuit,
     StateVector,
+    accept_column_blocks,
     accept_light_cone,
-    accept_projected_columns,
     hadamard_test_unitary,
     simulate,
 )
@@ -229,12 +229,32 @@ def estimate_gap(
     )
 
 
-def _accept_columns(circuit: QuantumCircuit, witness: Callable) -> np.ndarray:
+def _accept_columns(circuit: QuantumCircuit, witness: Callable) -> Iterator[np.ndarray]:
     """Accept-projected columns of the witness indices ``witness()`` builds
     once the whole circuit passes the qubit limit, evolved through the accept
-    qubit's backward light cone only: the gates outside it cancel in U†Π₁U."""
+    qubit's backward light cone only: the gates outside it cancel in U†Π₁U.
+    Yields them ``WITNESS_CHUNK`` columns at a time, in the order of the
+    indices."""
     require_within(circuit.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
-    return accept_projected_columns(accept_light_cone(circuit), witness())
+    return accept_column_blocks(accept_light_cone(circuit), witness())
+
+
+def _qmak_columns(verifier: QuantumCircuit, k: int) -> Iterator[np.ndarray]:
+    """:func:`_accept_columns` of all 2^k witness basis states."""
+    if verifier.witness_qubits != k:
+        raise InvalidInputError(
+            f"verifier has {verifier.witness_qubits} witness qubits, expected {k}"
+        )
+    return _accept_columns(verifier, lambda: np.arange(2**k))
+
+
+def _column_norms(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """Squared norm of every column, summed one block at a time."""
+    # a complex block viewed as floats holds each column's real and imaginary
+    # parts side by side, so the sum of squares makes no |z|² temporary
+    floats = (np.ascontiguousarray(b).view(float) for b in blocks)
+    return np.concatenate([np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
+                           for f in floats])
 
 
 def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
@@ -243,11 +263,7 @@ def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
 
     Q = ⟨w,0|U†Π₁U|w′,0⟩ is the Gram matrix of the accept-projected columns
     of all 2^k witness basis states."""
-    if verifier.witness_qubits != k:
-        raise InvalidInputError(
-            f"verifier has {verifier.witness_qubits} witness qubits, expected {k}"
-        )
-    phi = _accept_columns(verifier, lambda: np.arange(2**k))
+    phi = np.concatenate(list(_qmak_columns(verifier, k)), axis=1)
     q = phi.conj().T @ phi
     return q, float(np.trace(q).real)
 
@@ -262,8 +278,9 @@ class QmakDecision(Report):
 
 def qmak_decide(verifier: QuantumCircuit, k: int) -> QmakDecision:
     """Decide by running the verifier on the maximally mixed witness:
-    Pr[accept] = 2^{-k}·Tr(Q), compared against the rescaled thresholds."""
-    _, trace = qmak_operator(verifier, k)
+    Pr[accept] = 2^{-k}·Tr(Q), compared against the rescaled thresholds.
+    Tr(Q) sums the witnesses' squared column norms, so Q is never formed."""
+    trace = float(np.sum(_column_norms(_qmak_columns(verifier, k))))
     verdict = Verdict.of(trace >= QMAK_YES_TRACE, trace <= QMAK_NO_TRACE)
     return QmakDecision(verdict, trace / 2**k, trace, k)
 
@@ -295,9 +312,10 @@ class SliceDecision(Report):
 
 def _weight_k_columns(
     circuit: QuantumCircuit, k: int, a: float, b: float
-) -> tuple[WeightEnumeration, np.ndarray]:
-    """The weight-k witness basis and its accept-projected columns for both slice
-    deciders, checking b > a, then the enumeration, then the qubit limit."""
+) -> tuple[WeightEnumeration, Iterator[np.ndarray]]:
+    """The weight-k witness basis and :func:`_accept_columns` of it for both
+    slice deciders, checking b > a, then the enumeration, then the qubit
+    limit."""
     if b <= a:
         raise InvalidInputError(f"need b > a, got a={a}, b={b}")
     enum = WeightEnumeration(circuit.witness_qubits, k)
@@ -310,9 +328,9 @@ def decide_weight_qcs_exact(
     """Maximum acceptance over all weight-k witness states, exactly: the
     largest eigenvalue of the Gram matrix of the weight-k basis's
     accept-projected columns."""
-    _, phi = _weight_k_columns(circuit, k, a, b)
-    gram = phi.conj().T @ phi
-    lam_max = float(full_spectrum(gram)[-1])
+    _, blocks = _weight_k_columns(circuit, k, a, b)
+    phi = np.concatenate(list(blocks), axis=1)
+    lam_max = float(full_spectrum(phi.conj().T @ phi)[-1])
     return SliceDecision(Verdict.of(lam_max >= b, lam_max <= a), lam_max, a, b, k)
 
 
@@ -322,10 +340,9 @@ def decide_hamming_weight_qcs_exact(
     """Maximum acceptance over weight-k basis-string witnesses, exactly.
 
     Each string's acceptance is the squared norm of its accept-projected
-    column."""
-    enum, phi = _weight_k_columns(circuit, k, a, b)
-    # squared column norms: the diagonal of the Gram matrix wqcs diagonalises
-    accept = np.sum(np.abs(phi) ** 2, axis=0)
+    column, the diagonal of the Gram matrix that wqcs diagonalises."""
+    enum, blocks = _weight_k_columns(circuit, k, a, b)
+    accept = _column_norms(blocks)
     table = dict(zip(enum.strings(), accept.tolist()))
     best = max(table.values())
     return SliceDecision(Verdict.of(best >= b, best <= a), float(best), a, b, k, table)

@@ -30,6 +30,7 @@ from qparam.circuits import (
     prepare_classical_weight_state,
     project_weight_k,
     simulate,
+    _fuse,
 )
 from qparam.errors import InvalidInputError
 from qparam.states import StateVector
@@ -203,7 +204,45 @@ ENGINE_CASES = {
         _u(rng, 0, 6), Gate("CX", controls=(6,), targets=(5,)), _u(rng, 5, 2),
         Gate("H", targets=(5,)), _u(rng, 3, 1, 4),
     )),
+    # the CX and T are held past the run on wire 4, which then takes the
+    # UNITARY and H; the H on barred wire 1 must wait for the CX
+    "fused-past-held-gates": (4, 2, 1, lambda rng: (
+        Gate("H", targets=(4,)), Gate("CX", controls=(1,), targets=(2,)),
+        Gate("T", targets=(2,)), _u(rng, 0, 4), Gate("H", targets=(0,)),
+        Gate("H", targets=(1,)), Gate("S", targets=(4,)),
+        Gate("CX", controls=(4,), targets=(1,)),
+    )),
+    # a run whose wires arrive in descending order, and a 4-wire UNITARY
+    # that stays a step of its own between two 1-wire H runs
+    "descending-run-and-wide-gate": (3, 3, 0, lambda rng: (
+        Gate("H", targets=(5,)), Gate("CX", controls=(5,), targets=(2,)),
+        Gate("Y", targets=(2,)), _u(rng, 1), Gate("H", targets=(3,)),
+        _u(rng, 4, 0, 3, 1), Gate("H", targets=(0,)),
+    )),
 }
+
+
+class TestFuse:
+    def test_runs_hold_commuting_gates_and_stop_at_barred_wires(self, rng):
+        h = [Gate("H", targets=(q,)) for q in range(8)]
+        cx = Gate("CX", controls=(1,), targets=(2,))
+        t, x = Gate("T", targets=(0,)), Gate("X", targets=(4,))
+        wide = _u(rng, 4, 5, 6, 7)
+        steps = list(_fuse([h[0], cx, t, h[3], h[1], wide, x]))
+        # the CX is held past the run on wires 0 and 3; H on wire 1, which
+        # it bars, opens the next run after it; the 4-wire UNITARY cannot
+        # take in the X, so the X closes it
+        assert steps == [([h[0], t, h[3]], [0, 3]), cx, ([h[1]], [1]),
+                         ([wide], [4, 5, 6, 7]), x]
+
+    def test_runs_fill_up_to_three_wires(self):
+        gates = [Gate("H", targets=(q,)) for q in (2, 0, 1, 3)]
+        assert list(_fuse(gates)) == [(gates[:3], [2, 0, 1]), (gates[3:], [3])]
+
+    def test_monomial_gates_outside_runs_pass_in_order(self):
+        gates = [Gate("X", targets=(0,)), Gate("CZ", controls=(0,), targets=(1,)),
+                 Gate("SWAP", targets=(1, 2))]
+        assert list(_fuse(gates)) == gates
 
 
 @pytest.mark.parametrize("case", list(ENGINE_CASES))

@@ -1,7 +1,11 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -801,6 +805,36 @@ class TestGadgetCommands:
         code, out = run(capsys, "qmak-decide", "--input", str(path), "--k", "1")
         assert code == 0
         assert json.loads(out)["result"]["accept_probability"] == pytest.approx(1.0)
+
+    def test_widest_qmak_peaks_under_128_mib(self, tmp_path):
+        # 12 witness wires, no ancilla, and a cone over every wire: the 4096
+        # columns alone take 128 MiB, so qmak-decide must sum their norms a
+        # block at a time. The child reports its own peak RSS, VmHWM in KiB:
+        # getrusage's ru_maxrss would keep the forked test process's peak.
+        gates = [{"name": "H", "targets": [q]} for q in range(12)]
+        gates += [{"name": "CX", "controls": [q], "targets": [q + 1]}
+                  for q in range(11)]
+        gates += [{"name": "H", "targets": [q]} for q in range(12)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"witness_qubits": 12, "ancilla_qubits": 0,
+                                    "accept_qubit": 11, "gates": gates}))
+        script = (
+            "import re\n"
+            "from qparam.cli import main\n"
+            f"code = main(['qmak-decide', '--input', {str(path)!r}, '--k', '12'])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        *report, last = done.stdout.splitlines()
+        result = json.loads("\n".join(report))["result"]
+        assert result["accept_probability"] == pytest.approx(0.5)
+        code, peak_kib = map(int, last.split())
+        assert code == 0
+        assert peak_kib < 128 * 1024
 
 
 class TestJonesCommands:

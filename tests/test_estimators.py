@@ -587,6 +587,7 @@ class TestAcceptLightCone:
         q, trace = qmak_operator(circuit, n)
         assert np.max(np.abs(q - full)) <= 1e-12
         assert abs(trace - np.trace(full).real) <= 1e-12
+        assert abs(qmak_decide(circuit, n).trace - trace) <= 1e-12
         enum = WeightEnumeration(n, k)
         gram = full[np.ix_(enum.indices(), enum.indices())]
         lam_max = np.linalg.eigvalsh(gram)[-1]
@@ -633,11 +634,13 @@ class TestAcceptLightCone:
         apply = circuits.apply_gate_matrix
 
         def counting(*args):
-            applied.append(args[2])
+            applied.append(args[1:3])
             return apply(*args)
 
         monkeypatch.setattr(circuits, "apply_gate_matrix", counting)
         assert qmak_decide(circuit, 2).trace == pytest.approx(2.0)
         assert applied == []
         accept_projected_columns(circuit, np.arange(4))
-        assert len(applied) == 3
+        # the three fuse past the CX into one matrix on wire 0, built on a
+        # 1-wire register and then applied once to the 3-wire block
+        assert applied == [(1, (0,))] * 3 + [(3, (0,))]
