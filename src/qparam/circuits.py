@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from math import ceil, comb, log2
+from math import comb
 
 import numpy as np
 
@@ -184,30 +184,25 @@ def apply_gate_matrix(
 
     ``amplitudes`` is one state, shape (2^num_qubits,), or a block of states
     in its columns, shape (2^num_qubits, W); the result has the same shape.
+    On the top wires 0..s-1 in order both transposes are views.
     """
-    s = len(wires)
-    first = min(wires)
     shape = amplitudes.shape
     tensor_shape = [2] * num_qubits + list(shape[1:])
-    # The wires before the first gate wire stay in front as a batch axis, so
-    # a gate on an ascending run of adjacent wires is applied without a
-    # transposed copy. The column axis is never a wire, so it stays last.
-    rest = [q for q in range(len(tensor_shape)) if q not in wires]
-    order = rest[:first] + list(wires) + rest[first:]
+    # the column axis is never a wire, so it stays last
+    order = list(wires) + [q for q in range(len(tensor_shape)) if q not in wires]
     moved = np.transpose(amplitudes.reshape(tensor_shape), order)
-    moved = (matrix @ moved.reshape(2**first, 2**s, -1)).reshape(tensor_shape)
+    moved = (matrix @ moved.reshape(2 ** len(wires), -1)).reshape(tensor_shape)
     return np.transpose(moved, np.argsort(order)).reshape(shape)
 
 
-def _monomial_map(gate: Gate, index: np.ndarray, num_qubits: int, position):
+def _monomial_map(gate: Gate, index: np.ndarray, num_qubits: int):
     """A monomial gate as (source, phase) over all basis indices.
 
     The gate maps amplitudes as out[i] = phase[i] · in[source[i]]; ``None``
-    stands for the identity source or a unit phase. ``position[w]`` is the
-    bit position that holds wire w.
+    stands for the identity source or a unit phase.
     """
     def bit(wire):
-        return 1 << (num_qubits - 1 - position[wire])
+        return 1 << (num_qubits - 1 - wire)
 
     if gate.name in _DIAGONAL_PHASE:
         # the phase applies where every wire of the gate reads 1
@@ -279,28 +274,26 @@ def _run_matrix(run: list[Gate], wires: list[int]) -> np.ndarray:
 def _compile(
     circuit: QuantumCircuit, keep: np.ndarray | None = None
 ) -> Iterator[tuple]:
-    """The circuit as steps (source, phase, dense matrix), generated lazily.
+    """The circuit as steps (source, phase, matrix), generated lazily.
 
     A step gathers the block's rows by ``source``, scales them by ``phase``
-    (either may be ``None``), then applies its dense (matrix, positions), if
-    any, to the top bit positions 0..s-1. Each dense matrix is a run of
-    gates that :func:`_fuse` fuses. The monomial gates between two runs fold
-    into one index map, so they cost O(2^total) once rather than
-    O(2^total · W) per block. Each map holds O(2^total) memory, so one block
-    consumes the steps as they come.
+    (either may be ``None``), then applies its dense ``matrix``, if any, to
+    the top bit positions 0..s-1. Each dense matrix is a run of gates that
+    :func:`_fuse` fuses. The monomial gates between two runs fold into one
+    index map, so they cost O(2^total) once rather than O(2^total · W) per
+    block. Each map holds O(2^total) memory, so one block consumes the steps
+    as they come.
 
-    The block's bit positions hold the wires in a tracked order
-    (``layout[p]`` is the wire at position p). A run whose wires are not an
-    ascending adjacent run of positions, or that follows a pending gather,
-    first has its wires moved to the top positions in run order; that row
-    permutation folds into the pending map like a monomial gate, so the run
-    is one GEMM on a view. The last step restores the wire order and keeps
-    only the rows ``keep`` (all rows when ``None``).
+    Between steps the block holds the wires in order. A run whose wires are
+    not already at the top has them moved there, in run order with the other
+    wires ascending behind them, by a row permutation that folds into the
+    pending map; the next map starts with the inverse permutation, which
+    puts the wires back. The last step keeps only the rows ``keep`` (all
+    rows when ``None``).
     """
     n = circuit.total_qubits
     index = np.arange(2**n)
     axes = index.reshape([2] * n)
-    layout = list(range(n))
     source = phase = None
 
     def fold(g_source, g_phase):
@@ -311,28 +304,19 @@ def _compile(
         if g_phase is not None:
             phase = g_phase if phase is None else g_phase * phase
 
-    def relayout(order):
-        # the row permutation that puts the wires of ``order`` at positions 0..n-1
-        position = {w: p for p, w in enumerate(layout)}
-        fold(axes.transpose([position[w] for w in order]).ravel(), None)
-        layout[:] = order
-
     for step in _fuse(circuit.gates):
-        position = {w: p for p, w in enumerate(layout)}
         if isinstance(step, Gate):
-            fold(*_monomial_map(step, index, n, position))
+            fold(*_monomial_map(step, index, n))
             continue
-        run, run_wires = step
-        wires = [position[w] for w in run_wires]
-        s = len(wires)
-        adjacent = wires == list(range(wires[0], wires[0] + s))
-        if wires != list(range(s)) and (source is not None or not adjacent):
-            relayout(run_wires + [w for w in layout if w not in run_wires])
-            wires = list(range(s))
-        yield source, phase, (_run_matrix(run, run_wires), tuple(wires))
+        run, wires = step
+        order = wires + [w for w in range(n) if w not in wires]
+        moved = order != list(range(n))
+        if moved:
+            fold(axes.transpose(order).ravel(), None)
+        yield source, phase, _run_matrix(run, wires)
         source = phase = None
-    if layout != list(range(n)):
-        relayout(list(range(n)))
+        if moved:
+            fold(axes.transpose(np.argsort(order)).ravel(), None)
     if keep is not None:
         fold(keep, None)
     yield source, phase, None
@@ -343,15 +327,15 @@ def _evolve(steps: Iterable[tuple], block: np.ndarray, num_qubits: int) -> np.nd
 
     The block is scaled in place, so the caller hands over its ownership.
     """
-    for source, phase, dense in steps:
+    for source, phase, matrix in steps:
         if source is not None:
             block = block[source]
         if phase is not None:
             # in place: a fresh broadcast product costs several times more
             block *= phase[:, None]
-        if dense is not None:
-            matrix, wires = dense
-            block = apply_gate_matrix(block, num_qubits, wires, matrix)
+        if matrix is not None:
+            top = tuple(range(len(matrix).bit_length() - 1))
+            block = apply_gate_matrix(block, num_qubits, top, matrix)
     return block
 
 
@@ -383,10 +367,11 @@ def accept_column_blocks(
     rows = np.asarray(witness_indices, dtype=np.int64) << circuit.ancilla_qubits
     accept = np.flatnonzero((np.arange(2**n) >> (n - 1 - circuit.accept_qubit)) & 1)
     steps = list(_compile(circuit, accept))
-    # Each block starts past the first index map: basis column w is the one
-    # row that the map gathers from row w, scaled by that row's phase.
-    source, phase, dense = steps[0]
-    steps[0] = (None, None, dense)
+    # Each block starts past the first index map, which also holds the first
+    # run's gather: basis column w is the one row that the map gathers from
+    # row w, scaled by that row's phase.
+    source, phase, matrix = steps[0]
+    steps[0] = (None, None, matrix)
     if source is None:
         source = np.arange(2**n)
     landing = np.full(2**n, -1)
@@ -401,21 +386,6 @@ def accept_column_blocks(
         block = np.zeros((len(source), width), dtype=complex)
         block[at[chunk], np.arange(width)] = value[chunk]
         yield _evolve(steps, block, n)
-
-
-def accept_projected_columns(
-    circuit: QuantumCircuit, witness_indices: np.ndarray
-) -> np.ndarray:
-    """The accept rows of U|w, 0...0⟩ for witness basis indices w, as the
-    columns of a (2^(total-1), W) array: the blocks of
-    :func:`accept_column_blocks` side by side."""
-    n = circuit.total_qubits
-    out = np.empty((2 ** (n - 1), len(witness_indices)), dtype=complex)
-    start = 0
-    for block in accept_column_blocks(circuit, witness_indices):
-        out[:, start:start + block.shape[1]] = block
-        start += block.shape[1]
-    return out
 
 
 def accept_light_cone(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -566,7 +536,8 @@ def one_hot_block_decode(num_blocks: int, block_size: int, bits: str):
         )
     if any(c not in "01" for c in bits):
         raise InvalidInputError(f"not a bitstring: {bits!r}")
-    width = max(1, ceil(log2(block_size))) if block_size > 1 else 1
+    # ceil(log2(block_size)) bits, in exact integers
+    width = max(1, (block_size - 1).bit_length())
     out = []
     for b in range(num_blocks):
         block = bits[b * block_size: (b + 1) * block_size]

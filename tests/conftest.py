@@ -18,6 +18,7 @@ import pytest
 from qparam.circuits import (
     Gate,
     QuantumCircuit,
+    accept_column_blocks,
     acceptance_probability,
     hadamard_test_circuit,
 )
@@ -225,6 +226,14 @@ def accept_projected_oracle(circuit: QuantumCircuit) -> np.ndarray:
         if not (x >> (n - 1 - circuit.accept_qubit)) & 1:
             full[x] = 0
     return full
+
+
+def accept_projected_columns(circuit: QuantumCircuit,
+                             witness_indices: np.ndarray) -> np.ndarray:
+    """The library's accept rows of U|w, 0...0⟩ for each witness w, as the
+    columns of one (2^(total-1), W) array: its blocks side by side."""
+    return np.concatenate(list(accept_column_blocks(circuit, witness_indices)),
+                          axis=1)
 
 
 def hadamard_circuit_probabilities(unitary, prep):

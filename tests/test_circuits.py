@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import (
+    accept_projected_columns,
     accept_projected_oracle,
     all_kinds_circuit,
     bits_state,
@@ -14,13 +16,15 @@ from conftest import (
     random_state,
     random_unitary,
 )
+from qparam import circuits
 from qparam.circuits import (
+    MONOMIAL_GATES,
     WITNESS_CHUNK,
     Gate,
     QuantumCircuit,
     REJECT,
+    accept_column_blocks,
     accept_light_cone,
-    accept_projected_columns,
     acceptance_probability,
     circuit_metrics,
     decode_weight_witness,
@@ -174,8 +178,9 @@ def _u(rng, *wires):
     return Gate("UNITARY", targets=wires, matrix=random_unitary(rng, 2 ** len(wires)))
 
 
-# (witness, ancilla, accept, gates(rng)): layouts the wire-order tracking in
-# the engine has to undo, on either side of the witness/ancilla split
+# (witness, ancilla, accept, gates(rng)): runs on wires in every order and
+# place, whose gathers to the top wires and back the engine folds into its
+# index maps, on either side of the witness/ancilla split
 ENGINE_CASES = {
     "descending-nonadjacent": (9, 3, 4, lambda rng: (
         Gate("H", targets=(0,)), Gate("CX", controls=(0,), targets=(7,)),
@@ -218,6 +223,12 @@ ENGINE_CASES = {
         Gate("H", targets=(5,)), Gate("CX", controls=(5,), targets=(2,)),
         Gate("Y", targets=(2,)), _u(rng, 1), Gate("H", targets=(3,)),
         _u(rng, 4, 0, 3, 1), Gate("H", targets=(0,)),
+    )),
+    # the first run is one H deep in the register with no index map before
+    # it; the UNITARY cannot join it, so it is a second run
+    "deep-one-wire-run-first": (8, 4, 11, lambda rng: (
+        Gate("H", targets=(10,)), _u(rng, 3, 7, 11),
+        Gate("CX", controls=(10,), targets=(2,)), Gate("H", targets=(11,)),
     )),
 }
 
@@ -273,6 +284,27 @@ class TestEngineAgainstScatterOracle:
         got = accept_projected_columns(c, witnesses)
         assert got.shape == (2 ** (n - 1), count)
         assert np.allclose(got, evolve_oracle(c, basis)[reads_one], atol=1e-10)
+
+
+    def test_dense_steps_act_on_the_top_wires(self, rng, case, monkeypatch):
+        # each dense step is one GEMM on wires 0..s-1, where both transposes
+        # of apply_gate_matrix are views
+        c = self._circuit(rng, case)
+        calls = []
+        apply = circuits.apply_gate_matrix
+
+        def recording(amplitudes, num_qubits, wires, matrix):
+            if sys._getframe(1).f_code is circuits._evolve.__code__:
+                calls.append((num_qubits, tuple(wires)))
+            return apply(amplitudes, num_qubits, wires, matrix)
+
+        monkeypatch.setattr(circuits, "apply_gate_matrix", recording)
+        simulate(c, StateVector.zero(c.witness_qubits))
+        list(accept_column_blocks(c, np.arange(2)))
+        dense = any(g.name not in MONOMIAL_GATES for g in c.gates)
+        assert bool(calls) == dense
+        assert calls == [(c.total_qubits, tuple(range(len(wires))))
+                         for _, wires in calls]
 
 
 class TestAcceptance:

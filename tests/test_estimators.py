@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    accept_projected_columns,
     accept_projected_oracle,
     all_kinds_circuit,
     bits_state,
@@ -19,7 +20,6 @@ from qparam.circuits import (
     Gate,
     QuantumCircuit,
     accept_light_cone,
-    accept_projected_columns,
     acceptance_probability,
     simulate,
 )
