@@ -281,8 +281,8 @@ def _compile(
     the top bit positions 0..s-1. Each dense matrix is a run of gates that
     :func:`_fuse` fuses. The monomial gates between two runs fold into one
     index map, so they cost O(2^total) once rather than O(2^total · W) per
-    block. Each map holds O(2^total) memory, so one block consumes the steps
-    as they come.
+    block. A map holds O(2^total) memory; :func:`simulate` streams the steps
+    and :func:`accept_column_blocks` keeps them all, to reuse per block.
 
     Between steps the block holds the wires in order. A run whose wires are
     not already at the top has them moved there, in run order with the other

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
-from decimal import Context, Decimal
+from fractions import Fraction
 from functools import reduce
 from math import ceil, comb, inf, isfinite, log, sqrt, ulp
 
@@ -35,8 +35,6 @@ QMAK_QUBIT_LIMIT = 12
 QMAK_YES_TRACE = 2 / 3
 QMAK_NO_TRACE = 1 / 3
 CLASSICAL_GATES = ("X", "CX", "TOFFOLI")
-# Hoeffding samples of any estimate; only gapp-estimate holds them (8 B each)
-SAMPLE_LIMIT = 2**24
 # bytes that GapInstance.evaluate holds, 256 MiB; refused before any path is drawn
 GAP_ENTRY_LIMIT = 2**28
 
@@ -50,18 +48,16 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
 
 
 def sample_count(tau: float, delta: float) -> int:
-    """Hoeffding sample count for a mean of ±1 variables: additive error tau
-    with failure probability delta; ``ResourceError`` past ``SAMPLE_LIMIT``."""
+    """Hoeffding count ⌈2 ln(2/δ)/τ²⌉ for a mean of ±1 variables: additive error
+    tau, failure probability delta. Exact in the floats ln 2 − ln δ and τ, so
+    none overflows; ``ResourceError`` past ``INDEX_BITS`` bits (int64 draws)."""
     if not 0 < tau < inf:
         raise InvalidInputError(f"tau must be positive and finite, got {tau}")
     if not 0 < delta < 1:
         raise InvalidInputError(f"delta must lie in (0,1), got {delta}")
-    # every τ ≥ 64 takes 1 sample (2 ln(2/δ) < 1420 < 64²); τ² over- or underflows
-    count = 2 * log(2 / delta) / max(min(tau, 64.0) ** 2, ulp(0.0))
-    if count == inf:  # τ below about 1e-154: 3 digits of the exact quotient
-        count = Context(prec=3).divide(Decimal(2 * log(2 / delta)), Decimal(tau) ** 2)
-    require_within(count, SAMPLE_LIMIT, f"samples for tau {tau}:")
-    return ceil(count)
+    count = ceil(2 * Fraction(log(2) - log(delta)) / Fraction(tau) ** 2)
+    require_within(count.bit_length(), INDEX_BITS, f"sample count bits for tau {tau}:")
+    return count
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,9 @@ def restrict_to_weight(h: LocalHamiltonian, k: int):
     each nonzero block entry with an output pattern of the same weight (any
     other output leaves the sector), the states holding that input have the
     differing term bits flipped and are ranked by binary search in the
-    increasing basis. The (row, col, value) triples of all terms form one
-    COO matrix whose duplicates are summed.
+    increasing basis. Each block gives its strict upper triangle and half its
+    diagonal's real part; the triples of all terms sum into one COO matrix U,
+    and U + Uᴴ is exactly Hermitian: (r, c) and (c, r) add the same two floats.
 
     Returns a CSR matrix. Raises ``ResourceError`` before allocating anything
     when the basis plus the candidate entries, C(n, k) * (1 + sum of
@@ -122,7 +123,8 @@ def restrict_to_weight(h: LocalHamiltonian, k: int):
         local = np.zeros(dim, dtype=np.int64)
         for q in term.qubits:  # first qubit = local MSB
             local = (local << 1) | ((basis >> (h.n - 1 - q)) & 1)
-        for ix, iy in np.argwhere(term.block).tolist():
+        upper = np.triu(term.block, 1) + np.diag(term.block.diagonal().real / 2)
+        for ix, iy in np.argwhere(upper).tolist():
             if ix.bit_count() != iy.bit_count():  # weight changed, outside the sector
                 continue
             states = np.flatnonzero(local == ix)
@@ -131,11 +133,12 @@ def restrict_to_weight(h: LocalHamiltonian, k: int):
             cols.append(
                 np.searchsorted(basis, basis[states] ^ flip) if flip else states
             )
-            vals.append(np.full(len(states), term.block[ix, iy]))
-    return sp.csr_matrix(
+            vals.append(np.full(len(states), upper[ix, iy]))
+    half = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim), dtype=complex,
     )
+    return half + half.conj().T
 
 
 def expectation_value(h: LocalHamiltonian, state: StateVector) -> float:

@@ -171,8 +171,8 @@ class PathModel:
     (closed) or to the identity block (full). It holds walks × (1 + columns)
     entries, the masks being one column; past ``PATH_MODEL_WORK_LIMIT`` entry
     steps, (entries + ``PATH_LETTER_ENTRIES``) × (letters + 1), it raises
-    ``ResourceError``, checked before the first walk and before each step is
-    built. More than ``INDEX_BITS`` steps are refused up front.
+    ``ResourceError``, checked before each step (the first holds one walk
+    and one column). More than ``INDEX_BITS`` steps are refused up front.
     """
 
     strands: int
@@ -190,8 +190,6 @@ class PathModel:
             )
         require_within(self.strands, INDEX_BITS, "strands")
         steps = self.letters + 1
-        require_within((2 + PATH_LETTER_ENTRIES) * steps, PATH_MODEL_WORK_LIMIT,
-                       "path-model entry steps")  # one walk, one column
         top = min(self.k - 1, self.strands + 1)
         masks = np.zeros(1, dtype=np.int64)
         heights = np.ones(1, dtype=np.int8)

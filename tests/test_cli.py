@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import random_hermitian
 from qparam.cli import COMMANDS, build_parser, main
+from qparam.estimators import sample_count
 from qparam.jones import BraidWord, jones_exact
 from qparam.linalg import matrix_to_json
 
@@ -522,17 +523,51 @@ class TestSamplerLimits:
         assert "bound past the float range" in line
 
     def test_oversized_sample_count_refused_up_front(self, capsys, tmp_path):
-        # m(1e-5, 0.025) ~ 8.8e10 samples, past SAMPLE_LIMIT = 2^24
+        # m(1e-10, 0.025) ~ 8.8e20 samples, a 70-bit count past the int64 range
         code, elapsed, line = run_refused(capsys, tmp_path, self.AMP, "amp-estimate",
-                                          "--tau", "1e-5", "--seed", "1")
+                                          "--tau", "1e-10", "--seed", "1")
         assert code == 4
         assert elapsed < 1.0
-        assert not line.startswith("error: MemoryError")
+        assert line == "error: sample count bits for tau 1e-10: 70 exceeds limit 63"
+
+    @pytest.mark.parametrize("command, tau", [("amp-estimate", "1e-9"), ("jones", "1e-7")])
+    def test_int64_sample_count_runs_in_constant_time(self, capsys, tmp_path, command,
+                                                       tau):
+        # m(1e-9, 0.025) ~ 8.8e18 samples, a 63-bit count, and m(1e-7, 0.025) ~
+        # 8.8e14: each part is one binomial draw whatever the count
+        document, extra = self.HUGE_TAU[command]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(document))
+        start = time.perf_counter()
+        code, out = run(capsys, command, "--input", str(path), *extra,
+                        "--tau", tau, "--seed", "1")
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+        samples = json.loads(out)["result"]["samples"]
+        assert samples == sample_count(float(tau), 0.025) > 2**40
+
+    def test_subnormal_delta_is_scheduled(self, capsys, tmp_path):
+        # 2/δ overflows the float range; ln 2 − ln δ does not
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(self.GAP))
+        code, out = run(capsys, "gapp-estimate", "--input", str(path), "--tau", "0.5",
+                        "--delta", "1e-320", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["result"]["samples"] == 5901
+
+    def test_gap_samples_past_the_evaluator_refused_up_front(self, capsys, tmp_path):
+        # m(1e-4, 0.025) ~ 8.8e8 paths, past the 2^28 / (16 + 2 wires) = 14913080
+        # that the gap evaluator may hold
+        code, elapsed, line = run_refused(capsys, tmp_path, self.GAP, "gapp-estimate",
+                                          "--tau", "1e-4", "--seed", "1")
+        assert code == 4
+        assert elapsed < 1.0
+        assert line.startswith("error: gap evaluator bytes ")
 
     @pytest.mark.parametrize("scale, code, message", [
         ("1e300", 3, "epsilon 1e+300 times lower bound 1e+300"),
-        ("1e-200", 4, "samples for tau 5e-324: 3.59E+647 exceeds limit 16777216"),
-        ("1e-160", 4, "samples for tau 7.07e-321: 1.75E+641 exceeds limit 16777216"),
+        ("1e-200", 4, "sample count bits for tau 5e-324: 2152 exceeds limit 63"),
+        ("1e-160", 4, "sample count bits for tau 7.07e-321: 2131 exceeds limit 63"),
     ], ids=["product-overflows", "tau-underflows", "tau-subnormal"])
     def test_multiplicative_tau_out_of_range(self, capsys, tmp_path, scale, code,
                                              message):
@@ -545,12 +580,12 @@ class TestSamplerLimits:
         assert line.startswith(f"error: {message}")
 
     def test_tiny_tau_refusal_names_tau(self, capsys, tmp_path):
-        # 2·ln(2/δ)/τ² passes the float range below τ ≈ 1e-154: the line
-        # gives the count to 3 digits after the τ that asked for it
+        # 2·ln(2/δ)/τ² passes the float range below τ ≈ 1e-154: the exact
+        # count still has a bit length, given after the τ that asked for it
         code, _, line = run_refused(capsys, tmp_path, self.AMP, "amp-estimate",
                                     "--tau", "1e-160", "--seed", "1")
         assert code == 4
-        assert line == "error: samples for tau 1e-160: 8.76E+320 exceeds limit 16777216"
+        assert line == "error: sample count bits for tau 1e-160: 1067 exceeds limit 63"
 
     def test_oversized_path_model_refused_up_front(self, capsys, tmp_path):
         # C(30, 15) ~ 1.55e8 walks: refused once one step passes the limit
@@ -562,7 +597,7 @@ class TestSamplerLimits:
         assert not line.startswith("error: MemoryError")
 
     def test_long_word_refused_up_front(self, capsys, tmp_path, rng):
-        # (2 + 256) × 100001 entry steps pass 2^24 before the first walk
+        # (2 + 256) × 100001 entry steps pass 2^24 at the first step
         letters = rng.integers(1, 10, size=100_000)
         signs = rng.choice([-1, 1], size=letters.size)
         braid = {"strands": 10, "word": (letters * signs).tolist()}

@@ -26,7 +26,6 @@ from qparam.circuits import (
 from qparam.decision import Verdict
 from qparam.errors import InvalidInputError, ResourceError
 from qparam.estimators import (
-    SAMPLE_LIMIT,
     GapInstance,
     amplify_gap,
     decide_hamming_weight_qcs_exact,
@@ -42,7 +41,7 @@ from qparam.estimators import (
     sample_count,
 )
 from qparam.states import StateVector
-from qparam.weightenum import WeightEnumeration
+from qparam.weightenum import INDEX_BITS, WeightEnumeration
 
 
 class TestRngStream:
@@ -88,13 +87,48 @@ class TestSampleCount:
 
     def test_limit_admits_largest_benchmark_schedule(self):
         # [DERIVED] ceil(2·ln(2000)/1e-4)
-        assert sample_count(0.01, 0.001) == 152019 <= SAMPLE_LIMIT
+        assert sample_count(0.01, 0.001) == 152019 < 2**INDEX_BITS
 
-    @pytest.mark.parametrize("tau, delta", [(1e-5, 0.025), (1e-200, 0.5),
-                                            (0.1, 1e-320)])
+    @pytest.mark.parametrize("tau, delta", [(1e-10, 0.025), (1e-200, 0.5)])
     def test_over_limit_refused(self, tau, delta):
-        with pytest.raises(ResourceError):
+        # ~8.8e20 and ~2.8e399 samples: past the int64 a sampler takes
+        with pytest.raises(ResourceError, match=f"^sample count bits for tau {tau}:"):
             sample_count(tau, delta)
+
+    @pytest.mark.parametrize("tau, delta, count", [
+        (0.1, 1e-320, 147505), (0.5, 1e-320, 5901), (1e-7, 5e-324, 149026643820388236),
+    ], ids=["0.1-1e-320", "0.5-1e-320", "1e-07-5e-324"])
+    def test_subnormal_delta_scheduled(self, tau, delta, count):
+        # [DERIVED] ceil(2·(ln 2 − ln δ)/τ²); 2/δ overflows, ln δ does not
+        assert sample_count(tau, delta) == count
+
+    def test_float_schedule_kept_wherever_it_is_finite(self):
+        # the float quotient of the same schedule, every τ >= 64 taking 1
+        # sample, against the exact one over 132,000 seeded (τ, δ) pairs. Up
+        # to 2^24 samples its error of a few ulps is far below one sample, so
+        # the counts are equal; up to 2^53 they differ by that error and the
+        # ceiling; far past the int64 range the exact count is refused.
+        rng = np.random.default_rng(2024)
+        size = 60_000
+        taus = np.concatenate([10 ** rng.uniform(-3.5, 2.5, 2 * size),
+                               10 ** rng.uniform(-12, -3.5, size // 5)])
+        deltas = np.concatenate([10 ** -rng.uniform(0, 320, size), rng.uniform(0, 1, size),
+                                 10 ** -rng.uniform(0, 320, size // 5)])
+        equal = 0
+        for tau, delta in zip(taus.tolist(), deltas.tolist()):
+            if not 0 < delta < 1:
+                continue
+            count = 2 * math.log(2 / delta) / min(tau, 64.0) ** 2
+            if count <= 2**24:
+                assert sample_count(tau, delta) == math.ceil(count), (tau, delta)
+                equal += 1
+            elif count < 2**53:
+                error = abs(sample_count(tau, delta) - count)
+                assert error <= 1 + count * 2**-50, (tau, delta)
+            elif 2 ** (INDEX_BITS + 1) < count < math.inf:
+                with pytest.raises(ResourceError):
+                    sample_count(tau, delta)
+        assert equal > 100_000
 
 
 class TestSampleAmplitude:
@@ -123,9 +157,9 @@ class TestSampleAmplitude:
         assert sample_amplitude(q, 0.05, 0.01, seed=3).value == value
 
     def test_memory_does_not_grow_with_samples(self):
-        # one count per part, where m draws would hold 8m bytes (121 MB here)
-        tau = delta = 1e-3
-        assert SAMPLE_LIMIT // 2 < sample_count(tau, delta) <= SAMPLE_LIMIT
+        # one count per part, where m draws would hold 8m bytes (1.2 TB here)
+        tau, delta = 1e-5, 1e-3
+        assert sample_count(tau, delta) == 152018049191
         tracemalloc.start()
         try:
             sample_amplitude(0.3 + 0.4j, tau, delta, seed=1)

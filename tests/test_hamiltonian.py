@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -284,6 +285,30 @@ class TestDecide:
             d = decide_weight_k_local_hamiltonian(straddling, 2)
             assert d.verdict is Verdict.YES
             assert d.lambda_min == pytest.approx(lam, abs=1e-8)
+
+    def test_large_entries_keep_the_restriction_hermitian(self, rng):
+        # entries (r, c) and (c, r) sum the same terms in different orders;
+        # at scale 1e6 a sum built in both orders missed the 1e-12 Hermitian
+        # tolerance in about a third of these instances
+        idx = list(WeightEnumeration(6, 3).indices())
+        for _ in range(30):
+            h = random_two_local(rng, 6, num_terms=12)
+            h = replace(h, terms=tuple(replace(t, block=t.block * 1e6) for t in h.terms))
+            restricted = restrict_to_weight(h, 3)
+            assert (restricted != restricted.conj().T).nnz == 0
+            lam = float(np.linalg.eigvalsh(hamiltonian_oracle(h)[np.ix_(idx, idx)])[0])
+            d = decide_weight_k_local_hamiltonian(h, 3)
+            assert d.lambda_min == pytest.approx(lam, rel=1e-9)
+
+    def test_terms_off_hermitian_within_tolerance_sum_to_hermitian(self):
+        # each block is 0.9e-12 off Hermitian, which LocalTerm admits; forty
+        # of them on one pair would put 3.6e-11 between entries (r, c) and (c, r)
+        block = np.zeros((4, 4), dtype=complex)
+        block[1, 2], block[2, 1] = 1.0, 1.0 + 0.9e-12
+        h = LocalHamiltonian(2, 2, -39.0, -38.0, (LocalTerm((0, 1), block),) * 40)
+        d = decide_weight_k_local_hamiltonian(h, 1)
+        assert d.verdict is Verdict.YES
+        assert d.lambda_min == pytest.approx(-40.0, abs=1e-12)
 
     def test_frustration_free_sectors_decide_yes(self, rng):
         # λ_min = 0 exactly: a singular sector whose null space the Lanczos

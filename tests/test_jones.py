@@ -189,7 +189,7 @@ class TestPathModelLimit:
         monkeypatch.setattr(jones, "PATH_MODEL_WORK_LIMIT", 59)
         with pytest.raises(ResourceError):
             PathModel(4, 5, letters=1)
-        # the letter cost alone refuses a long word before the first walk
+        # the letter cost alone refuses a long word at the first step
         monkeypatch.setattr(jones, "PATH_LETTER_ENTRIES", 10)
         monkeypatch.setattr(jones, "PATH_MODEL_WORK_LIMIT", 12 * 101 - 1)
         with pytest.raises(ResourceError):

@@ -40,9 +40,9 @@ BOUNDARIES = {
     "decoded-qubits": (
         circuits, "DECODE_QUBIT_LIMIT", 20,
         lambda: circuits.decode_weight_witness(20, 1, StateVector.basis(5, 0))),
-    # 2·ln(e²)/1² = 4 samples exactly
-    "samples": (
-        estimators, "SAMPLE_LIMIT", 4,
+    # 2·ln(e²)/1² = 4 samples exactly, a 3-bit count
+    "sample-count-bits": (
+        estimators, "INDEX_BITS", 3,
         lambda: estimators.sample_count(1.0, 2 / math.e**2)),
     "exact-gap-path-bits": (
         estimators, "EXACT_GAP_LIMIT", 20,
@@ -66,12 +66,12 @@ BOUNDARIES = {
             reject_verifier(2, 10), 1, 0.1, 0.9)),
     "path-model-strands": (
         jones, "INDEX_BITS", 4, lambda: PathModel(4, 5, closed=True)),
-    # one walk, one column: (2 + 256) × (100 letters + 1), before the first walk
+    # one walk, one column: (2 + 256) × (100 letters + 1), at the first step
     "path-model-work-first": (
         jones, "PATH_MODEL_WORK_LIMIT", 258 * 101,
         lambda: PathModel(2, 5, closed=True, letters=100)),
     # 5 walks × (mask + 5 columns) at the last step: (30 + 256) × 2, past the
-    # 258 × 2 checked before the first walk
+    # 258 × 2 checked at the first step
     "path-model-work-step": (
         jones, "PATH_MODEL_WORK_LIMIT", 286 * 2, lambda: PathModel(4, 5, letters=1)),
     # 1 matching of 8 ends, no crossings
