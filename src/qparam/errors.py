@@ -22,6 +22,6 @@ class ConvergenceError(RuntimeError):
     Carries the best estimate found so far in ``best_estimate``.
     """
 
-    def __init__(self, message: str, best_estimate: float | None = None):
+    def __init__(self, message: str, best_estimate: float):
         super().__init__(message)
         self.best_estimate = best_estimate

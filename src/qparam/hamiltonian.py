@@ -3,7 +3,8 @@
 A Hamiltonian is a sum of Hermitian blocks, each supported on a few qubits.
 The weight-k restriction is one CSR matrix, assembled with vectorised bit
 operations over the C(n, k) fixed-weight basis, one term at a time, without
-ever forming the full 2^n matrix.
+ever forming the full 2^n matrix. The slice decider reads λ_min of that
+matrix from the Lanczos loop of ``linalg.min_eigenvalue``.
 """
 from __future__ import annotations
 

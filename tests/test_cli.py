@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from conftest import random_hermitian
+from qparam import linalg
 from qparam.cli import COMMANDS, build_parser, main
 from qparam.estimators import sample_count
 from qparam.jones import BraidWord, jones_exact
@@ -195,14 +195,18 @@ class TestErrorPaths:
         assert not line.startswith("error: MemoryError")
 
     def test_lanczos_non_convergence_exits_4(self, capsys, tmp_path, monkeypatch):
-        def stall(*args, **kwargs):
-            raise spla.ArpackNoConvergence("stalled", np.array([]), None)
-
-        monkeypatch.setattr(spla, "eigsh", stall)
-        document = {"n": 4, "locality": 1, "a": 0, "b": 1,
-                    "terms": [{"qubits": [0], "matrix": Z_JSON}]}
-        code, _, _ = run_refused(capsys, tmp_path, document, "ham-decide", "--k", "1")
+        # a hopping chain's k = 1 sector is twice the path adjacency, whose
+        # Krylov space never breaks down exactly, so a zero tolerance stalls
+        monkeypatch.setattr(linalg, "LANCZOS_TOL", 0.0)
+        hop = np.zeros((4, 4))
+        hop[1, 2] = hop[2, 1] = 2.0
+        document = {"n": 5, "locality": 2, "a": 0, "b": 1,
+                    "terms": [{"qubits": [i, i + 1], "matrix": matrix_to_json(hop)}
+                              for i in range(4)]}
+        code, _, line = run_refused(capsys, tmp_path, document,
+                                    "ham-decide", "--k", "1")
         assert code == 4
+        assert "did not converge within 50 iterations" in line
 
     @pytest.mark.parametrize("strands", [4000, 2**22 + 2],
                              ids=["float-overflow", "first-matching-over-limit"])

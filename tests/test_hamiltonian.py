@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +313,35 @@ class TestDecide:
         d = decide_weight_k_local_hamiltonian(h, 1)
         assert d.verdict is Verdict.YES
         assert d.lambda_min == pytest.approx(-40.0, abs=1e-12)
+
+    def test_lambda_min_bits_do_not_depend_on_blas_threads(self):
+        # dims 3060 and 15504: OpenBLAS threads its vector dots above 10000
+        # entries, which changes their last bits with the thread count
+        script = (
+            "import numpy as np\n"
+            "from qparam.hamiltonian import LocalHamiltonian, LocalTerm, restrict_to_weight\n"
+            "from qparam.linalg import min_eigenvalue\n"
+            "rng = np.random.default_rng(3060)\n"
+            "for n, k in ((18, 4), (20, 5)):\n"
+            "    terms = []\n"
+            "    for _ in range(n):\n"
+            "        i, j = sorted(int(q) for q in rng.choice(n, size=2, replace=False))\n"
+            "        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))\n"
+            "        terms.append(LocalTerm((i, j), (a + a.conj().T) / 2))\n"
+            "    h = LocalHamiltonian(n, 2, 0.0, 1.0, tuple(terms))\n"
+            "    print(min_eigenvalue(restrict_to_weight(h, k), mode='iterative').hex())\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        bits = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, timeout=120, env=env)
+            assert done.returncode == 0, done.stderr
+            bits.append(done.stdout.split())
+        assert len(bits[0]) == 2
+        assert bits[0] == bits[1]
 
     def test_frustration_free_sectors_decide_yes(self, rng):
         # λ_min = 0 exactly: a singular sector whose null space the Lanczos

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from conftest import random_hermitian
+from qparam import linalg
 from qparam.errors import ConvergenceError, InvalidInputError
 from qparam.linalg import (
     full_spectrum,
@@ -12,6 +12,42 @@ from qparam.linalg import (
     matrix_to_json,
     min_eigenvalue,
 )
+
+
+class CountingCSR(sp.csr_matrix):
+    """A CSR matrix that counts its products with vectors."""
+
+    matvecs = 0
+
+    def __matmul__(self, other):
+        if isinstance(other, np.ndarray) and other.ndim == 1:
+            self.matvecs += 1
+        return super().__matmul__(other)
+
+
+def random_sector(rng, dim: int, kind: str):
+    """A sparse Hermitian matrix of about ``dim`` rows with a chosen low
+    spectrum: random, a degenerate ground state, a cluster of lowest
+    eigenvalues δ apart, or real entries. One random permutation of rows and
+    columns interleaves the blocks."""
+    def block(size):
+        a = sp.random(size, size, density=min(1.0, 4 / size), dtype=complex,
+                      random_state=rng,
+                      data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
+        return (a + a.conj().T) / 2 + sp.diags(rng.normal(size=size))
+    if kind == "random":
+        m = block(dim)
+    elif kind == "real":
+        m = block(dim).real
+    elif kind == "degenerate":
+        m = sp.block_diag([block(dim // 2)] * 2)
+    else:  # clustered
+        delta = 10.0 ** -rng.integers(2, 6)
+        a = block(dim // 3)
+        m = sp.block_diag([a, a + delta * sp.identity(dim // 3),
+                           a + 2 * delta * sp.identity(dim // 3)])
+    perm = rng.permutation(m.shape[0])
+    return sp.csr_matrix(m)[perm][:, perm]
 
 
 class TestMinEigenvalue:
@@ -43,6 +79,31 @@ class TestMinEigenvalue:
             v = rng.normal(size=8) + 1j * rng.normal(size=8)
             quotient = (v.conj() @ m @ v).real / (v.conj() @ v).real
             assert lam <= quotient + 1e-9
+
+    @pytest.mark.parametrize("kind", ["random", "real", "degenerate", "clustered"])
+    def test_iterative_matches_dense_on_sparse_sectors(self, rng, kind):
+        # [DERIVED] dense lowest-eigenvalue oracle; 4 × 30 sectors
+        for _ in range(30):
+            m = random_sector(rng, int(rng.integers(3, 240)), kind)
+            assert min_eigenvalue(m, mode="iterative") == pytest.approx(
+                min_eigenvalue(m, mode="dense"), abs=1e-10
+            )
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_iterative_stops_on_breakdown(self, rng, steps):
+        # c·I has every vector as an eigenvector; B ⊗ I_m has two eigenvalues,
+        # so the Krylov space of any start vector has that many dimensions
+        for _ in range(5):
+            m = int(rng.integers(2, 60))
+            if steps == 1:
+                matrix = rng.normal() * sp.identity(2 * m)
+            else:
+                b = random_hermitian(rng, 2)
+                matrix = sp.kron(b, sp.identity(m))
+            counted = CountingCSR(matrix)
+            lam = min_eigenvalue(counted, mode="iterative")
+            assert counted.matvecs == steps
+            assert lam == pytest.approx(min_eigenvalue(matrix.toarray()), abs=1e-10)
 
     def test_iterative_keeps_an_isolated_zero(self):
         m = np.diag([0.0] + [1.0] * 99)
@@ -84,17 +145,17 @@ class TestMinEigenvalue:
         with pytest.raises(InvalidInputError, match="square"):
             min_eigenvalue(np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("found, best", [([4.5], 0.5), ([], None)],
-                             ids=["estimate", "none"])
-    def test_non_convergence_carries_best_estimate(self, monkeypatch, found, best):
-        # diag(1, 2, 3) is shifted by its largest row sum + 1 = 4
-        def stall(*args, **kwargs):
-            raise spla.ArpackNoConvergence("stalled", np.array(found), None)
-
-        monkeypatch.setattr(spla, "eigsh", stall)
-        with pytest.raises(ConvergenceError) as info:
-            min_eigenvalue(sp.diags([1.0, 2.0, 3.0]), mode="iterative")
-        assert info.value.best_estimate == best
+    def test_non_convergence_carries_best_estimate(self, monkeypatch):
+        # with a zero tolerance only an exact breakdown stops the loop, and the
+        # path adjacency's Krylov space from a generic start never has one
+        monkeypatch.setattr(linalg, "LANCZOS_TOL", 0.0)
+        dim = 20
+        path = sp.diags([np.ones(dim - 1), np.ones(dim - 1)], [-1, 1]).tocsr()
+        with pytest.raises(ConvergenceError, match="within 200 iterations") as info:
+            min_eigenvalue(path, mode="iterative")
+        assert info.value.best_estimate == pytest.approx(
+            2 * np.cos(dim * np.pi / (dim + 1)), abs=1e-10
+        )
 
 
 class TestFullSpectrum:
