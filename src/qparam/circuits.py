@@ -47,7 +47,8 @@ MONOMIAL_GATES = frozenset(
 _DIAGONAL_PHASE = {
     "Z": -1 + 0j, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4), "CZ": -1 + 0j
 }
-# witness columns evolved at once, which bounds the block to 2^total × 64
+# witness columns evolved at once; a block holds only the rows its columns
+# reach, so 2^total × 64 entries is its upper bound
 WITNESS_CHUNK = 64
 # widest state decode_weight_witness expands: 2^20 amplitudes, 16 MiB
 DECODE_QUBIT_LIMIT = 20
@@ -276,15 +277,16 @@ def _compile(
 ) -> Iterator[tuple]:
     """The circuit as steps (source, phase, matrix), generated lazily.
 
-    A step gathers the block's rows by ``source``, scales them by ``phase``
-    (either may be ``None``), then applies its dense ``matrix``, if any, to
-    the top bit positions 0..s-1. Each dense matrix is a run of gates that
+    A step maps basis rows by ``source``, scales them by ``phase`` (either
+    may be ``None``), then applies its dense ``matrix``, if any, to the top
+    bit positions 0..s-1. Each dense matrix is a run of gates that
     :func:`_fuse` fuses. The monomial gates between two runs fold into one
-    index map, so they cost O(2^total) once rather than O(2^total · W) per
-    block. A map holds O(2^total) memory; :func:`simulate` streams the steps
-    and :func:`accept_column_blocks` keeps them all, to reuse per block.
+    index map over all 2^total basis rows, built once in O(2^total) and
+    applied by :func:`_evolve` to only the rows a block reaches. A map holds
+    O(2^total) memory; :func:`simulate` streams the steps and
+    :func:`accept_column_blocks` keeps them all, to reuse per block.
 
-    Between steps the block holds the wires in order. A run whose wires are
+    Between steps the rows hold the wires in order. A run whose wires are
     not already at the top has them moved there, in run order with the other
     wires ascending behind them, by a row permutation that folds into the
     pending map; the next map starts with the inverse permutation, which
@@ -322,21 +324,68 @@ def _compile(
     yield source, phase, None
 
 
-def _evolve(steps: Iterable[tuple], block: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Apply compiled steps to every column of a (rows, W) block.
+def _evolve(
+    steps: Iterable[tuple], rows: np.ndarray, block: np.ndarray, num_qubits: int
+) -> np.ndarray:
+    """Apply compiled steps to every column of a block that is zero outside
+    the sorted basis ``rows``, given as its (len(rows), W) nonzero rows;
+    return the result on all the rows the last step leaves.
+
+    The block is carried on its support only: the sorted rows that some
+    column can reach, every other row being an exact zero in every column.
+    An index map keeps the rows whose source lies in the support, found by
+    an O(2^n) integer rank array with no sort, gathers those sources and
+    scales by the phase. A dense matrix on the top s of n wires mixes rows
+    only within a coset of the low n−s bits, so it widens the support to
+    every row that shares its low bits with a support row. The step's one
+    gather lays the block out on the widened support, coset by coset under
+    each of the 2^s top values, and the matrix is one GEMM on its
+    (2^s, cosets·W) view. Once the support is every row it stays so, and a
+    step is a plain gather, scale and GEMM on the whole block.
 
     The block is scaled in place, so the caller hands over its ownership.
     """
+    size = 2**num_qubits
+    support = rows
     for source, phase, matrix in steps:
-        if source is not None:
-            block = block[source]
-        if phase is not None:
-            # in place: a fresh broadcast product costs several times more
-            block *= phase[:, None]
+        if len(support) == size:
+            if source is not None:
+                block = block[source]
+                size = len(source)
+                support = np.arange(size)
+            if phase is not None:
+                # in place: a fresh broadcast product costs several times more
+                block *= phase[:, None]
+        else:
+            rank = np.full(size, -1)
+            rank[support] = np.arange(len(support))
+            at = rank if source is None else rank[source]
+            size = len(at)
+            support = np.flatnonzero(at >= 0)
+            if matrix is not None:
+                low = size >> (len(matrix).bit_length() - 1)
+                cosets = np.zeros(low, dtype=bool)
+                cosets[support & (low - 1)] = True
+                cosets = np.flatnonzero(cosets)
+                support = (np.arange(0, size, low)[:, None] + cosets).ravel()
+            # one gather also scatters into the widened support: a row that
+            # no source fills reads the last row, and is then zeroed
+            at = at[support]
+            block = block[at]
+            block[at < 0] = 0
+            if phase is not None:
+                block *= phase[support][:, None]
         if matrix is not None:
-            top = tuple(range(len(matrix).bit_length() - 1))
-            block = apply_gate_matrix(block, num_qubits, top, matrix)
-    return block
+            top = len(matrix).bit_length() - 1
+            width = block.shape[1]
+            block = apply_gate_matrix(
+                block.reshape(2**top, -1), top, tuple(range(top)), matrix
+            ).reshape(-1, width)
+    if len(support) == size:
+        return block
+    out = np.zeros((size, block.shape[1]), dtype=complex)
+    out[support] = block
+    return out
 
 
 def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
@@ -347,10 +396,10 @@ def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
             f"{circuit.witness_qubits} witness qubits"
         )
     n = circuit.total_qubits
-    block = np.zeros((2**n, 1), dtype=complex)
     # witness wires are the most significant bits, ancillas trail as |0>
-    block[:: 2**circuit.ancilla_qubits, 0] = input_state.amplitudes
-    return StateVector(n, _evolve(_compile(circuit), block, n)[:, 0])
+    rows = np.arange(2**circuit.witness_qubits) << circuit.ancilla_qubits
+    block = input_state.amplitudes[:, None].copy()
+    return StateVector(n, _evolve(_compile(circuit), rows, block, n)[:, 0])
 
 
 def accept_column_blocks(
@@ -361,31 +410,20 @@ def accept_column_blocks(
 
     The accept rows are the basis indices whose accept qubit reads 1, in
     ascending order; the rows that Π₁ zeroes are left out. The circuit is
-    compiled once, holding one index map per dense step.
+    compiled once, holding one index map per dense step. Each block starts
+    on the distinct rows |w, 0...0⟩ of its columns, so :func:`_evolve`
+    carries only the rows that those columns reach.
     """
     n = circuit.total_qubits
     rows = np.asarray(witness_indices, dtype=np.int64) << circuit.ancilla_qubits
     accept = np.flatnonzero((np.arange(2**n) >> (n - 1 - circuit.accept_qubit)) & 1)
     steps = list(_compile(circuit, accept))
-    # Each block starts past the first index map, which also holds the first
-    # run's gather: basis column w is the one row that the map gathers from
-    # row w, scaled by that row's phase.
-    source, phase, matrix = steps[0]
-    steps[0] = (None, None, matrix)
-    if source is None:
-        source = np.arange(2**n)
-    landing = np.full(2**n, -1)
-    landing[source] = np.arange(len(source))
-    at = landing[rows]
-    # a witness the map drops (at = -1) writes 0 into the last row of its
-    # own column, which is zero anyway
-    value = np.where(at >= 0, 1 if phase is None else phase[at], 0)
     for start in range(0, len(rows), WITNESS_CHUNK):
-        chunk = slice(start, start + WITNESS_CHUNK)
-        width = len(at[chunk])
-        block = np.zeros((len(source), width), dtype=complex)
-        block[at[chunk], np.arange(width)] = value[chunk]
-        yield _evolve(steps, block, n)
+        chunk = rows[start:start + WITNESS_CHUNK]
+        support, row = np.unique(chunk, return_inverse=True)
+        block = np.zeros((len(support), len(chunk)), dtype=complex)
+        block[row, np.arange(len(chunk))] = 1
+        yield _evolve(steps, support, block, n)
 
 
 def accept_light_cone(circuit: QuantumCircuit) -> QuantumCircuit:

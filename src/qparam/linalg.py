@@ -69,6 +69,18 @@ def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x.view(float), y.view(float)))
 
 
+def _max_row_sum(m) -> float:
+    """max_i Σ_j |m_ij|, for a CSR matrix from its stored entries by
+    ``indptr``, with no absolute-valued copy of the matrix."""
+    if not sp.issparse(m):
+        return float(np.abs(m).sum(axis=1).max())
+    # reduceat gives an empty segment the next entry, not 0, so only the rows
+    # that store entries are summed; an empty row's sum is the initial 0
+    starts = m.indptr[:-1][np.diff(m.indptr) > 0]
+    sums = np.add.reduceat(np.abs(m.data[: m.indptr[-1]]), starts)
+    return float(sums.max(initial=0.0))
+
+
 def min_eigenvalue(matrix, mode: str = "dense") -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
@@ -90,7 +102,7 @@ def min_eigenvalue(matrix, mode: str = "dense") -> float:
         dense = m.toarray() if sp.issparse(m) else m
         vals = sla.eigh(dense, eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0])
-    limit = LANCZOS_TOL * (float(abs(m).sum(axis=1).max()) + 1.0)
+    limit = LANCZOS_TOL * (_max_row_sum(m) + 1.0)
     rng = np.random.Generator(np.random.Philox(key=LANCZOS_START_KEY))
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.sqrt(_real_dot(v, v))

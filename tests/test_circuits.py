@@ -230,6 +230,28 @@ ENGINE_CASES = {
         Gate("H", targets=(10,)), _u(rng, 3, 7, 11),
         Gate("CX", controls=(10,), targets=(2,)), Gate("H", targets=(11,)),
     )),
+    # no dense run touches an ancilla, which only copies witness bits, so
+    # the rows a block reaches stay a strict subset of the register's
+    "support-stays-partial": (4, 5, 7, lambda rng: (
+        Gate("H", targets=(1,)), Gate("CX", controls=(1,), targets=(5,)),
+        _u(rng, 3, 0), Gate("TOFFOLI", controls=(0, 3), targets=(7,)),
+        Gate("SWAP", targets=(6, 8)), _u(rng, 2, 1, 3), Gate("T", targets=(7,)),
+        Gate("CX", controls=(2,), targets=(6,)),
+    )),
+    # an H on every wire fills the support mid-circuit; the later steps run
+    # on every row
+    "support-fills-mid-circuit": (3, 4, 5, lambda rng: (
+        Gate("CX", controls=(0,), targets=(4,)),
+        *(Gate("H", targets=(q,)) for q in (6, 2, 4, 0, 5, 1, 3)),
+        Gate("TOFFOLI", controls=(1, 6), targets=(5,)), _u(rng, 5, 2),
+        Gate("S", targets=(3,)), _u(rng, 0, 6, 4),
+    )),
+    # the accept wire is an ancilla that no gate touches, so it reads 0 on
+    # every reachable row and the final keep map leaves none
+    "idle-ancilla-accept": (3, 3, 4, lambda rng: (
+        _u(rng, 0, 2), Gate("CX", controls=(0,), targets=(3,)),
+        Gate("H", targets=(5,)), _u(rng, 3, 1),
+    )),
 }
 
 
@@ -273,11 +295,9 @@ class TestEngineAgainstScatterOracle:
         assert np.allclose(out.amplitudes, evolve_oracle(c, padded)[:, 0],
                            atol=1e-10)
 
-    def test_accept_projected_columns(self, rng, case):
-        c = self._circuit(rng, case)
+    def _assert_columns_match(self, c, witnesses):
         n = c.total_qubits
-        count = min(2**c.witness_qubits, 2 * WITNESS_CHUNK + 3)
-        witnesses = rng.choice(2**c.witness_qubits, size=count, replace=False)
+        count = len(witnesses)
         basis = np.zeros((2**n, count), dtype=complex)
         basis[witnesses << c.ancilla_qubits, np.arange(count)] = 1.0
         reads_one = (np.arange(2**n) >> (n - 1 - c.accept_qubit)) & 1 == 1
@@ -285,26 +305,65 @@ class TestEngineAgainstScatterOracle:
         assert got.shape == (2 ** (n - 1), count)
         assert np.allclose(got, evolve_oracle(c, basis)[reads_one], atol=1e-10)
 
+    def test_accept_projected_columns(self, rng, case):
+        c = self._circuit(rng, case)
+        count = min(2**c.witness_qubits, 2 * WITNESS_CHUNK + 3)
+        witnesses = rng.choice(2**c.witness_qubits, size=count, replace=False)
+        self._assert_columns_match(c, witnesses)
+
+    def test_repeated_witness_indices(self, rng, case):
+        # unsorted, every witness at least twice, blocks of 64 and 6 columns
+        c = self._circuit(rng, case)
+        half = rng.integers(2**c.witness_qubits, size=WITNESS_CHUNK // 2 + 3)
+        self._assert_columns_match(c, rng.permutation(np.concatenate([half, half])))
 
     def test_dense_steps_act_on_the_top_wires(self, rng, case, monkeypatch):
-        # each dense step is one GEMM on wires 0..s-1, where both transposes
-        # of apply_gate_matrix are views
+        # each fused run is one GEMM on the wires 0..s-1 of a (2^s, L·W)
+        # view of the block, where both transposes of apply_gate_matrix are
+        # views
         c = self._circuit(rng, case)
         calls = []
         apply = circuits.apply_gate_matrix
 
         def recording(amplitudes, num_qubits, wires, matrix):
             if sys._getframe(1).f_code is circuits._evolve.__code__:
-                calls.append((num_qubits, tuple(wires)))
+                calls.append((num_qubits, tuple(wires), amplitudes.ndim))
             return apply(amplitudes, num_qubits, wires, matrix)
 
         monkeypatch.setattr(circuits, "apply_gate_matrix", recording)
         simulate(c, StateVector.zero(c.witness_qubits))
         list(accept_column_blocks(c, np.arange(2)))
-        dense = any(g.name not in MONOMIAL_GATES for g in c.gates)
-        assert bool(calls) == dense
-        assert calls == [(c.total_qubits, tuple(range(len(wires))))
-                         for _, wires in calls]
+        runs = [len(step[1]) for step in _fuse(c.gates) if not isinstance(step, Gate)]
+        assert bool(runs) == any(g.name not in MONOMIAL_GATES for g in c.gates)
+        assert calls == [(s, tuple(range(s)), 2) for s in runs] * 2
+
+
+def test_blocks_hold_only_the_rows_their_columns_reach(monkeypatch):
+    # 12 wires, 3 of them witness wires, and one dense gate, an H on witness
+    # wire 1: the 8 witness columns reach at most 2·2^3 basis rows, so no
+    # GEMM may carry all 2^12 of them
+    gates = (
+        Gate("CX", controls=(0,), targets=(5,)), Gate("H", targets=(1,)),
+        Gate("TOFFOLI", controls=(1, 2), targets=(9,)),
+        Gate("SWAP", targets=(5, 11)), Gate("T", targets=(9,)),
+        Gate("CX", controls=(11,), targets=(4,)),
+    )
+    circuit = QuantumCircuit(3, 9, gates, 4)
+    columns, held = 8, []
+    apply = circuits.apply_gate_matrix
+
+    def recording(amplitudes, num_qubits, wires, matrix):
+        if sys._getframe(1).f_code is circuits._evolve.__code__:
+            held.append(amplitudes.size // columns)
+        return apply(amplitudes, num_qubits, wires, matrix)
+
+    monkeypatch.setattr(circuits, "apply_gate_matrix", recording)
+    got = accept_projected_columns(circuit, np.arange(columns))
+    assert len(held) == 1 and held[0] <= 2 * 2**3
+    reads_one = (np.arange(2**12) >> (12 - 1 - 4)) & 1 == 1
+    basis = np.zeros((2**12, columns), dtype=complex)
+    basis[np.arange(columns) << 9, np.arange(columns)] = 1.0
+    assert np.allclose(got, evolve_oracle(circuit, basis)[reads_one], atol=1e-12)
 
 
 class TestAcceptance:

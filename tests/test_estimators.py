@@ -676,5 +676,5 @@ class TestAcceptLightCone:
         assert applied == []
         accept_projected_columns(circuit, np.arange(4))
         # the three fuse past the CX into one matrix on wire 0, built on a
-        # 1-wire register and then applied once to the 3-wire block
-        assert applied == [(1, (0,))] * 3 + [(3, (0,))]
+        # 1-wire register and then applied once to the block's (2, L·W) view
+        assert applied == [(1, (0,))] * 4

@@ -133,6 +133,17 @@ class TestMinEigenvalue:
         values = {min_eigenvalue(m, mode="iterative").hex() for _ in range(4)}
         assert len(values) == 1
 
+    @pytest.mark.parametrize("empty", [(), (0,), (3,), (7,), (0, 1, 4, 6, 7),
+                                       tuple(range(8))])
+    def test_row_sum_scale_reads_empty_rows_as_zero(self, rng, empty):
+        # [DERIVED] dense row sums; rows without stored entries first, in the
+        # middle, last and everywhere
+        dense = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        dense[list(empty)] = 0
+        expected = np.abs(dense).sum(axis=1).max()
+        assert linalg._max_row_sum(sp.csr_matrix(dense)) == pytest.approx(expected)
+        assert linalg._max_row_sum(dense) == pytest.approx(expected)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidInputError):
             min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
