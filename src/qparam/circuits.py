@@ -47,8 +47,8 @@ MONOMIAL_GATES = frozenset(
 _DIAGONAL_PHASE = {
     "Z": -1 + 0j, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4), "CZ": -1 + 0j
 }
-# witness columns evolved at once; a block holds only the rows its columns
-# reach, so 2^total × 64 entries is its upper bound
+# witness columns evolved at once; a block holds only the basis rows its
+# columns reach, so 2^total × 64 entries is its upper bound
 WITNESS_CHUNK = 64
 # widest state decode_weight_witness expands: 2^20 amplitudes, 16 MiB
 DECODE_QUBIT_LIMIT = 20
@@ -196,30 +196,28 @@ def apply_gate_matrix(
     return np.transpose(moved, np.argsort(order)).reshape(shape)
 
 
-def _monomial_map(gate: Gate, index: np.ndarray, num_qubits: int):
-    """A monomial gate as (source, phase) over all basis indices.
-
-    The gate maps amplitudes as out[i] = phase[i] · in[source[i]]; ``None``
-    stands for the identity source or a unit phase.
-    """
+def _relabel(gate: Gate, rows: np.ndarray, num_qubits: int):
+    """A monomial gate pushed through the basis labels ``rows``: their new
+    labels and the phase each row picks up (``None`` for a unit phase)."""
     def bit(wire):
         return 1 << (num_qubits - 1 - wire)
 
     if gate.name in _DIAGONAL_PHASE:
         # the phase applies where every wire of the gate reads 1
         mask = sum(bit(w) for w in gate.wires)
-        return None, np.where((index & mask) == mask, _DIAGONAL_PHASE[gate.name], 1)
+        return rows, np.where((rows & mask) == mask, _DIAGONAL_PHASE[gate.name], 1)
     if gate.name == "SWAP":
         a, b = (bit(w) for w in gate.targets)
-        differ = ((index & a) == 0) != ((index & b) == 0)
-        return np.where(differ, index ^ (a | b), index), None
+        differ = ((rows & a) == 0) != ((rows & b) == 0)
+        return rows ^ differ * (a | b), None
     # X, Y, CX, TOFFOLI flip the target where every control reads 1
     target = bit(gate.targets[0])
     controls = sum(bit(w) for w in gate.controls)
-    source = np.where((index & controls) == controls, index ^ target, index)
+    flipped = rows ^ ((rows & controls) == controls) * target
     if gate.name == "Y":
-        return source, np.where((index & target) != 0, 1j, -1j)
-    return source, None
+        # Y|0⟩ = i|1⟩ and Y|1⟩ = −i|0⟩: the phase reads the source bit
+        return flipped, np.where((rows & target) != 0, -1j, 1j)
+    return flipped, None
 
 
 def _fuse(gates: Iterable[Gate]) -> Iterator[Gate | tuple[list[Gate], list[int]]]:
@@ -272,120 +270,63 @@ def _run_matrix(run: list[Gate], wires: list[int]) -> np.ndarray:
     return matrix
 
 
-def _compile(
-    circuit: QuantumCircuit, keep: np.ndarray | None = None
-) -> Iterator[tuple]:
-    """The circuit as steps (source, phase, matrix), generated lazily.
-
-    A step maps basis rows by ``source``, scales them by ``phase`` (either
-    may be ``None``), then applies its dense ``matrix``, if any, to the top
-    bit positions 0..s-1. Each dense matrix is a run of gates that
-    :func:`_fuse` fuses. The monomial gates between two runs fold into one
-    index map over all 2^total basis rows, built once in O(2^total) and
-    applied by :func:`_evolve` to only the rows a block reaches. A map holds
-    O(2^total) memory; :func:`simulate` streams the steps and
-    :func:`accept_column_blocks` keeps them all, to reuse per block.
-
-    Between steps the rows hold the wires in order. A run whose wires are
-    not already at the top has them moved there, in run order with the other
-    wires ascending behind them, by a row permutation that folds into the
-    pending map; the next map starts with the inverse permutation, which
-    puts the wires back. The last step keeps only the rows ``keep`` (all
-    rows when ``None``).
-    """
-    n = circuit.total_qubits
-    index = np.arange(2**n)
-    axes = index.reshape([2] * n)
-    source = phase = None
-
-    def fold(g_source, g_phase):
-        nonlocal source, phase
-        if g_source is not None:
-            source = g_source if source is None else source[g_source]
-            phase = None if phase is None else phase[g_source]
-        if g_phase is not None:
-            phase = g_phase if phase is None else g_phase * phase
-
+def _steps(
+    circuit: QuantumCircuit,
+) -> Iterator[Gate | tuple[list[int], np.ndarray]]:
+    """The circuit in :func:`_fuse` order: monomial gates, and each fused run
+    as (wires, matrix)."""
     for step in _fuse(circuit.gates):
-        if isinstance(step, Gate):
-            fold(*_monomial_map(step, index, n))
-            continue
-        run, wires = step
-        order = wires + [w for w in range(n) if w not in wires]
-        moved = order != list(range(n))
-        if moved:
-            fold(axes.transpose(order).ravel(), None)
-        yield source, phase, _run_matrix(run, wires)
-        source = phase = None
-        if moved:
-            fold(axes.transpose(np.argsort(order)).ravel(), None)
-    if keep is not None:
-        fold(keep, None)
-    yield source, phase, None
+        yield step if isinstance(step, Gate) else (step[1], _run_matrix(*step))
 
 
 def _evolve(
-    steps: Iterable[tuple], rows: np.ndarray, block: np.ndarray, num_qubits: int
-) -> np.ndarray:
-    """Apply compiled steps to every column of a block that is zero outside
-    the sorted basis ``rows``, given as its (len(rows), W) nonzero rows;
-    return the result on all the rows the last step leaves.
+    steps: Iterable, rows: np.ndarray, block: np.ndarray, num_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply :func:`_steps` to a block whose rows are the distinct basis
+    labels ``rows``, every other basis row being an exact zero in every
+    column; return the new (rows, block).
 
-    The block is carried on its support only: the sorted rows that some
-    column can reach, every other row being an exact zero in every column.
-    An index map keeps the rows whose source lies in the support, found by
-    an O(2^n) integer rank array with no sort, gathers those sources and
-    scales by the phase. A dense matrix on the top s of n wires mixes rows
-    only within a coset of the low n−s bits, so it widens the support to
-    every row that shares its low bits with a support row. The step's one
-    gather lays the block out on the widened support, coset by coset under
-    each of the 2^s top values, and the matrix is one GEMM on its
-    (2^s, cosets·W) view. Once the support is every row it stays so, and a
-    step is a plain gather, scale and GEMM on the whole block.
+    A monomial gate only relabels the rows and multiplies a pending phase,
+    which the next run, or the end, scales the block by. A run on s wires
+    mixes rows only within a coset: the labels that agree on every bit off
+    its wires. Its one gather lays the block out as (2^s, cosets, W), the
+    run's local index first, then the cosets ascending, and the run is one
+    GEMM on the (2^s, cosets·W) view. So a block holds only the cosets its
+    columns reach, and never more than 2^n rows.
 
     The block is scaled in place, so the caller hands over its ownership.
     """
-    size = 2**num_qubits
-    support = rows
-    for source, phase, matrix in steps:
-        if len(support) == size:
-            if source is not None:
-                block = block[source]
-                size = len(source)
-                support = np.arange(size)
-            if phase is not None:
-                # in place: a fresh broadcast product costs several times more
-                block *= phase[:, None]
-        else:
-            rank = np.full(size, -1)
-            rank[support] = np.arange(len(support))
-            at = rank if source is None else rank[source]
-            size = len(at)
-            support = np.flatnonzero(at >= 0)
-            if matrix is not None:
-                low = size >> (len(matrix).bit_length() - 1)
-                cosets = np.zeros(low, dtype=bool)
-                cosets[support & (low - 1)] = True
-                cosets = np.flatnonzero(cosets)
-                support = (np.arange(0, size, low)[:, None] + cosets).ravel()
-            # one gather also scatters into the widened support: a row that
-            # no source fills reads the last row, and is then zeroed
-            at = at[support]
-            block = block[at]
-            block[at < 0] = 0
-            if phase is not None:
-                block *= phase[support][:, None]
-        if matrix is not None:
-            top = len(matrix).bit_length() - 1
-            width = block.shape[1]
-            block = apply_gate_matrix(
-                block.reshape(2**top, -1), top, tuple(range(top)), matrix
-            ).reshape(-1, width)
-    if len(support) == size:
-        return block
-    out = np.zeros((size, block.shape[1]), dtype=complex)
-    out[support] = block
-    return out
+    phase = None
+    for step in steps:
+        if isinstance(step, Gate):
+            rows, g_phase = _relabel(step, rows, num_qubits)
+            if g_phase is not None:
+                phase = g_phase if phase is None else g_phase * phase
+            continue
+        if phase is not None:
+            # in place: a fresh broadcast product costs several times more
+            block *= phase[:, None]
+            phase = None
+        wires, matrix = step
+        bits = [1 << (num_qubits - 1 - w) for w in wires]
+        cosets, coset = np.unique(rows & ~sum(bits), return_inverse=True)
+        spread, local = np.zeros(1, dtype=np.int64), 0
+        for b in bits:
+            spread = (spread[:, None] | [0, b]).ravel()
+            local = 2 * local + ((rows & b) != 0)
+        # a label that no row fills reads the last row, and is then zeroed
+        at = np.full(len(spread) * len(cosets), -1)
+        at[local * len(cosets) + coset] = np.arange(len(rows))
+        block = block[at]
+        block[at < 0] = 0
+        rows = (spread[:, None] | cosets).ravel()
+        width = block.shape[1]
+        block = apply_gate_matrix(
+            block.reshape(len(spread), -1), len(bits), tuple(range(len(bits))), matrix
+        ).reshape(-1, width)
+    if phase is not None:
+        block *= phase[:, None]
+    return rows, block
 
 
 def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
@@ -399,7 +340,10 @@ def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
     # witness wires are the most significant bits, ancillas trail as |0>
     rows = np.arange(2**circuit.witness_qubits) << circuit.ancilla_qubits
     block = input_state.amplitudes[:, None].copy()
-    return StateVector(n, _evolve(_compile(circuit), rows, block, n)[:, 0])
+    rows, block = _evolve(_steps(circuit), rows, block, n)
+    out = np.zeros(2**n, dtype=complex)
+    out[rows] = block[:, 0]
+    return StateVector(n, out)
 
 
 def accept_column_blocks(
@@ -409,21 +353,27 @@ def accept_column_blocks(
     (2^(total-1), ≤ ``WITNESS_CHUNK``) blocks of columns in the order of w.
 
     The accept rows are the basis indices whose accept qubit reads 1, in
-    ascending order; the rows that Π₁ zeroes are left out. The circuit is
-    compiled once, holding one index map per dense step. Each block starts
-    on the distinct rows |w, 0...0⟩ of its columns, so :func:`_evolve`
-    carries only the rows that those columns reach.
+    ascending order; the rows that Π₁ zeroes are left out. The run matrices
+    are built once. Each block starts on the distinct rows |w, 0...0⟩ of its
+    columns, so :func:`_evolve` carries only the rows that those columns
+    reach; the labels whose accept bit reads 1, with that bit dropped, are
+    their places among the accept rows.
     """
     n = circuit.total_qubits
+    low = n - 1 - circuit.accept_qubit
     rows = np.asarray(witness_indices, dtype=np.int64) << circuit.ancilla_qubits
-    accept = np.flatnonzero((np.arange(2**n) >> (n - 1 - circuit.accept_qubit)) & 1)
-    steps = list(_compile(circuit, accept))
+    steps = list(_steps(circuit))
     for start in range(0, len(rows), WITNESS_CHUNK):
         chunk = rows[start:start + WITNESS_CHUNK]
-        support, row = np.unique(chunk, return_inverse=True)
-        block = np.zeros((len(support), len(chunk)), dtype=complex)
+        labels, row = np.unique(chunk, return_inverse=True)
+        block = np.zeros((len(labels), len(chunk)), dtype=complex)
         block[row, np.arange(len(chunk))] = 1
-        yield _evolve(steps, support, block, n)
+        labels, block = _evolve(steps, labels, block, n)
+        kept = (labels >> low) & 1 == 1
+        accept = labels[kept]
+        out = np.zeros((2 ** (n - 1), len(chunk)), dtype=complex)
+        out[accept >> (low + 1) << low | accept & ((1 << low) - 1)] = block[kept]
+        yield out
 
 
 def accept_light_cone(circuit: QuantumCircuit) -> QuantumCircuit:

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,8 +180,8 @@ def _u(rng, *wires):
 
 
 # (witness, ancilla, accept, gates(rng)): runs on wires in every order and
-# place, whose gathers to the top wires and back the engine folds into its
-# index maps, on either side of the witness/ancilla split
+# place, each of which the engine gathers into its (2^s, cosets, W) layout,
+# on either side of the witness/ancilla split
 ENGINE_CASES = {
     "descending-nonadjacent": (9, 3, 4, lambda rng: (
         Gate("H", targets=(0,)), Gate("CX", controls=(0,), targets=(7,)),
@@ -224,8 +225,8 @@ ENGINE_CASES = {
         Gate("Y", targets=(2,)), _u(rng, 1), Gate("H", targets=(3,)),
         _u(rng, 4, 0, 3, 1), Gate("H", targets=(0,)),
     )),
-    # the first run is one H deep in the register with no index map before
-    # it; the UNITARY cannot join it, so it is a second run
+    # the first run is one H deep in the register with no monomial gate
+    # before it; the UNITARY cannot join it, so it is a second run
     "deep-one-wire-run-first": (8, 4, 11, lambda rng: (
         Gate("H", targets=(10,)), _u(rng, 3, 7, 11),
         Gate("CX", controls=(10,), targets=(2,)), Gate("H", targets=(11,)),
@@ -247,7 +248,7 @@ ENGINE_CASES = {
         Gate("S", targets=(3,)), _u(rng, 0, 6, 4),
     )),
     # the accept wire is an ancilla that no gate touches, so it reads 0 on
-    # every reachable row and the final keep map leaves none
+    # every reachable row and no label is kept as an accept row
     "idle-ancilla-accept": (3, 3, 4, lambda rng: (
         _u(rng, 0, 2), Gate("CX", controls=(0,), targets=(3,)),
         Gate("H", targets=(5,)), _u(rng, 3, 1),
@@ -365,6 +366,29 @@ def test_blocks_hold_only_the_rows_their_columns_reach(monkeypatch):
     basis[np.arange(columns) << 9, np.arange(columns)] = 1.0
     assert np.allclose(got, evolve_oracle(circuit, basis)[reads_one], atol=1e-12)
 
+
+def test_wide_register_costs_the_rows_reached_not_2_to_the_n():
+    # 20 wires, 2 of them witness wires: an H on each witness wire, a CX
+    # chain q→q+1, and after every even q an H on q+1 and a T on q. The
+    # one column reaches 2^11 basis rows and its block holds 2^16 labels
+    # (1 MiB), beside the 8 MiB of accept rows it returns; no map over all
+    # 2^20 basis rows may be built on the way
+    gates = [Gate("H", targets=(0,)), Gate("H", targets=(1,))]
+    for q in range(1, 19):
+        gates.append(Gate("CX", controls=(q,), targets=(q + 1,)))
+        if q % 2 == 0:
+            gates += [Gate("H", targets=(q + 1,)), Gate("T", targets=(q,))]
+    circuit = QuantumCircuit(2, 18, tuple(gates), 19)
+    tracemalloc.start()
+    try:
+        (block,) = accept_column_blocks(circuit, np.array([0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (2**19, 1)
+    # the last CX copies wire 18, which an H left uniform, into the accept wire
+    assert np.sum(np.abs(block) ** 2) == pytest.approx(0.5, abs=1e-12)
+    assert peak < 32 * 2**20
 
 class TestAcceptance:
     def test_x_on_accept(self):
