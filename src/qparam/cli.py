@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import secrets
 import sys
@@ -69,8 +70,15 @@ def _emit(command: str, config: dict, result: dict) -> None:
 
 
 def _document(args) -> dict:
-    """The JSON object in the ``--input`` file."""
+    """The JSON object in the ``--input`` file.
+
+    The cyclic garbage collector is paused while the file is parsed: the
+    tree holds no cycles, yet its many small lists (a 256×256 matrix is
+    65 536 ``[re, im]`` pairs) set off collections that traverse all of it.
+    """
     path = args.input
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -78,6 +86,9 @@ def _document(args) -> dict:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(data, dict):
         raise InvalidInputError(f"{path} must hold a JSON object")
     return data

@@ -2,13 +2,15 @@
 
 A Hamiltonian is a sum of Hermitian blocks, each supported on a few qubits.
 The weight-k restriction is one CSR matrix, assembled with vectorised bit
-operations over the C(n, k) fixed-weight basis, one term at a time, without
-ever forming the full 2^n matrix. The slice decider reads λ_min of that
-matrix from the Lanczos loop of ``linalg.min_eigenvalue``.
+operations over the C(n, k) fixed-weight basis, one pass for all the terms
+of each support size, without ever forming the full 2^n matrix. The slice
+decider reads λ_min of that matrix from the Lanczos loop of
+``linalg.min_eigenvalue``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,25 +90,22 @@ class LocalHamiltonian:
             raise InvalidInputError(f"malformed Hamiltonian JSON: {exc}") from exc
 
 
-def _spread_bits(n: int, qubits: tuple[int, ...], local: int) -> int:
-    """The n-qubit basis index holding ``local`` on ``qubits`` (first qubit =
-    local MSB) and 0 elsewhere."""
-    s = len(qubits)
-    return sum(((local >> (s - 1 - pos)) & 1) << (n - 1 - q)
-               for pos, q in enumerate(qubits))
-
-
 def restrict_to_weight(h: LocalHamiltonian, k: int):
     """The Hamiltonian compressed to the weight-k sector, indexed by rank.
 
-    Each term acts on the whole sector at once. Its local index is read from
-    every basis state with shifts and masks. For each local input pattern and
-    each nonzero block entry with an output pattern of the same weight (any
-    other output leaves the sector), the states holding that input have the
-    differing term bits flipped and are ranked by binary search in the
-    increasing basis. Each block gives its strict upper triangle and half its
-    diagonal's real part; the triples of all terms sum into one COO matrix U,
-    and U + Uᴴ is exactly Hermitian: (r, c) and (c, r) add the same two floats.
+    The terms are taken in groups of one support size s, each group in one
+    vectorised pass over the sector. The bits of every basis state at each
+    qubit give a (terms, states) array of local indices (first qubit = local
+    MSB). The block diagonals, gathered at those indices and summed over the
+    terms, give the real diagonal. For each pair ix < iy of local patterns of
+    the same weight (any other pair leaves the sector), the states holding ix
+    under a term whose block entry (ix, iy) is nonzero have the differing
+    term bits flipped and are ranked by binary search in the increasing
+    basis; they are the strict upper triangle, since flipping ix up to iy
+    raises the index. The upper entries are summed once, and the CSR matrix
+    holds each sum S at (r, c), conj(S) at (c, r) and the diagonal, so it is
+    Hermitian bit for bit however many terms share an entry. Entries that
+    sum to zero are not stored.
 
     Returns a CSR matrix. Raises ``ResourceError`` before allocating anything
     when the basis plus the candidate entries, C(n, k) * (1 + sum of
@@ -117,29 +116,46 @@ def restrict_to_weight(h: LocalHamiltonian, k: int):
     size = dim * (1 + sum(2 ** len(term.qubits) for term in h.terms))
     require_within(size, RESTRICT_ENTRY_LIMIT, f"weight-{k} restriction entries")
     basis = enum.indices()
+    diag = np.zeros(dim)
     rows = [np.empty(0, dtype=np.intp)]
     cols = [np.empty(0, dtype=np.intp)]
     vals = [np.empty(0, dtype=complex)]
+    groups: dict[int, list[LocalTerm]] = {}
     for term in h.terms:
-        local = np.zeros(dim, dtype=np.int64)
-        for q in term.qubits:  # first qubit = local MSB
-            local = (local << 1) | ((basis >> (h.n - 1 - q)) & 1)
-        upper = np.triu(term.block, 1) + np.diag(term.block.diagonal().real / 2)
-        for ix, iy in np.argwhere(upper).tolist():
+        groups.setdefault(len(term.qubits), []).append(term)
+    for s, terms in groups.items():
+        qubits = np.array([t.qubits for t in terms], dtype=np.int64)
+        shifts = h.n - 1 - qubits.reshape(len(terms), s)  # bit of each support qubit
+        blocks = np.stack([t.block for t in terms])
+        local = np.zeros((len(terms), dim), dtype=np.int64)
+        for pos in range(s):  # first qubit = local MSB
+            local <<= 1
+            local |= (basis >> shifts[:, pos, None]) & 1
+        diag += np.take_along_axis(
+            blocks.diagonal(axis1=1, axis2=2).real, local, axis=1).sum(axis=0)
+        for ix, iy in combinations(range(2**s), 2):
             if ix.bit_count() != iy.bit_count():  # weight changed, outside the sector
                 continue
-            states = np.flatnonzero(local == ix)
-            flip = _spread_bits(h.n, term.qubits, ix ^ iy)
+            (sel,) = np.nonzero(blocks[:, ix, iy])
+            t, states = np.nonzero(local[sel] == ix)
+            pattern = ((ix ^ iy) >> np.arange(s - 1, -1, -1)) & 1
+            flip = (pattern << shifts[sel]).sum(axis=1)
             rows.append(states)
-            cols.append(
-                np.searchsorted(basis, basis[states] ^ flip) if flip else states
-            )
-            vals.append(np.full(len(states), upper[ix, iy]))
-    half = sp.csr_matrix(
+            cols.append(np.searchsorted(basis, basis[states] ^ flip[t]))
+            vals.append(blocks[sel, ix, iy][t])
+    upper = sp.csr_matrix(  # sums the entries that terms share
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim), dtype=complex,
+        shape=(dim, dim),
+    ).tocoo()
+    ranks = np.arange(dim)
+    out = sp.csr_matrix(
+        (np.concatenate([upper.data, upper.data.conj(), diag]),
+         (np.concatenate([upper.row, upper.col, ranks]),
+          np.concatenate([upper.col, upper.row, ranks]))),
+        shape=(dim, dim),
     )
-    return half + half.conj().T
+    out.eliminate_zeros()
+    return out
 
 
 def expectation_value(h: LocalHamiltonian, state: StateVector) -> float:

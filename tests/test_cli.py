@@ -1,4 +1,5 @@
 import cmath
+import gc
 import json
 import math
 import os
@@ -139,6 +140,26 @@ class TestErrorPaths:
         path.write_text("{not json")
         code, _ = run(capsys, "ham-decide", "--input", str(path), "--k", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("caller_collects", [True, False],
+                             ids=["gc-enabled", "gc-disabled"])
+    def test_parse_leaves_the_collector_as_found(self, capsys, tmp_path,
+                                                 sum_z_file, caller_collects):
+        # the collector is paused while the input is parsed, and a parse
+        # that raises must restore it too
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if caller_collects else gc.disable()
+            code, _ = run(capsys, "ham-decide", "--input", sum_z_file, "--k", "1")
+            assert code == 0
+            assert gc.isenabled() is caller_collects
+            code, _ = run(capsys, "ham-decide", "--input", str(bad), "--k", "1")
+            assert code == 3
+            assert gc.isenabled() is caller_collects
+        finally:
+            gc.enable() if was_enabled else gc.disable()
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 3

@@ -223,6 +223,59 @@ class TestRestrictToWeight:
         # the basis plus four candidate entries per state and term
         assert comb(40, 4) * (1 + 60 * 4) <= RESTRICT_ENTRY_LIMIT
 
+    def test_mixed_supports_sharing_a_pair_stay_hermitian(self, rng):
+        # [DERIVED] brute-force submatrix of the full assembly. A 0-local
+        # (1×1) term, 1-, 2- and 3-local terms, three terms on the pair (1, 4)
+        # and a 3-local term over it, all at scale 1e6: the shared entries
+        # must sum to S at (r, c) and conj(S) at (c, r)
+        supports = [(), (2,), (0,), (1, 4), (1, 4), (1, 4), (0, 3),
+                    (1, 2, 4), (0, 3, 5)]
+        terms = tuple(LocalTerm(q, random_hermitian(rng, 2 ** len(q)) * 1e6)
+                      for q in supports)
+        h = LocalHamiltonian(7, 3, 0.0, 1.0, terms)
+        idx = list(WeightEnumeration(7, 3).indices())
+        restricted = restrict_to_weight(h, 3)
+        assert (restricted != restricted.conj().T).nnz == 0
+        sub = hamiltonian_oracle(h)[np.ix_(idx, idx)]
+        assert np.allclose(restricted.toarray(), sub, rtol=0, atol=1e-6)
+
+    def test_entries_that_sum_to_zero_are_not_stored(self):
+        # at weight 2 the four Z terms cancel on every state
+        assert restrict_to_weight(sum_z(4), 2).nnz == 0
+
+    def test_no_terms_give_the_zero_matrix(self):
+        restricted = restrict_to_weight(LocalHamiltonian(6, 2, 0.0, 1.0, ()), 2)
+        assert sp.isspmatrix_csr(restricted)
+        assert restricted.shape == (comb(6, 2), comb(6, 2))
+        assert restricted.nnz == 0
+
+    def test_admitted_boundary_peaks_under_320_mib(self):
+        # the boundary of the test above: C(40, 4) = 91390 states and about
+        # 1.1 million stored entries. The child reports its own peak RSS,
+        # VmHWM in KiB, as in test_widest_qmak_peaks_under_128_mib
+        script = (
+            "import re\n"
+            "import numpy as np\n"
+            "from qparam.hamiltonian import LocalHamiltonian, LocalTerm, restrict_to_weight\n"
+            "rng = np.random.default_rng(40)\n"
+            "terms = []\n"
+            "for _ in range(60):\n"
+            "    i, j = sorted(int(q) for q in rng.choice(40, size=2, replace=False))\n"
+            "    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))\n"
+            "    terms.append(LocalTerm((i, j), (a + a.conj().T) / 2))\n"
+            "r = restrict_to_weight(LocalHamiltonian(40, 2, 0.0, 1.0, tuple(terms)), 4)\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(r.shape[0], r.nnz, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        dim, nnz, peak_kib = map(int, done.stdout.split())
+        assert dim == comb(40, 4)
+        assert nnz > 10**6
+        assert peak_kib < 320 * 1024
+
 
 class TestExpectationValue:
     def test_z_on_zero_state(self):
