@@ -220,63 +220,48 @@ def _relabel(gate: Gate, rows: np.ndarray, num_qubits: int):
     return flipped, None
 
 
-def _fuse(gates: Iterable[Gate]) -> Iterator[Gate | tuple[list[Gate], list[int]]]:
-    """The gates in an equivalent order: monomial gates one at a time and
-    dense gates in fused runs (members, wires), the run's wires in the order
-    its members first touch them.
-
-    A run opens at a dense gate. A later monomial gate that touches none of
-    the run's wires commutes with it, so it is held back until the run
-    closes; its wires are then barred from the run, so that no gate it
-    precedes moves ahead of it. Any other gate joins the run if its wires
-    fit with the run's on three wires and miss the barred ones, and closes
-    the run if not. A dense gate on more than three wires is a run of its
-    own. Three, since a product with an 8×8 matrix costs about one pass over
-    a 2^12 × 64 block, like a 2×2 one.
-    """
-    run, wires, held, barred = None, [], [], set()
-    for gate in gates:
-        if run is not None:
-            if gate.name in MONOMIAL_GATES and set(wires).isdisjoint(gate.wires):
-                held.append(gate)
-                barred.update(gate.wires)
-                continue
-            wider = wires + [w for w in gate.wires if w not in wires]
-            if len(wider) <= 3 and barred.isdisjoint(gate.wires):
-                run.append(gate)
-                wires = wider
-                continue
-            yield run, wires
-            yield from held
-            run, held, barred = None, [], set()
-        if gate.name in MONOMIAL_GATES:
-            yield gate
-        else:
-            run, wires = [gate], list(gate.wires)
-    if run is not None:
-        yield run, wires
-        yield from held
-
-
-def _run_matrix(run: list[Gate], wires: list[int]) -> np.ndarray:
-    """The product of a fused run's gates on its wires, the first wire the
-    most significant bit."""
-    if len(run) == 1:
-        return run[0].local_matrix()
-    matrix = np.eye(2 ** len(wires), dtype=complex)
-    for gate in run:
-        at = tuple(wires.index(w) for w in gate.wires)
-        matrix = apply_gate_matrix(matrix, len(wires), at, gate.local_matrix())
-    return matrix
-
-
 def _steps(
     circuit: QuantumCircuit,
 ) -> Iterator[Gate | tuple[list[int], np.ndarray]]:
-    """The circuit in :func:`_fuse` order: monomial gates, and each fused run
-    as (wires, matrix)."""
-    for step in _fuse(circuit.gates):
-        yield step if isinstance(step, Gate) else (step[1], _run_matrix(*step))
+    """The circuit's gates in an equivalent order, in one pass: monomial
+    gates one at a time and dense gates in fused runs (wires, matrix), the
+    run's wires in the order its members first touch them, the first wire
+    the most significant bit of the matrix.
+
+    A run opens at a dense gate. A later monomial gate that touches none of
+    the run's wires commutes with every member so far, so it goes out ahead
+    of the run at once. A monomial gate on the run's wires only, or a dense
+    gate that keeps the run within three wires, joins the run and is
+    multiplied into its matrix as it arrives, new wires as the low bits.
+    Any other gate closes the run. A monomial gate never widens a run: it
+    only relabels rows, while a run on s wires fills all 2^s patterns of
+    every coset it meets. A dense gate on more than three wires is a run of
+    its own. Three, since a product with an 8×8 matrix costs about one pass
+    over a 2^12 × 64 block, like a 2×2 one.
+    """
+    wires, matrix = [], None
+    for gate in circuit.gates:
+        monomial = gate.name in MONOMIAL_GATES
+        if matrix is not None:
+            if monomial and set(wires).isdisjoint(gate.wires):
+                yield gate
+                continue
+            new = [w for w in gate.wires if w not in wires]
+            if len(wires) + len(new) <= 3 and not (monomial and new):
+                if new:
+                    wires += new
+                    matrix = np.kron(matrix, np.eye(2 ** len(new)))
+                at = tuple(wires.index(w) for w in gate.wires)
+                matrix = apply_gate_matrix(matrix, len(wires), at, gate.local_matrix())
+                continue
+            yield wires, matrix
+            matrix = None
+        if monomial:
+            yield gate
+        else:
+            wires, matrix = list(gate.wires), gate.local_matrix()
+    if matrix is not None:
+        yield wires, matrix
 
 
 def _evolve(

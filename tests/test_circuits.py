@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from qparam.circuits import (
     prepare_classical_weight_state,
     project_weight_k,
     simulate,
-    _fuse,
+    _steps,
 )
 from qparam.errors import InvalidInputError
 from qparam.states import StateVector
@@ -210,8 +211,9 @@ ENGINE_CASES = {
         _u(rng, 0, 6), Gate("CX", controls=(6,), targets=(5,)), _u(rng, 5, 2),
         Gate("H", targets=(5,)), _u(rng, 3, 1, 4),
     )),
-    # the CX and T are held past the run on wire 4, which then takes the
-    # UNITARY and H; the H on barred wire 1 must wait for the CX
+    # the CX and T go out ahead of the run opened on wire 4, which then
+    # takes every later gate on wires 4, 0 and 1; the H on wire 1 joins it
+    # behind the CX, which touched wire 1 before it
     "fused-past-held-gates": (4, 2, 1, lambda rng: (
         Gate("H", targets=(4,)), Gate("CX", controls=(1,), targets=(2,)),
         Gate("T", targets=(2,)), _u(rng, 0, 4), Gate("H", targets=(0,)),
@@ -256,27 +258,76 @@ ENGINE_CASES = {
 }
 
 
-class TestFuse:
-    def test_runs_hold_commuting_gates_and_stop_at_barred_wires(self, rng):
+def _shape(gates):
+    """The steps of an 8-wire circuit of the gates: each monomial gate as
+    itself and each run as its wire list."""
+    circuit = QuantumCircuit(8, 0, gates, 0)
+    return [step if isinstance(step, Gate) else step[0] for step in _steps(circuit)]
+
+
+class TestSteps:
+    def test_monomial_gates_go_out_ahead_of_the_run(self, rng):
         h = [Gate("H", targets=(q,)) for q in range(8)]
         cx = Gate("CX", controls=(1,), targets=(2,))
         t, x = Gate("T", targets=(0,)), Gate("X", targets=(4,))
         wide = _u(rng, 4, 5, 6, 7)
-        steps = list(_fuse([h[0], cx, t, h[3], h[1], wide, x]))
-        # the CX is held past the run on wires 0 and 3; H on wire 1, which
-        # it bars, opens the next run after it; the 4-wire UNITARY cannot
-        # take in the X, so the X closes it
-        assert steps == [([h[0], t, h[3]], [0, 3]), cx, ([h[1]], [1]),
-                         ([wide], [4, 5, 6, 7]), x]
+        # the CX misses the run on wire 0, so it goes out ahead of it; the
+        # run then takes the T, the H on wire 3 and the H on wire 1, behind
+        # the CX; the 4-wire UNITARY is a run of its own, and the X on one
+        # of its wires closes it
+        assert _shape([h[0], cx, t, h[3], h[1], wide, x]) == [
+            cx, [0, 3, 1], [4, 5, 6, 7], x]
+
+    def test_monomial_gates_join_a_run_only_on_its_wires(self):
+        h, s = Gate("H", targets=(0,)), Gate("S", targets=(0,))
+        cz = Gate("CZ", controls=(1,), targets=(0,))
+        cx = Gate("CX", controls=(0,), targets=(1,))
+        # the S joins; the CZ would widen the run to wire 1, so it closes it
+        assert _shape([h, s, cz, cx]) == [[0], cz, cx]
 
     def test_runs_fill_up_to_three_wires(self):
         gates = [Gate("H", targets=(q,)) for q in (2, 0, 1, 3)]
-        assert list(_fuse(gates)) == [(gates[:3], [2, 0, 1]), (gates[3:], [3])]
+        assert _shape(gates) == [[2, 0, 1], [3]]
 
     def test_monomial_gates_outside_runs_pass_in_order(self):
         gates = [Gate("X", targets=(0,)), Gate("CZ", controls=(0,), targets=(1,)),
                  Gate("SWAP", targets=(1, 2))]
-        assert list(_fuse(gates)) == gates
+        assert _shape(gates) == gates
+
+
+def _steps_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
+    """The circuit rebuilt from its steps: each monomial gate as itself and
+    each run as a UNITARY on its wires, the first wire the local MSB."""
+    return replace(circuit, gates=tuple(
+        step if isinstance(step, Gate)
+        else Gate("UNITARY", targets=tuple(step[0]), matrix=step[1])
+        for step in _steps(circuit)))
+
+
+class TestStepOrderAgainstOracle:
+    """[DERIVED] The steps, embedded one by one and multiplied, give the
+    circuit's unitary; this checks the order and the run matrices apart
+    from the engine that applies them."""
+
+    @pytest.mark.parametrize("case", list(ENGINE_CASES))
+    def test_engine_cases(self, rng, case):
+        witness, ancilla, accept, gates = ENGINE_CASES[case]
+        c = QuantumCircuit(witness, ancilla, gates(rng), accept)
+        if c.total_qubits <= 9:
+            assert np.allclose(circuit_unitary_oracle(_steps_circuit(c)),
+                               circuit_unitary_oracle(c), rtol=0, atol=1e-12)
+        else:
+            # a dense 2^12 unitary does not fit: compare on 8 random columns
+            states = np.stack([random_state(rng, c.total_qubits)
+                               for _ in range(8)], axis=1)
+            assert np.allclose(evolve_oracle(_steps_circuit(c), states),
+                               evolve_oracle(c, states), rtol=0, atol=1e-12)
+
+    def test_random_circuits(self, rng):
+        for _ in range(60):
+            c = random_circuit(rng, int(rng.integers(3, 8)), int(rng.integers(1, 60)))
+            assert np.allclose(circuit_unitary_oracle(_steps_circuit(c)),
+                               circuit_unitary_oracle(c), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", list(ENGINE_CASES))
@@ -334,7 +385,7 @@ class TestEngineAgainstScatterOracle:
         monkeypatch.setattr(circuits, "apply_gate_matrix", recording)
         simulate(c, StateVector.zero(c.witness_qubits))
         list(accept_column_blocks(c, np.arange(2)))
-        runs = [len(step[1]) for step in _fuse(c.gates) if not isinstance(step, Gate)]
+        runs = [len(step[0]) for step in _steps(c) if not isinstance(step, Gate)]
         assert bool(runs) == any(g.name not in MONOMIAL_GATES for g in c.gates)
         assert calls == [(s, tuple(range(s)), 2) for s in runs] * 2
 

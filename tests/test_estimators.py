@@ -675,6 +675,8 @@ class TestAcceptLightCone:
         assert qmak_decide(circuit, 2).trace == pytest.approx(2.0)
         assert applied == []
         accept_projected_columns(circuit, np.arange(4))
-        # the three fuse past the CX into one matrix on wire 0, built on a
-        # 1-wire register and then applied once to the block's (2, L·W) view
-        assert applied == [(1, (0,))] * 4
+        # the three fuse into one matrix on wire 0, the CX going out ahead of
+        # them: the H is the run's starting matrix, the UNITARY and the last
+        # H are multiplied into it, and the run is then applied once to the
+        # block's (2, L·W) view
+        assert applied == [(1, (0,))] * 3

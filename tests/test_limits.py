@@ -172,3 +172,25 @@ def test_readme_limits_table_names_every_limit_and_its_value():
         base, _, power = re.fullmatch(r"(\d+)(\^(\d+))?", value).groups()
         expected = int(base) ** int(power or 1)
         assert getattr(importlib.import_module(f"qparam.{module}"), name) == expected
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a helper that only the tests call is dead code kept alive by its tests;
+    # a reference inside the helper's own definition does not count
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    helpers = {node.name: name for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    used = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name in helpers and name != own:
+                    used.add(name)
+    assert "_steps" in helpers
+    assert {name: module for name, module in helpers.items()
+            if name not in used} == {}
