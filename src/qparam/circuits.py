@@ -331,18 +331,20 @@ def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
     return StateVector(n, out)
 
 
-def accept_column_blocks(
+def accept_row_blocks(
     circuit: QuantumCircuit, witness_indices: np.ndarray
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The accept rows of U|w, 0...0⟩ for witness basis indices w, as
-    (2^(total-1), ≤ ``WITNESS_CHUNK``) blocks of columns in the order of w.
+    (labels, block) pairs of at most ``WITNESS_CHUNK`` columns in the order
+    of w.
 
-    The accept rows are the basis indices whose accept qubit reads 1, in
-    ascending order; the rows that Π₁ zeroes are left out. The run matrices
-    are built once. Each block starts on the distinct rows |w, 0...0⟩ of its
-    columns, so :func:`_evolve` carries only the rows that those columns
-    reach; the labels whose accept bit reads 1, with that bit dropped, are
-    their places among the accept rows.
+    The accept rows are the basis indices whose accept qubit reads 1, that
+    bit dropped; the rows that Π₁ zeroes are left out. ``labels[i]`` is the
+    accept row of ``block[i]``; the labels are distinct but not sorted, and
+    every other accept row is an exact zero in every column. The run
+    matrices are built once. Each block starts on the distinct rows
+    |w, 0...0⟩ of its columns, so :func:`_evolve` carries only the rows that
+    those columns reach.
     """
     n = circuit.total_qubits
     low = n - 1 - circuit.accept_qubit
@@ -356,9 +358,7 @@ def accept_column_blocks(
         labels, block = _evolve(steps, labels, block, n)
         kept = (labels >> low) & 1 == 1
         accept = labels[kept]
-        out = np.zeros((2 ** (n - 1), len(chunk)), dtype=complex)
-        out[accept >> (low + 1) << low | accept & ((1 << low) - 1)] = block[kept]
-        yield out
+        yield accept >> (low + 1) << low | accept & ((1 << low) - 1), block[kept]
 
 
 def accept_light_cone(circuit: QuantumCircuit) -> QuantumCircuit:

@@ -19,8 +19,8 @@ import numpy as np
 from .circuits import (
     QuantumCircuit,
     StateVector,
-    accept_column_blocks,
     accept_light_cone,
+    accept_row_blocks,
     hadamard_test_unitary,
     simulate,
 )
@@ -34,6 +34,10 @@ QMAK_QUBIT_LIMIT = 12
 # maximally-mixed-witness traces 2^k·Pr[accept]: YES at or above, NO at or below
 QMAK_YES_TRACE = 2 / 3
 QMAK_NO_TRACE = 1 / 3
+# the slice deciders count a value within this of b as YES and of a as NO,
+# so a value that equals a threshold exactly, as 1/2 often does, gets the
+# same verdict whatever order its sums were taken in
+THRESHOLD_TOL = 1e-12
 CLASSICAL_GATES = ("X", "CX", "TOFFOLI")
 # bytes that GapInstance.evaluate holds, 256 MiB; refused before any path is drawn
 GAP_ENTRY_LIMIT = 2**28
@@ -225,17 +229,20 @@ def estimate_gap(
     )
 
 
-def _accept_columns(circuit: QuantumCircuit, witness: Callable) -> Iterator[np.ndarray]:
+_Blocks = Iterator[tuple[np.ndarray, np.ndarray]]
+
+
+def _accept_columns(circuit: QuantumCircuit, witness: Callable) -> _Blocks:
     """Accept-projected columns of the witness indices ``witness()`` builds
     once the whole circuit passes the qubit limit, evolved through the accept
     qubit's backward light cone only: the gates outside it cancel in U†Π₁U.
-    Yields them ``WITNESS_CHUNK`` columns at a time, in the order of the
-    indices."""
+    Yields them as :func:`accept_row_blocks` does, ``WITNESS_CHUNK`` columns
+    at a time on the accept rows they reach, in the order of the indices."""
     require_within(circuit.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
-    return accept_column_blocks(accept_light_cone(circuit), witness())
+    return accept_row_blocks(accept_light_cone(circuit), witness())
 
 
-def _qmak_columns(verifier: QuantumCircuit, k: int) -> Iterator[np.ndarray]:
+def _qmak_columns(verifier: QuantumCircuit, k: int) -> _Blocks:
     """:func:`_accept_columns` of all 2^k witness basis states."""
     if verifier.witness_qubits != k:
         raise InvalidInputError(
@@ -244,13 +251,29 @@ def _qmak_columns(verifier: QuantumCircuit, k: int) -> Iterator[np.ndarray]:
     return _accept_columns(verifier, lambda: np.arange(2**k))
 
 
-def _column_norms(blocks: Iterator[np.ndarray]) -> np.ndarray:
-    """Squared norm of every column, summed one block at a time."""
-    # a complex block viewed as floats holds each column's real and imaginary
-    # parts side by side, so the sum of squares makes no |z|² temporary
-    floats = (np.ascontiguousarray(b).view(float) for b in blocks)
+def _column_norms(blocks: _Blocks) -> np.ndarray:
+    """Squared norm of every column, summed one block at a time over the
+    rows it reaches."""
+    # a contiguous complex block viewed as floats holds each column's real
+    # and imaginary parts side by side, so the sum of squares makes no |z|²
+    # temporary
+    floats = (block.view(float) for _, block in blocks)
     return np.concatenate([np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
                            for f in floats])
+
+
+def _stacked_columns(blocks: _Blocks) -> np.ndarray:
+    """Every column side by side on the sorted union of the blocks' labels,
+    at most 2^(total-1) rows: a row that no block reaches is zero in every
+    column, so leaving it out changes no inner product."""
+    blocks = list(blocks)
+    rows = np.unique(np.concatenate([labels for labels, _ in blocks]))
+    phi = np.zeros((len(rows), sum(b.shape[1] for _, b in blocks)), dtype=complex)
+    start = 0
+    for labels, block in blocks:
+        phi[np.searchsorted(rows, labels), start:start + block.shape[1]] = block
+        start += block.shape[1]
+    return phi
 
 
 def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
@@ -259,7 +282,7 @@ def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
 
     Q = ⟨w,0|U†Π₁U|w′,0⟩ is the Gram matrix of the accept-projected columns
     of all 2^k witness basis states."""
-    phi = np.concatenate(list(_qmak_columns(verifier, k)), axis=1)
+    phi = _stacked_columns(_qmak_columns(verifier, k))
     q = phi.conj().T @ phi
     return q, float(np.trace(q).real)
 
@@ -308,7 +331,7 @@ class SliceDecision(Report):
 
 def _weight_k_columns(
     circuit: QuantumCircuit, k: int, a: float, b: float
-) -> tuple[WeightEnumeration, Iterator[np.ndarray]]:
+) -> tuple[WeightEnumeration, _Blocks]:
     """The weight-k witness basis and :func:`_accept_columns` of it for both
     slice deciders, checking b > a, then the enumeration, then the qubit
     limit."""
@@ -318,6 +341,11 @@ def _weight_k_columns(
     return enum, _accept_columns(circuit, enum.indices)
 
 
+def _slice_verdict(value: float, a: float, b: float) -> Verdict:
+    """YES at or above b, NO at or below a, each within ``THRESHOLD_TOL``."""
+    return Verdict.of(value >= b - THRESHOLD_TOL, value <= a + THRESHOLD_TOL)
+
+
 def decide_weight_qcs_exact(
     circuit: QuantumCircuit, k: int, a: float, b: float
 ) -> SliceDecision:
@@ -325,9 +353,9 @@ def decide_weight_qcs_exact(
     largest eigenvalue of the Gram matrix of the weight-k basis's
     accept-projected columns."""
     _, blocks = _weight_k_columns(circuit, k, a, b)
-    phi = np.concatenate(list(blocks), axis=1)
+    phi = _stacked_columns(blocks)
     lam_max = float(full_spectrum(phi.conj().T @ phi)[-1])
-    return SliceDecision(Verdict.of(lam_max >= b, lam_max <= a), lam_max, a, b, k)
+    return SliceDecision(_slice_verdict(lam_max, a, b), lam_max, a, b, k)
 
 
 def decide_hamming_weight_qcs_exact(
@@ -341,4 +369,4 @@ def decide_hamming_weight_qcs_exact(
     accept = _column_norms(blocks)
     table = dict(zip(enum.strings(), accept.tolist()))
     best = max(table.values())
-    return SliceDecision(Verdict.of(best >= b, best <= a), float(best), a, b, k, table)
+    return SliceDecision(_slice_verdict(best, a, b), float(best), a, b, k, table)

@@ -7,7 +7,6 @@ array, so a basis index is ranked by binary search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -42,14 +41,19 @@ class WeightEnumeration:
     def indices(self) -> np.ndarray:
         """All weight-k basis indices (qubit 0 = MSB) in rank order.
 
-        An increasing ``int64`` array of length ``dim``, built from the
-        k-subsets of qubit positions: ``itertools.combinations`` lists them
-        lexicographically, which is decreasing integer order, so the summed
-        bit weights are reversed.
+        An increasing ``int64`` array of length ``dim``, merged one weight at
+        a time. Over bits 0..m-1 the weight-j list is increasing, and its
+        first C(t, j) entries are those below 2^t; so it is, for each top bit
+        t < m in turn, the first C(t, j-1) entries of the weight-(j-1) list
+        with bit t set. Weight k over n bits needs weight j over n-k+j bits.
         """
-        weights = np.int64(1) << np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        positions = np.fromiter(
-            chain.from_iterable(combinations(range(self.n), self.k)),
-            dtype=np.intp, count=self.dim * self.k,
-        ).reshape(self.dim, self.k)
-        return weights[positions].sum(axis=1)[::-1].copy()
+        n, k = self.n, self.k
+        out = np.zeros(1, dtype=np.int64)
+        for j in range(1, k + 1):
+            merged, at = np.empty(comb(n - k + j, j), dtype=np.int64), 0
+            for t in range(j - 1, n - k + j):
+                size = comb(t, j - 1)
+                np.bitwise_or(out[:size], 1 << t, out=merged[at:at + size])
+                at += size
+            out = merged
+        return out

@@ -18,8 +18,8 @@ import pytest
 from qparam.circuits import (
     Gate,
     QuantumCircuit,
-    accept_column_blocks,
     acceptance_probability,
+    accept_row_blocks,
     hadamard_test_circuit,
 )
 from qparam.states import StateVector
@@ -231,9 +231,15 @@ def accept_projected_oracle(circuit: QuantumCircuit) -> np.ndarray:
 def accept_projected_columns(circuit: QuantumCircuit,
                              witness_indices: np.ndarray) -> np.ndarray:
     """The library's accept rows of U|w, 0...0⟩ for each witness w, as the
-    columns of one (2^(total-1), W) array: its blocks side by side."""
-    return np.concatenate(list(accept_column_blocks(circuit, witness_indices)),
-                          axis=1)
+    columns of one (2^(total-1), W) array: each (labels, block) pair
+    scattered into its own zeroed columns, the blocks side by side."""
+    out = np.zeros((2 ** (circuit.total_qubits - 1), len(witness_indices)),
+                   dtype=complex)
+    start = 0
+    for labels, block in accept_row_blocks(circuit, witness_indices):
+        out[labels, start:start + block.shape[1]] = block
+        start += block.shape[1]
+    return out
 
 
 def hadamard_circuit_probabilities(unitary, prep):

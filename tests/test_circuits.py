@@ -25,8 +25,8 @@ from qparam.circuits import (
     Gate,
     QuantumCircuit,
     REJECT,
-    accept_column_blocks,
     accept_light_cone,
+    accept_row_blocks,
     acceptance_probability,
     circuit_metrics,
     decode_weight_witness,
@@ -384,7 +384,7 @@ class TestEngineAgainstScatterOracle:
 
         monkeypatch.setattr(circuits, "apply_gate_matrix", recording)
         simulate(c, StateVector.zero(c.witness_qubits))
-        list(accept_column_blocks(c, np.arange(2)))
+        list(accept_row_blocks(c, np.arange(2)))
         runs = [len(step[0]) for step in _steps(c) if not isinstance(step, Gate)]
         assert bool(runs) == any(g.name not in MONOMIAL_GATES for g in c.gates)
         assert calls == [(s, tuple(range(s)), 2) for s in runs] * 2
@@ -421,9 +421,9 @@ def test_blocks_hold_only_the_rows_their_columns_reach(monkeypatch):
 def test_wide_register_costs_the_rows_reached_not_2_to_the_n():
     # 20 wires, 2 of them witness wires: an H on each witness wire, a CX
     # chain q→q+1, and after every even q an H on q+1 and a T on q. The
-    # one column reaches 2^11 basis rows and its block holds 2^16 labels
-    # (1 MiB), beside the 8 MiB of accept rows it returns; no map over all
-    # 2^20 basis rows may be built on the way
+    # one column reaches 2^11 basis rows (32 KiB), 2^10 of them accept
+    # rows; neither a map over all 2^20 basis rows nor a zeroed block of
+    # all 2^19 accept rows (8 MiB) may be built on the way
     gates = [Gate("H", targets=(0,)), Gate("H", targets=(1,))]
     for q in range(1, 19):
         gates.append(Gate("CX", controls=(q,), targets=(q + 1,)))
@@ -432,14 +432,15 @@ def test_wide_register_costs_the_rows_reached_not_2_to_the_n():
     circuit = QuantumCircuit(2, 18, tuple(gates), 19)
     tracemalloc.start()
     try:
-        (block,) = accept_column_blocks(circuit, np.array([0]))
+        ((labels, block),) = accept_row_blocks(circuit, np.array([0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert block.shape == (2**19, 1)
+    assert block.shape == (2**10, 1) and labels.shape == (2**10,)
+    assert len(np.unique(labels)) == 2**10 and 0 <= labels.min() <= labels.max() < 2**19
     # the last CX copies wire 18, which an H left uniform, into the accept wire
     assert np.sum(np.abs(block) ** 2) == pytest.approx(0.5, abs=1e-12)
-    assert peak < 32 * 2**20
+    assert peak < 2**20
 
 class TestAcceptance:
     def test_x_on_accept(self):

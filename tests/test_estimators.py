@@ -11,6 +11,7 @@ from conftest import (
     accept_projected_oracle,
     all_kinds_circuit,
     bits_state,
+    evolve_oracle,
     hadamard_circuit_probabilities,
     random_circuit,
     random_unitary,
@@ -20,12 +21,14 @@ from qparam.circuits import (
     Gate,
     QuantumCircuit,
     accept_light_cone,
+    accept_row_blocks,
     acceptance_probability,
     simulate,
 )
 from qparam.decision import Verdict
 from qparam.errors import InvalidInputError, ResourceError
 from qparam.estimators import (
+    THRESHOLD_TOL,
     GapInstance,
     amplify_gap,
     decide_hamming_weight_qcs_exact,
@@ -471,6 +474,29 @@ class TestQmak:
         with pytest.raises(ResourceError, match="^circuit qubits 13 exceeds limit 12$"):
             decide(verifier)
 
+    def test_decide_holds_only_the_accept_rows_reached(self):
+        # 12 wires, 6 witness wires: the cone H(1), CX(1→8), TOFFOLI(0, 8→11)
+        # and T(11) takes the 64 witness columns onto 64 basis rows, at most
+        # 64 of them accept rows; a zeroed block of all 2^11 accept rows
+        # would take 2 MiB on its own
+        verifier = QuantumCircuit(6, 6, (
+            Gate("H", targets=(1,)), Gate("CX", controls=(1,), targets=(8,)),
+            Gate("TOFFOLI", controls=(0, 8), targets=(11,)),
+            Gate("T", targets=(11,)), Gate("H", targets=(3,)),
+        ), 11)
+        ((labels, _),) = accept_row_blocks(accept_light_cone(verifier),
+                                           np.arange(64))
+        assert len(labels) <= 64
+        tracemalloc.start()
+        try:
+            decision = qmak_decide(verifier, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # accepted when witness bit 0 reads 1 and the H leaves wire 1 at 1
+        assert decision.trace == pytest.approx(16.0, abs=1e-12)
+        assert peak < 2**19
+
     @pytest.mark.parametrize("accept", [1, 4], ids=["witness", "ancilla"])
     def test_trace_is_sum_of_witness_acceptances(self, rng, accept):
         # [DERIVED] per-witness acceptance from the dense oracle unitary
@@ -602,6 +628,90 @@ class TestSliceDeciders:
         circuit = QuantumCircuit(2, 1, (), 2)
         with pytest.raises(InvalidInputError):
             decide_weight_qcs_exact(circuit, 1, 0.9, 0.1)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
+    @pytest.mark.parametrize("decide", [
+        decide_weight_qcs_exact, decide_hamming_weight_qcs_exact,
+    ], ids=["wqcs", "hwqcs"])
+    def test_a_value_of_exactly_a_threshold_meets_it(self, monkeypatch, decide,
+                                                     reverse):
+        # every weight-2 witness is accepted with probability 1/2 exactly, and
+        # the H's float amplitude 0.7071067811865475 squares to
+        # 0.4999999999999999: the verdict must not hang on that last bit,
+        # nor on the order the witnesses are summed in
+        if reverse:
+            forward = WeightEnumeration.indices
+            monkeypatch.setattr(WeightEnumeration, "indices",
+                                lambda self: forward(self)[::-1].copy())
+        circuit = QuantumCircuit(3, 0, (
+            Gate("CX", controls=(0,), targets=(1,)), Gate("H", targets=(2,)),
+            Gate("Z", targets=(2,)), Gate("CX", controls=(0,), targets=(2,)),
+        ), 2)
+        yes = decide(circuit, 2, 0.2, 0.5)
+        assert abs(yes.max_acceptance - 0.5) <= THRESHOLD_TOL
+        assert yes.verdict is Verdict.YES
+        assert decide(circuit, 2, 0.5, 0.9).verdict is Verdict.NO
+        assert decide(circuit, 2, 0.2, 0.5 + 2 * THRESHOLD_TOL).verdict is (
+            Verdict.PROMISE_VIOLATED)
+
+
+class TestStackedColumns:
+    """``wqcs`` and ``qmak_operator`` stack the blocks' columns on the sorted
+    union of their accept-row labels; the Gram matrix of the scattered
+    (2^(n-1), W) columns is the reference."""
+
+    def test_union_of_differing_and_empty_label_sets(self, rng):
+        sets = [np.array([5, 1, 9]), np.array([], dtype=np.int64),
+                np.array([9, 0]), np.array([3])]
+        blocks = [(labels, rng.normal(size=(len(labels), width))
+                   + 1j * rng.normal(size=(len(labels), width)))
+                  for labels, width in zip(sets, (3, 2, 4, 1))]
+        scattered = np.zeros((16, 10), dtype=complex)
+        start = 0
+        for labels, block in blocks:
+            scattered[labels, start:start + block.shape[1]] = block
+            start += block.shape[1]
+        phi = estimators._stacked_columns(iter(blocks))
+        assert phi.shape == (5, 10)  # rows 0, 1, 3, 5 and 9
+        assert np.max(np.abs(phi.conj().T @ phi
+                             - scattered.conj().T @ scattered)) <= 1e-12
+
+    def test_blocks_on_different_rows_match_the_oracle(self, rng):
+        # 9 witness wires and an accept ancilla fed w0 XOR w1, then mixed
+        # with wire 4: the first 64-column block (w0 = w1 = 0) and the next
+        # (w0 = 0, w1 = 1) reach different accept rows
+        circuit = QuantumCircuit(9, 1, (
+            Gate("H", targets=(4,)), Gate("CX", controls=(0,), targets=(9,)),
+            Gate("CX", controls=(1,), targets=(9,)),
+            Gate("UNITARY", targets=(4, 9), matrix=random_unitary(rng, 4)),
+        ), 9)
+        witnesses = np.arange(2**9)
+        first, second, *_ = accept_row_blocks(circuit, witnesses)
+        assert set(first[0].tolist()) != set(second[0].tolist())
+        basis = np.zeros((2**10, 2**9), dtype=complex)
+        basis[witnesses << 1, witnesses] = 1
+        oracle = evolve_oracle(circuit, basis)[1::2]  # accept bit is the last
+        gram = oracle.conj().T @ oracle
+        q, trace = qmak_operator(circuit, 9)
+        assert np.max(np.abs(q - gram)) <= 1e-12
+        assert abs(trace - np.trace(gram).real) <= 1e-10
+        indices = WeightEnumeration(9, 4).indices()  # 126 columns, two blocks
+        lam_max = np.linalg.eigvalsh(gram[np.ix_(indices, indices)])[-1]
+        got = decide_weight_qcs_exact(circuit, 4, 0.0, 1.0).max_acceptance
+        assert abs(got - lam_max) <= 1e-12
+
+    def test_dark_accept_rows(self):
+        # the accept ancilla is never touched: every block holds (0, W)
+        circuit = QuantumCircuit(9, 1, (Gate("H", targets=(3,)),), 9)
+        assert all(labels.shape == (0,) and block.shape[0] == 0
+                   for labels, block in accept_row_blocks(circuit, np.arange(512)))
+        q, trace = qmak_operator(circuit, 9)
+        assert q.shape == (512, 512) and not q.any() and trace == 0.0
+        assert qmak_decide(circuit, 9).trace == 0.0
+        wqcs = decide_weight_qcs_exact(circuit, 4, 0.1, 0.9)
+        assert wqcs.max_acceptance == 0.0 and wqcs.verdict is Verdict.NO
+        hwqcs = decide_hamming_weight_qcs_exact(circuit, 4, 0.1, 0.9)
+        assert set(hwqcs.table.values()) == {0.0} and len(hwqcs.table) == 126
 
 
 def wires_shifted(gates, by):

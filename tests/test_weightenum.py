@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,17 @@ class TestRoundtrip:
 
 
 class TestWeightEnumeration:
+    @pytest.mark.parametrize("n", [*range(17), INDEX_BITS])
+    def test_indices_match_the_combinations_oracle(self, n):
+        # [DERIVED] each k-subset of bit positions summed, the sums sorted;
+        # every k up to n = 16, the extreme weights at the int64 limit
+        for k in range(n + 1) if n <= 16 else (0, 1, n - 1, n):
+            expected = sorted(sum(1 << b for b in bits)
+                              for bits in combinations(range(n), k))
+            indices = WeightEnumeration(n, k).indices()
+            assert indices.dtype == np.int64
+            assert indices.tolist() == expected
+
     def test_dim(self):
         assert WeightEnumeration(6, 2).dim == 15
 
