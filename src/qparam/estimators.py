@@ -333,10 +333,12 @@ def _weight_k_columns(
     circuit: QuantumCircuit, k: int, a: float, b: float
 ) -> tuple[WeightEnumeration, _Blocks]:
     """The weight-k witness basis and :func:`_accept_columns` of it for both
-    slice deciders, checking b > a, then the enumeration, then the qubit
-    limit."""
-    if b <= a:
-        raise InvalidInputError(f"need b > a, got a={a}, b={b}")
+    slice deciders, checking b − a > 2·``THRESHOLD_TOL`` (so no value is
+    within the tolerance of both thresholds), then the enumeration, then the
+    qubit limit."""
+    if not b - a > 2 * THRESHOLD_TOL:
+        raise InvalidInputError(
+            f"need b - a > 2*THRESHOLD_TOL = {2 * THRESHOLD_TOL:g}, got a={a}, b={b}")
     enum = WeightEnumeration(circuit.witness_qubits, k)
     return enum, _accept_columns(circuit, enum.indices)
 

@@ -629,6 +629,19 @@ class TestSliceDeciders:
         with pytest.raises(InvalidInputError):
             decide_weight_qcs_exact(circuit, 1, 0.9, 0.1)
 
+    @pytest.mark.parametrize("decide", [
+        decide_weight_qcs_exact, decide_hamming_weight_qcs_exact,
+    ], ids=["wqcs", "hwqcs"])
+    def test_thresholds_closer_than_twice_the_tolerance_rejected(self, decide):
+        # a value exactly at a would lie within THRESHOLD_TOL of b as well,
+        # and read YES where it must read NO
+        circuit = QuantumCircuit(2, 1, (), 2)
+        with pytest.raises(InvalidInputError, match="THRESHOLD_TOL"):
+            decide(circuit, 1, 0.5, 0.5 + 1e-13)
+        with pytest.raises(InvalidInputError, match="THRESHOLD_TOL"):
+            decide(circuit, 1, 0.5, 0.5 + 2 * THRESHOLD_TOL)
+        assert decide(circuit, 1, 0.0, 3 * THRESHOLD_TOL).verdict is Verdict.NO
+
     @pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
     @pytest.mark.parametrize("decide", [
         decide_weight_qcs_exact, decide_hamming_weight_qcs_exact,

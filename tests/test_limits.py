@@ -174,10 +174,11 @@ def test_readme_limits_table_names_every_limit_and_its_value():
         assert getattr(importlib.import_module(f"qparam.{module}"), name) == expected
 
 
-def _uncalled(private: bool) -> dict[str, str]:
+def _uncalled(private: bool, known: str) -> dict[str, str]:
     """The top-level functions and classes of ``src/qparam`` (private or
     public ones) that nothing in ``src/`` references, by module; a reference
-    inside the name's own definition does not count."""
+    inside the name's own definition does not count. ``known`` is one such
+    name that the walk must find."""
     trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     defined = {node.name: name for name, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -193,13 +194,13 @@ def _uncalled(private: bool) -> dict[str, str]:
                         node.attr if isinstance(node, ast.Attribute) else None)
                 if name in defined and name != own:
                     used.add(name)
-    assert defined
+    assert known in defined
     return {name: module for name, module in defined.items() if name not in used}
 
 
 def test_every_private_helper_has_a_caller_in_the_package():
     # a helper that only the tests call is dead code kept alive by its tests
-    assert _uncalled(private=True) == {}
+    assert _uncalled(private=True, known="_steps") == {}
 
 
 # public names that only the tests call
@@ -222,4 +223,4 @@ TEST_ONLY_PUBLIC = {
 def test_every_public_name_has_a_caller_in_the_package_or_is_listed():
     # a public name that only the tests call belongs in tests/, unless the
     # list above keeps it and says why
-    assert _uncalled(private=False) == TEST_ONLY_PUBLIC
+    assert _uncalled(private=False, known="accept_row_blocks") == TEST_ONLY_PUBLIC
