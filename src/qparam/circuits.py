@@ -179,21 +179,32 @@ class QuantumCircuit:
 
 
 def apply_gate_matrix(
-    amplitudes: np.ndarray, num_qubits: int, wires: tuple[int, ...], matrix: np.ndarray
+    amplitudes: np.ndarray, num_qubits: int, wires: tuple[int, ...],
+    matrix: np.ndarray, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply a 2^|wires| matrix on the given wires (first wire = local MSB).
 
     ``amplitudes`` is one state, shape (2^num_qubits,), or a block of states
     in its columns, shape (2^num_qubits, W); the result has the same shape.
-    On the top wires 0..s-1 in order both transposes are views.
+    It is written to ``out``, a C-contiguous array of that shape that does
+    not overlap ``amplitudes``, when one is given. On the top wires 0..s-1
+    in order both transposes are views, and the GEMM writes ``out`` itself.
     """
     shape = amplitudes.shape
     tensor_shape = [2] * num_qubits + list(shape[1:])
     # the column axis is never a wire, so it stays last
     order = list(wires) + [q for q in range(len(tensor_shape)) if q not in wires]
     moved = np.transpose(amplitudes.reshape(tensor_shape), order)
-    moved = (matrix @ moved.reshape(2 ** len(wires), -1)).reshape(tensor_shape)
-    return np.transpose(moved, np.argsort(order)).reshape(shape)
+    moved = moved.reshape(2 ** len(wires), -1)
+    if out is not None and order == sorted(order):
+        np.matmul(matrix, moved, out=out.reshape(moved.shape))
+        return out
+    moved = (matrix @ moved).reshape(tensor_shape)
+    result = np.transpose(moved, np.argsort(order)).reshape(shape)
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def _relabel(gate: Gate, rows: np.ndarray, num_qubits: int):
@@ -264,8 +275,21 @@ def _steps(
         yield wires, matrix
 
 
+def _work(steps: list, rows: int, width: int, num_qubits: int) -> np.ndarray:
+    """The two work buffers of :func:`_evolve`, for blocks of at most
+    ``width`` columns that start on at most ``rows`` distinct rows: each
+    holds the largest block the steps can make, since a run on s wires at
+    most multiplies the rows by 2^s, and no block holds more than 2^n. A
+    block smaller than that touches only the buffers' first pages."""
+    for step in steps:
+        if not isinstance(step, Gate):
+            rows = min(rows << len(step[0]), 1 << num_qubits)
+    return np.empty((2, rows * width), dtype=complex)
+
+
 def _evolve(
-    steps: Iterable, rows: np.ndarray, block: np.ndarray, num_qubits: int
+    steps: Iterable, rows: np.ndarray, block: np.ndarray, num_qubits: int,
+    work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply :func:`_steps` to a block whose rows are the distinct basis
     labels ``rows``, every other basis row being an exact zero in every
@@ -279,7 +303,12 @@ def _evolve(
     GEMM on the (2^s, cosets·W) view. So a block holds only the cosets its
     columns reach, and never more than 2^n rows.
 
-    The block is scaled in place, so the caller hands over its ownership.
+    The gather fills ``work[0]`` and the GEMM ``work[1]`` (see
+    :func:`_work`), so after a run the block is a view of ``work[1]``,
+    valid until the buffers are next used; no step allocates a block. The
+    block is scaled in place, so the caller hands over its ownership; it
+    may lie at the head of ``work[1]``, since the first gather reads it
+    before any GEMM writes there.
     """
     phase = None
     for step in steps:
@@ -299,16 +328,19 @@ def _evolve(
         for b in bits:
             spread = (spread[:, None] | [0, b]).ravel()
             local = 2 * local + ((rows & b) != 0)
-        # a label that no row fills reads the last row, and is then zeroed
+        # a label that no row fills wraps round to the last row, and is then
+        # zeroed; the default mode="raise" would gather through a copy
         at = np.full(len(spread) * len(cosets), -1)
         at[local * len(cosets) + coset] = np.arange(len(rows))
-        block = block[at]
-        block[at < 0] = 0
+        size = at.size * block.shape[1]
+        gathered = work[0, :size].reshape(at.size, -1)
+        np.take(block, at, axis=0, out=gathered, mode="wrap")
+        gathered[at < 0] = 0
         rows = (spread[:, None] | cosets).ravel()
-        width = block.shape[1]
-        block = apply_gate_matrix(
-            block.reshape(len(spread), -1), len(bits), tuple(range(len(bits))), matrix
-        ).reshape(-1, width)
+        block = work[1, :size].reshape(at.size, -1)
+        apply_gate_matrix(gathered.reshape(len(spread), -1), len(bits),
+                          tuple(range(len(bits))), matrix,
+                          out=block.reshape(len(spread), -1))
     if phase is not None:
         block *= phase[:, None]
     return rows, block
@@ -325,7 +357,8 @@ def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
     # witness wires are the most significant bits, ancillas trail as |0>
     rows = np.arange(2**circuit.witness_qubits) << circuit.ancilla_qubits
     block = input_state.amplitudes[:, None].copy()
-    rows, block = _evolve(_steps(circuit), rows, block, n)
+    steps = list(_steps(circuit))
+    rows, block = _evolve(steps, rows, block, n, _work(steps, len(rows), 1, n))
     out = np.zeros(2**n, dtype=complex)
     out[rows] = block[:, 0]
     return StateVector(n, out)
@@ -342,20 +375,23 @@ def accept_row_blocks(
     bit dropped; the rows that Π₁ zeroes are left out. ``labels[i]`` is the
     accept row of ``block[i]``; the labels are distinct but not sorted, and
     every other accept row is an exact zero in every column. The run
-    matrices are built once. Each block starts on the distinct rows
-    |w, 0...0⟩ of its columns, so :func:`_evolve` carries only the rows that
-    those columns reach.
+    matrices and the work buffers are made once; each block starts at the
+    head of ``work[1]``, on the distinct rows |w, 0...0⟩ of its columns, so
+    :func:`_evolve` carries only the rows that those columns reach.
     """
     n = circuit.total_qubits
     low = n - 1 - circuit.accept_qubit
     rows = np.asarray(witness_indices, dtype=np.int64) << circuit.ancilla_qubits
     steps = list(_steps(circuit))
+    width = min(WITNESS_CHUNK, len(rows))
+    work = _work(steps, width, width, n)
     for start in range(0, len(rows), WITNESS_CHUNK):
         chunk = rows[start:start + WITNESS_CHUNK]
         labels, row = np.unique(chunk, return_inverse=True)
-        block = np.zeros((len(labels), len(chunk)), dtype=complex)
+        block = work[1, :len(labels) * len(chunk)].reshape(len(labels), -1)
+        block[...] = 0
         block[row, np.arange(len(chunk))] = 1
-        labels, block = _evolve(steps, labels, block, n)
+        labels, block = _evolve(steps, labels, block, n, work)
         kept = (labels >> low) & 1 == 1
         accept = labels[kept]
         yield accept >> (low + 1) << low | accept & ((1 << low) - 1), block[kept]

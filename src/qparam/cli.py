@@ -70,15 +70,8 @@ def _emit(command: str, config: dict, result: dict) -> None:
 
 
 def _document(args) -> dict:
-    """The JSON object in the ``--input`` file.
-
-    The cyclic garbage collector is paused while the file is parsed: the
-    tree holds no cycles, yet its many small lists (a 256×256 matrix is
-    65 536 ``[re, im]`` pairs) set off collections that traverse all of it.
-    """
+    """The JSON object in the ``--input`` file."""
     path = args.input
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -86,9 +79,6 @@ def _document(args) -> dict:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
     if not isinstance(data, dict):
         raise InvalidInputError(f"{path} must hold a JSON object")
     return data
@@ -266,10 +256,23 @@ def build_parser() -> _Parser:
 
 def _run(args) -> int:
     """Run one parsed request; its report echoes every flag of the command,
-    with a seed drawn here when the command takes one and none was given."""
+    with a seed drawn here when the command takes one and none was given.
+
+    The cyclic garbage collector is paused while the handler runs. An input
+    tree holds no cycles, yet its many small lists (a 256×256 matrix is
+    65 536 ``[re, im]`` pairs) set off collections that traverse all of it;
+    by the time collection resumes, the handler has converted and dropped
+    it, so the next collection does not walk it either.
+    """
     if "seed" in vars(args) and args.seed is None:
         args.seed = secrets.randbits(63)
-    result, code = COMMANDS[args.command].handler(args)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result, code = COMMANDS[args.command].handler(args)
+    finally:
+        if collecting:
+            gc.enable()
     config = {key: value for key, value in vars(args).items() if key != "command"}
     _emit(args.command, config, result)
     return code

@@ -27,7 +27,7 @@ from .circuits import (
 from .decision import Report, Verdict
 from .errors import InvalidInputError, require_within
 from .linalg import full_spectrum
-from .weightenum import INDEX_BITS, WeightEnumeration
+from .weightenum import INDEX_BITS, WeightEnumeration, bit_strings
 
 EXACT_GAP_LIMIT = 20
 QMAK_QUBIT_LIMIT = 12
@@ -232,23 +232,28 @@ def estimate_gap(
 _Blocks = Iterator[tuple[np.ndarray, np.ndarray]]
 
 
-def _accept_columns(circuit: QuantumCircuit, witness: Callable) -> _Blocks:
-    """Accept-projected columns of the witness indices ``witness()`` builds
-    once the whole circuit passes the qubit limit, evolved through the accept
-    qubit's backward light cone only: the gates outside it cancel in U†Π₁U.
-    Yields them as :func:`accept_row_blocks` does, ``WITNESS_CHUNK`` columns
-    at a time on the accept rows they reach, in the order of the indices."""
+def _accept_columns(
+    circuit: QuantumCircuit, witness: Callable
+) -> tuple[np.ndarray, _Blocks]:
+    """The witness indices ``witness()`` builds once the whole circuit
+    passes the qubit limit, and their accept-projected columns, evolved
+    through the accept qubit's backward light cone only: the gates outside
+    it cancel in U†Π₁U. The columns come as :func:`accept_row_blocks`
+    yields them, ``WITNESS_CHUNK`` at a time on the accept rows they reach,
+    in the order of the indices."""
     require_within(circuit.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
-    return accept_row_blocks(accept_light_cone(circuit), witness())
+    indices = witness()
+    return indices, accept_row_blocks(accept_light_cone(circuit), indices)
 
 
 def _qmak_columns(verifier: QuantumCircuit, k: int) -> _Blocks:
-    """:func:`_accept_columns` of all 2^k witness basis states."""
+    """The columns of :func:`_accept_columns` for all 2^k witness basis
+    states."""
     if verifier.witness_qubits != k:
         raise InvalidInputError(
             f"verifier has {verifier.witness_qubits} witness qubits, expected {k}"
         )
-    return _accept_columns(verifier, lambda: np.arange(2**k))
+    return _accept_columns(verifier, lambda: np.arange(2**k))[1]
 
 
 def _column_norms(blocks: _Blocks) -> np.ndarray:
@@ -331,16 +336,16 @@ class SliceDecision(Report):
 
 def _weight_k_columns(
     circuit: QuantumCircuit, k: int, a: float, b: float
-) -> tuple[WeightEnumeration, _Blocks]:
-    """The weight-k witness basis and :func:`_accept_columns` of it for both
-    slice deciders, checking b − a > 2·``THRESHOLD_TOL`` (so no value is
-    within the tolerance of both thresholds), then the enumeration, then the
-    qubit limit."""
+) -> tuple[np.ndarray, _Blocks]:
+    """The weight-k witness basis, built once, and its columns by
+    :func:`_accept_columns`, for both slice deciders, checking
+    b − a > 2·``THRESHOLD_TOL`` (so no value is within the tolerance of
+    both thresholds), then the enumeration, then the qubit limit."""
     if not b - a > 2 * THRESHOLD_TOL:
         raise InvalidInputError(
             f"need b - a > 2*THRESHOLD_TOL = {2 * THRESHOLD_TOL:g}, got a={a}, b={b}")
     enum = WeightEnumeration(circuit.witness_qubits, k)
-    return enum, _accept_columns(circuit, enum.indices)
+    return _accept_columns(circuit, enum.indices)
 
 
 def _slice_verdict(value: float, a: float, b: float) -> Verdict:
@@ -367,8 +372,8 @@ def decide_hamming_weight_qcs_exact(
 
     Each string's acceptance is the squared norm of its accept-projected
     column, the diagonal of the Gram matrix that wqcs diagonalises."""
-    enum, blocks = _weight_k_columns(circuit, k, a, b)
+    basis, blocks = _weight_k_columns(circuit, k, a, b)
     accept = _column_norms(blocks)
-    table = dict(zip(enum.strings(), accept.tolist()))
+    table = dict(zip(bit_strings(basis, circuit.witness_qubits), accept.tolist()))
     best = max(table.values())
     return SliceDecision(_slice_verdict(best, a, b), float(best), a, b, k, table)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .circuits import apply_gate_matrix
 from .decision import Report, Verdict
@@ -111,8 +110,11 @@ def restrict_to_weight(h: LocalHamiltonian, k: int):
 
     Returns a CSR matrix. Raises ``ResourceError`` before allocating anything
     when the basis plus the candidate entries, C(n, k) * (1 + sum of
-    2^|support|), exceed ``RESTRICT_ENTRY_LIMIT``.
+    2^|support|), exceed ``RESTRICT_ENTRY_LIMIT``. scipy is imported here,
+    not with the module, so that only the Hamiltonian commands load it.
     """
+    import scipy.sparse as sp
+
     enum = WeightEnumeration(h.n, k)
     dim = enum.dim
     size = dim * (1 + sum(2 ** len(term.qubits) for term in h.terms))

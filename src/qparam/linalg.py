@@ -4,6 +4,10 @@ Matrices are plain numpy arrays (or scipy sparse matrices where noted).
 The smallest eigenvalue comes from a three-term Lanczos loop on H itself
 from a fixed start vector or, as the reference the tests compare against,
 from a dense solver that computes only that eigenvalue.
+
+scipy is imported only by :func:`min_eigenvalue`, which needs its
+eigensolvers, so the commands that never call it start without scipy's
+import time.
 """
 from __future__ import annotations
 
@@ -14,8 +18,6 @@ from itertools import chain
 from operator import iadd
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, InvalidInputError
 
@@ -26,8 +28,15 @@ LANCZOS_START_KEY = 0x51A7  # fixed start; all-ones can miss a ground state
 LANCZOS_CHECK_STEPS = 10  # Lanczos steps between Ritz-value checks
 
 
+def _is_sparse(matrix) -> bool:
+    """Whether ``matrix`` is a scipy sparse matrix. None can exist before
+    ``scipy.sparse`` is loaded, so the check never imports it."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(matrix)
+
+
 def _as_operator(matrix):
-    if sp.issparse(matrix):
+    if _is_sparse(matrix):
         return matrix.tocsr()
     out = np.asarray(matrix, dtype=complex)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
@@ -37,7 +46,7 @@ def _as_operator(matrix):
 
 def is_hermitian(matrix) -> bool:
     m = _as_operator(matrix)
-    if sp.issparse(m):
+    if _is_sparse(m):
         diff = m - m.conj().T
         return abs(diff).max() <= HERMITIAN_TOL if diff.nnz else True
     return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
@@ -72,7 +81,7 @@ def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
 def _max_row_sum(m) -> float:
     """max_i Σ_j |m_ij|, for a CSR matrix from its stored entries by
     ``indptr``, with no absolute-valued copy of the matrix."""
-    if not sp.issparse(m):
+    if not _is_sparse(m):
         return float(np.abs(m).sum(axis=1).max())
     # reduceat gives an empty segment the next entry, not 0, so only the rows
     # that store entries are summed; an empty row's sum is the initial 0
@@ -94,13 +103,15 @@ def min_eigenvalue(matrix, mode: str = "dense") -> float:
     σ = max absolute row sum + 1. ``mode="dense"``, also used at dim <= 2,
     computes the lowest eigenvalue only. The two agree to 1e-10.
     """
+    from scipy.linalg import eigh, eigh_tridiagonal
+
     m = require_hermitian(matrix)
     dim = m.shape[0]
     if mode not in ("dense", "iterative"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     if mode == "dense" or dim <= 2:
-        dense = m.toarray() if sp.issparse(m) else m
-        vals = sla.eigh(dense, eigvals_only=True, subset_by_index=[0, 0])
+        dense = m.toarray() if _is_sparse(m) else m
+        vals = eigh(dense, eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0])
     limit = LANCZOS_TOL * (_max_row_sum(m) + 1.0)
     rng = np.random.Generator(np.random.Philox(key=LANCZOS_START_KEY))
@@ -117,8 +128,8 @@ def min_eigenvalue(matrix, mode: str = "dense") -> float:
         beta = np.sqrt(_real_dot(w, w))
         alphas.append(alpha)
         if beta <= limit or step % LANCZOS_CHECK_STEPS == 0 or step == steps:
-            vals, vecs = sla.eigh_tridiagonal(alphas, betas, select="i",
-                                              select_range=(0, 0))
+            vals, vecs = eigh_tridiagonal(alphas, betas, select="i",
+                                          select_range=(0, 0))
             theta = float(vals[0])
             if beta * abs(vecs[-1, 0]) <= limit:
                 return theta
@@ -134,7 +145,7 @@ def min_eigenvalue(matrix, mode: str = "dense") -> float:
 def full_spectrum(matrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending."""
     m = require_hermitian(matrix)
-    dense = m.toarray() if sp.issparse(m) else m
+    dense = m.toarray() if _is_sparse(m) else m
     return np.linalg.eigvalsh(dense)
 
 

@@ -34,9 +34,9 @@ class WeightEnumeration:
         object.__setattr__(self, "dim", comb(self.n, self.k))
 
     def strings(self):
-        """All weight-k strings in rank order: the bits of :meth:`indices`,
-        qubit 0 first (a leading 1 keeps the width n, so n = 0 gives "")."""
-        return (format(1 << self.n | i, "b")[1:] for i in self.indices().tolist())
+        """All weight-k strings in rank order: :func:`bit_strings` of
+        :meth:`indices`."""
+        return bit_strings(self.indices(), self.n)
 
     def indices(self) -> np.ndarray:
         """All weight-k basis indices (qubit 0 = MSB) in rank order.
@@ -57,3 +57,9 @@ class WeightEnumeration:
                 at += size
             out = merged
         return out
+
+
+def bit_strings(indices: np.ndarray, n: int):
+    """The n-bit strings of basis indices, qubit 0 first (a leading 1 keeps
+    the width n, so n = 0 gives "")."""
+    return (format(1 << n | i, "b")[1:] for i in indices.tolist())

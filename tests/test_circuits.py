@@ -377,10 +377,10 @@ class TestEngineAgainstScatterOracle:
         calls = []
         apply = circuits.apply_gate_matrix
 
-        def recording(amplitudes, num_qubits, wires, matrix):
+        def recording(amplitudes, num_qubits, wires, matrix, out=None):
             if sys._getframe(1).f_code is circuits._evolve.__code__:
                 calls.append((num_qubits, tuple(wires), amplitudes.ndim))
-            return apply(amplitudes, num_qubits, wires, matrix)
+            return apply(amplitudes, num_qubits, wires, matrix, out=out)
 
         monkeypatch.setattr(circuits, "apply_gate_matrix", recording)
         simulate(c, StateVector.zero(c.witness_qubits))
@@ -404,10 +404,10 @@ def test_blocks_hold_only_the_rows_their_columns_reach(monkeypatch):
     columns, held = 8, []
     apply = circuits.apply_gate_matrix
 
-    def recording(amplitudes, num_qubits, wires, matrix):
+    def recording(amplitudes, num_qubits, wires, matrix, out=None):
         if sys._getframe(1).f_code is circuits._evolve.__code__:
             held.append(amplitudes.size // columns)
-        return apply(amplitudes, num_qubits, wires, matrix)
+        return apply(amplitudes, num_qubits, wires, matrix, out=out)
 
     monkeypatch.setattr(circuits, "apply_gate_matrix", recording)
     got = accept_projected_columns(circuit, np.arange(columns))

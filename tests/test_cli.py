@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_unitary
 from qparam import linalg
 from qparam.cli import COMMANDS, build_parser, main
 from qparam.estimators import sample_count
@@ -145,8 +145,8 @@ class TestErrorPaths:
                              ids=["gc-enabled", "gc-disabled"])
     def test_parse_leaves_the_collector_as_found(self, capsys, tmp_path,
                                                  sum_z_file, caller_collects):
-        # the collector is paused while the input is parsed, and a parse
-        # that raises must restore it too
+        # the collector is paused while the request runs, and a parse that
+        # raises must restore it too
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         was_enabled = gc.isenabled()
@@ -725,6 +725,31 @@ class TestEstimatorCommands:
         assert report["result"]["tau"] == pytest.approx(0.2 * 0.5 / math.sqrt(2))
         assert report["config"]["tau"] == report["result"]["tau"]
 
+    def test_amp_estimate_input_sets_off_no_collection(self, capsys, tmp_path, rng):
+        # a 128×128 unitary is 16 384 [re, im] pairs: the handler converts
+        # and drops the tree before the collector resumes, so no collection
+        # walks it; resumed with the tree still counted as young, at least
+        # one generation-0 collection would follow
+        path = tmp_path / "amp.json"
+        path.write_text(json.dumps({"unitary": matrix_to_json(random_unitary(rng, 128))}))
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code, _ = run(capsys, "amp-estimate", "--input", str(path), "--seed", "1")
+        finally:
+            gc.callbacks.remove(count)
+            gc.enable() if was_enabled else gc.disable()
+        assert code == 0
+        assert started == []
+
     def test_seed_drawn_and_echoed_when_absent(self, capsys, tmp_path):
         path = tmp_path / "amp.json"
         path.write_text(json.dumps({"unitary": matrix_to_json(np.eye(2))}))
@@ -871,6 +896,9 @@ class TestGadgetCommands:
         # columns alone take 128 MiB, so qmak-decide must sum their norms a
         # block at a time. The child reports its own peak RSS, VmHWM in KiB:
         # getrusage's ru_maxrss would keep the forked test process's peak.
+        # It also reports the minor page faults taken inside main: the
+        # engine reuses two work buffers, where a fresh array per gather and
+        # per GEMM took about 100 000 (about a fifth of the wall time).
         gates = [{"name": "H", "targets": [q]} for q in range(12)]
         gates += [{"name": "CX", "controls": [q], "targets": [q + 1]}
                   for q in range(11)]
@@ -879,11 +907,13 @@ class TestGadgetCommands:
         path.write_text(json.dumps({"witness_qubits": 12, "ancilla_qubits": 0,
                                     "accept_qubit": 11, "gates": gates}))
         script = (
-            "import re\n"
+            "import re, resource\n"
             "from qparam.cli import main\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             f"code = main(['qmak-decide', '--input', {str(path)!r}, '--k', '12'])\n"
+            "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
             "status = open('/proc/self/status').read()\n"
-            "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+            "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1], faults)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -892,9 +922,10 @@ class TestGadgetCommands:
         *report, last = done.stdout.splitlines()
         result = json.loads("\n".join(report))["result"]
         assert result["accept_probability"] == pytest.approx(0.5)
-        code, peak_kib = map(int, last.split())
+        code, peak_kib, faults = map(int, last.split())
         assert code == 0
         assert peak_kib < 128 * 1024
+        assert faults < 20_000
 
 
 class TestJonesCommands:
@@ -1026,3 +1057,62 @@ class TestReportKeys:
         else:
             assert main([command, *argv]) == 3
             assert "required: --input" in capsys.readouterr().err
+
+
+class TestColdStart:
+    """Each command run by ``cli.main`` in a fresh interpreter: only the
+    Hamiltonian commands, which need its eigensolvers, load scipy."""
+
+    CIRCUIT = {"witness_qubits": 2, "ancilla_qubits": 1, "accept_qubit": 2,
+               "gates": [{"name": "H", "targets": [0]},
+                         {"name": "TOFFOLI", "controls": [0, 1], "targets": [2]}]}
+    GAP = {"witness_qubits": 2, "ancilla_qubits": 1, "accept_qubit": 2,
+           "classical_only": True,
+           "gates": [{"name": "TOFFOLI", "controls": [0, 1], "targets": [2]}]}
+    HALF = [[0.0, 0.0], [0.5**0.5, 0.0], [0.5**0.5, 0.0], [0.0, 0.0]]
+    REQUESTS = {
+        "ham-min": (TestInputDocumentErrors.HAMILTONIAN, ["--k", "1"]),
+        "ham-decide": (TestInputDocumentErrors.HAMILTONIAN, ["--k", "1"]),
+        "amp-estimate": ({"unitary": Z_JSON}, ["--seed", "1"]),
+        "gapp-estimate": (GAP, ["--seed", "1"]),
+        "gapp-exact": (GAP, []),
+        "qmak-decide": (CIRCUIT, ["--k", "2"]),
+        "weft": (CIRCUIT, []),
+        "encode-witness": ({"num_qubits": 2, "amplitudes": HALF}, ["--k", "1"]),
+        "decode-witness": ({"num_qubits": 1, "amplitudes": [[0.6, 0.0], [0.8, 0.0]]},
+                           ["--k", "1", "--n", "2"]),
+        "onehot-decode": (None, ["--bits", "0110", "--blocks", "2",
+                                 "--block-size", "2"]),
+        "wqcs-decide": (CIRCUIT, ["--k", "1", "--a", "0.2", "--b", "0.4"]),
+        "hwqcs-decide": (CIRCUIT, ["--k", "1", "--a", "0.2", "--b", "0.4"]),
+        "jones": ({"strands": 4, "word": [1, -2]}, ["--k", "5", "--seed", "1"]),
+        "jones-exact": ({"strands": 4, "word": [1, -2]}, ["--k", "5"]),
+    }
+    SCRIPT = (
+        "import sys\n"
+        "from qparam.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+        " file=sys.stderr)\n"
+    )
+
+    def test_every_command_has_a_request(self):
+        assert set(self.REQUESTS) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(REQUESTS))
+    def test_fresh_run_loads_scipy_only_for_hamiltonians(self, capsys, tmp_path,
+                                                         command):
+        document, extra = self.REQUESTS[command]
+        argv = [command, *extra]
+        if document is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(document))
+            argv += ["--input", str(path)]
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        code, *scipy_modules = done.stderr.split()
+        assert (int(code), done.stdout) == run(capsys, *argv)
+        assert int(code) in (0, 1)
+        assert bool(scipy_modules) == command.startswith("ham-")

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -599,6 +600,26 @@ class TestSliceDeciders:
         assert decision.table["100"] == pytest.approx(1.0)
         assert decision.table["001"] == pytest.approx(0.0)
 
+    def test_hamming_decider_builds_the_basis_once(self, rng, monkeypatch):
+        # the witness rows and the table keys come from one weight-k array;
+        # the table is the one that keys from strings() and column norms of
+        # a second build gave
+        circuit = all_kinds_circuit(rng, 6, 1, 6)
+        enum = WeightEnumeration(6, 3)
+        norms = estimators._column_norms(
+            accept_row_blocks(accept_light_cone(circuit), enum.indices()))
+        expected = json.dumps(dict(zip(enum.strings(), norms.tolist())))
+        built, indices = [], WeightEnumeration.indices
+
+        def counting(self):
+            built.append((self.n, self.k))
+            return indices(self)
+
+        monkeypatch.setattr(WeightEnumeration, "indices", counting)
+        decision = decide_hamming_weight_qcs_exact(circuit, 3, 0.0, 1.0)
+        assert built == [(6, 3)]
+        assert json.dumps(decision.to_json()["table"]) == expected
+
     @pytest.mark.parametrize("accept", [2, 5], ids=["witness", "ancilla"])
     def test_hamming_table_is_per_string_acceptance(self, rng, accept):
         # [DERIVED] per-string acceptance from the dense oracle unitary
@@ -790,9 +811,9 @@ class TestAcceptLightCone:
         applied = []
         apply = circuits.apply_gate_matrix
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             applied.append(args[1:3])
-            return apply(*args)
+            return apply(*args, **kwargs)
 
         monkeypatch.setattr(circuits, "apply_gate_matrix", counting)
         assert qmak_decide(circuit, 2).trace == pytest.approx(2.0)
