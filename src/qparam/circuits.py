@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,9 @@ MONOMIAL_GATES = frozenset(
 _DIAGONAL_PHASE = {
     "Z": -1 + 0j, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4), "CZ": -1 + 0j
 }
-# witness columns evolved at once; a block holds only the basis rows its
-# columns reach, so 2^total × 64 entries is its upper bound
+# columns evolved at once, each shared by witnesses of distinct classes; a
+# block holds only the basis rows its columns reach, so 2^total × 64
+# entries is its upper bound
 WITNESS_CHUNK = 64
 # widest state decode_weight_witness expands: 2^20 amplitudes, 16 MiB
 DECODE_QUBIT_LIMIT = 20
@@ -275,12 +277,50 @@ def _steps(
         yield wires, matrix
 
 
+def _fixed_wires(steps: list, witness_qubits: int) -> list[int]:
+    """The witness wires whose starting bit every label that :func:`_evolve`
+    reaches through ``steps`` still determines, ascending.
+
+    Each witness wire keeps its support, a bitmask of the wires whose
+    current bits determine its starting bit: at first the wire itself. A
+    monomial gate only relabels rows: SWAP exchanges its two wires in each
+    support, and X, Y, CX and TOFFOLI, which flip their target where every
+    control reads 1, add their controls to each support that holds the
+    target; a phase gate changes no label. A run fills every pattern of its
+    wires, so a wire whose support meets them is no longer fixed.
+    """
+    support = {w: 1 << w for w in range(witness_qubits)}
+    for step in steps:
+        if not support:
+            break
+        if not isinstance(step, Gate):
+            run = sum(1 << w for w in step[0])
+            support = {w: s for w, s in support.items() if not s & run}
+        elif step.name == "SWAP":
+            a, b = step.targets
+            for w, s in support.items():
+                if (s >> a ^ s >> b) & 1:
+                    support[w] = s ^ (1 << a | 1 << b)
+        elif step.name not in _DIAGONAL_PHASE:
+            target = 1 << step.targets[0]
+            controls = sum(1 << c for c in step.controls)
+            for w, s in support.items():
+                if s & target:
+                    support[w] = s | controls
+    return sorted(support)
+
+
 def _work(steps: list, rows: int, width: int, num_qubits: int) -> np.ndarray:
     """The two work buffers of :func:`_evolve`, for blocks of at most
     ``width`` columns that start on at most ``rows`` distinct rows: each
     holds the largest block the steps can make, since a run on s wires at
     most multiplies the rows by 2^s, and no block holds more than 2^n. A
-    block smaller than that touches only the buffers' first pages."""
+    block smaller than that touches only the buffers' first pages.
+
+    The class that :func:`accept_row_blocks` carries above bit n adds no
+    label to the 2^n: each of its fixed wires' starting bit is a function
+    of the label's bits on the wire's support (:func:`_fixed_wires`), so the
+    class is a function of the label's low n bits."""
     for step in steps:
         if not isinstance(step, Gate):
             rows = min(rows << len(step[0]), 1 << num_qubits)
@@ -364,37 +404,107 @@ def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
     return StateVector(n, out)
 
 
+class AcceptBlock(NamedTuple):
+    """One block of :func:`accept_row_blocks`: the evolved rows of up to
+    ``WITNESS_CHUNK`` columns, each column shared by witnesses of distinct
+    classes.
+
+    ``classes`` holds the witnesses' fixed-bit patterns, their bits on the
+    fixed wires, ascending. ``labels[i]`` is −1 where Π₁ zeroes
+    ``block[i]``, and otherwise ``k << (n − 1) | r``: r the accept row,
+    with the accept bit dropped, and k the index of the row's class.
+    ``owners[k, c]`` is the position in the witness indices of the witness
+    of class k in column c, or the number of witness indices where there is
+    none; a column's entries on other classes' rows are exact zeros.
+    ``block`` is a view of the work buffers, valid until the next block is
+    drawn.
+    """
+
+    labels: np.ndarray
+    block: np.ndarray
+    owners: np.ndarray
+    classes: np.ndarray
+
+
+def _fold(witness: np.ndarray, fixed: int) -> tuple:
+    """Each witness's column and class index, the (classes, columns) table
+    of the witness in each class and column, and the classes' patterns,
+    the witness bits on the ``fixed`` mask.
+
+    Witnesses share a column when their other bits agree and, for a
+    repeated index, so do their repeat counts; columns are numbered in the
+    order of their first witness. Where no two share one, nothing is folded.
+    """
+    count = len(witness)
+    if fixed:
+        order = np.argsort(witness, kind="stable")
+        ordered = witness[order]
+        repeat = np.empty_like(witness)
+        repeat[order] = np.arange(count) - np.searchsorted(ordered, ordered)
+        mixed = witness & ~fixed
+        _, first, key = np.unique(repeat * (int(mixed.max()) + 1) + mixed,
+                                  return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        column = rank[key]
+    if not fixed or len(first) == count:
+        return np.arange(count), 0, np.arange(count)[None], np.zeros(1, dtype=np.int64)
+    classes = np.unique(witness & fixed)
+    tag = np.searchsorted(classes, witness & fixed)
+    owners = np.full((len(classes), len(first)), count)
+    owners[tag, column] = np.arange(count)
+    return column, tag, owners, classes
+
+
 def accept_row_blocks(
     circuit: QuantumCircuit, witness_indices: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[AcceptBlock]:
     """The accept rows of U|w, 0...0⟩ for witness basis indices w, as
-    (labels, block) pairs of at most ``WITNESS_CHUNK`` columns in the order
-    of w.
+    :class:`AcceptBlock` blocks of at most ``WITNESS_CHUNK`` columns.
 
-    The accept rows are the basis indices whose accept qubit reads 1, that
-    bit dropped; the rows that Π₁ zeroes are left out. ``labels[i]`` is the
-    accept row of ``block[i]``; the labels are distinct but not sorted, and
-    every other accept row is an exact zero in every column. The run
-    matrices and the work buffers are made once; each block starts at the
-    head of ``work[1]``, on the distinct rows |w, 0...0⟩ of its columns, so
-    :func:`_evolve` carries only the rows that those columns reach.
+    A witness bit on a fixed wire (:func:`_fixed_wires`) is a function of
+    every label the witness reaches, so witnesses that differ only there
+    reach disjoint rows and share a column: each witness takes the column
+    of its other bits, those of the witnesses before it being the same
+    (a repeated index takes a new one), and carries its class, the index
+    of its fixed bits' pattern, above bit n of its labels. Columns come in
+    the order of their first witness, so a cone with no fixed wire gets one
+    column per witness in order. A block starts at the head of ``work[1]`` on the
+    distinct labels |w, 0...0⟩ of its witnesses, so :func:`_evolve` carries
+    only the rows they reach; runs and relabels act below bit n only. The
+    run matrices and the work buffers are made once.
     """
     n = circuit.total_qubits
     low = n - 1 - circuit.accept_qubit
-    rows = np.asarray(witness_indices, dtype=np.int64) << circuit.ancilla_qubits
+    witness = np.asarray(witness_indices, dtype=np.int64)
+    if not len(witness):
+        return
     steps = list(_steps(circuit))
-    width = min(WITNESS_CHUNK, len(rows))
-    work = _work(steps, width, width, n)
-    for start in range(0, len(rows), WITNESS_CHUNK):
-        chunk = rows[start:start + WITNESS_CHUNK]
-        labels, row = np.unique(chunk, return_inverse=True)
-        block = work[1, :len(labels) * len(chunk)].reshape(len(labels), -1)
+    # the fold only narrows the runs' GEMMs: a cone without a run has none,
+    # and where no two witnesses share a column the classes only cost
+    runs = any(not isinstance(step, Gate) for step in steps)
+    fixed = sum(1 << (circuit.witness_qubits - 1 - w)
+                for w in _fixed_wires(steps, circuit.witness_qubits)) if runs else 0
+    column, tag, owners, classes = _fold(witness, fixed)
+    start = tag << n | witness << circuit.ancilla_qubits
+    columns = owners.shape[1]
+    order = np.argsort(column, kind="stable")
+    cuts = np.searchsorted(column[order],
+                           np.arange(0, columns + WITNESS_CHUNK, WITNESS_CHUNK))
+    work = _work(steps, int(np.diff(cuts).max()), min(WITNESS_CHUNK, columns), n)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        chunk = order[lo:hi]
+        first = column[chunk[0]]
+        labels, row = np.unique(start[chunk], return_inverse=True)
+        block = work[1, :len(labels) * (column[chunk[-1]] + 1 - first)]
+        block = block.reshape(len(labels), -1)
         block[...] = 0
-        block[row, np.arange(len(chunk))] = 1
+        block[row, column[chunk] - first] = 1
         labels, block = _evolve(steps, labels, block, n, work)
         kept = (labels >> low) & 1 == 1
-        accept = labels[kept]
-        yield accept >> (low + 1) << low | accept & ((1 << low) - 1), block[kept]
+        accept = labels >> (low + 1) << low | labels & ((1 << low) - 1)
+        yield AcceptBlock(np.where(kept, accept, -1), block,
+                          owners[:, first:first + block.shape[1]], classes)
 
 
 def accept_light_cone(circuit: QuantumCircuit) -> QuantumCircuit:

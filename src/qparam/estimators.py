@@ -17,6 +17,7 @@ from math import ceil, comb, inf, isfinite, log, sqrt, ulp
 import numpy as np
 
 from .circuits import (
+    AcceptBlock,
     QuantumCircuit,
     StateVector,
     accept_light_cone,
@@ -26,7 +27,6 @@ from .circuits import (
 )
 from .decision import Report, Verdict
 from .errors import InvalidInputError, require_within
-from .linalg import full_spectrum
 from .weightenum import INDEX_BITS, WeightEnumeration, bit_strings
 
 EXACT_GAP_LIMIT = 20
@@ -229,7 +229,7 @@ def estimate_gap(
     )
 
 
-_Blocks = Iterator[tuple[np.ndarray, np.ndarray]]
+_Blocks = Iterator[AcceptBlock]
 
 
 def _accept_columns(
@@ -240,7 +240,7 @@ def _accept_columns(
     through the accept qubit's backward light cone only: the gates outside
     it cancel in U†Π₁U. The columns come as :func:`accept_row_blocks`
     yields them, ``WITNESS_CHUNK`` at a time on the accept rows they reach,
-    in the order of the indices."""
+    witnesses of distinct classes sharing a column."""
     require_within(circuit.total_qubits, QMAK_QUBIT_LIMIT, "circuit qubits")
     indices = witness()
     return indices, accept_row_blocks(accept_light_cone(circuit), indices)
@@ -256,29 +256,92 @@ def _qmak_columns(verifier: QuantumCircuit, k: int) -> _Blocks:
     return _accept_columns(verifier, lambda: np.arange(2**k))[1]
 
 
-def _column_norms(blocks: _Blocks) -> np.ndarray:
-    """Squared norm of every column, summed one block at a time over the
-    rows it reaches."""
-    # a contiguous complex block viewed as floats holds each column's real
-    # and imaginary parts side by side, so the sum of squares makes no |z|²
+def _accept_mass(blocks: _Blocks) -> float:
+    """The sum of every squared accept entry: each block's squared row
+    norms, read over its accept rows, so no row is copied."""
+    # a contiguous complex block viewed as floats holds each row's real and
+    # imaginary parts side by side, so the sum of squares makes no |z|²
     # temporary
-    floats = (block.view(float) for _, block in blocks)
-    return np.concatenate([np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
-                           for f in floats])
+    floats = ((labels, block.view(float)) for labels, block, _, _ in blocks)
+    return float(sum(np.einsum("ij,ij->i", f, f)[labels >= 0].sum()
+                     for labels, f in floats))
 
 
-def _stacked_columns(blocks: _Blocks) -> np.ndarray:
-    """Every column side by side on the sorted union of the blocks' labels,
-    at most 2^(total-1) rows: a row that no block reaches is zero in every
-    column, so leaving it out changes no inner product."""
-    blocks = list(blocks)
-    rows = np.unique(np.concatenate([labels for labels, _ in blocks]))
-    phi = np.zeros((len(rows), sum(b.shape[1] for _, b in blocks)), dtype=complex)
-    start = 0
-    for labels, block in blocks:
-        phi[np.searchsorted(rows, labels), start:start + block.shape[1]] = block
-        start += block.shape[1]
-    return phi
+def _column_norms(blocks: _Blocks, shift: int, count: int) -> np.ndarray:
+    """Squared norm of each of the ``count`` witnesses' columns: its block
+    column summed over its class's accept rows, one block at a time, as one
+    product of the classes' row indicators (``labels >> shift``) with the
+    squared accept rows."""
+    norms = np.zeros(count + 1)  # the last one takes the unowned entries
+    for labels, block, owners, _ in blocks:
+        rows = np.flatnonzero(labels >= 0)
+        f = block[rows].view(float)
+        if len(owners) == 1:  # one class: each column's sum is its witness's
+            sums = np.einsum("ij,ij->j", f, f)
+        else:
+            member = np.arange(len(owners))[:, None] == labels[rows] >> shift
+            sums = member.astype(float) @ np.square(f, out=f)
+        norms[owners] = sums.reshape(owners.shape + (2,)).sum(axis=2)
+    return norms[:count]
+
+
+def _grouped(ids: np.ndarray, groups: int, pad: int) -> tuple[np.ndarray, ...]:
+    """The indices of ``ids`` by group, as a (groups, largest + 1) table
+    padded with ``pad``, and each index's place in its group's row."""
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids, minlength=groups)
+    place = np.empty_like(ids)
+    place[order] = np.arange(len(ids)) - np.repeat(np.cumsum(counts) - counts,
+                                                   counts)
+    table = np.full((groups, counts.max(initial=0) + 1), pad)
+    table[ids, place] = np.arange(len(ids))
+    return table, place
+
+
+def _class_columns(
+    blocks: _Blocks, shift: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` witnesses' columns split by class: a (classes, rows,
+    members + 1) array whose [c, :, j] is the j-th witness of class c on
+    class c's sorted accept rows, and a (classes, members + 1) table of
+    those witnesses' positions, both padded with zeros and ``count``. The
+    last column of each class takes the unowned entries, exact zeros.
+
+    Columns of different classes share no row, so the Gram matrix of all
+    the columns is block-diagonal in these per-class blocks, and a row that
+    no block reaches is zero in every column and changes no inner product.
+    The blocks' accept rows are the one copy."""
+    parts, witness_class = [], np.zeros(count + 1, dtype=np.int64)
+    for labels, block, owners, classes in blocks:
+        rows = np.flatnonzero(labels >= 0)
+        tags = labels[rows] >> shift
+        parts.append((classes[tags], labels[rows] & ((1 << shift) - 1), tags,
+                      owners, block[rows]))
+        witness_class[owners] = classes[:, None]
+    known, group = np.unique(witness_class[:count], return_inverse=True)
+    members, place = _grouped(group, len(known), count)
+    place = np.append(place, members.shape[1] - 1)
+    keys = [np.searchsorted(known, cls) << shift | row for cls, row, *_ in parts]
+    union = np.unique(np.concatenate(keys))
+    rows, row_place = _grouped(union >> shift, len(known), len(union))
+    out = np.zeros((len(known), rows.shape[1] - 1, members.shape[1]), dtype=complex)
+    flat = out.reshape(-1, members.shape[1])
+    start = (union >> shift) * out.shape[1] + row_place  # each row's in ``flat``
+    for key, (_, _, tags, owners, values) in zip(keys, parts):
+        at = start[np.searchsorted(union, key)]
+        if len(known) == 1:  # one class: a block's witnesses are consecutive
+            flat[at, owners[0, 0]:owners[0, 0] + values.shape[1]] = values
+        else:
+            entry = (at * flat.shape[1])[:, None] + place[owners][tags]
+            flat.reshape(-1)[entry] = values
+    return out, members
+
+
+def _gram(columns: np.ndarray) -> np.ndarray:
+    """The per-class Gram blocks of :func:`_class_columns`, without the
+    unowned column."""
+    columns = columns[:, :, :-1]
+    return columns.conj().transpose(0, 2, 1) @ columns
 
 
 def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
@@ -286,9 +349,13 @@ def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
     whose diagonal sums to 2^k times the maximally-mixed acceptance.
 
     Q = ⟨w,0|U†Π₁U|w′,0⟩ is the Gram matrix of the accept-projected columns
-    of all 2^k witness basis states."""
-    phi = _stacked_columns(_qmak_columns(verifier, k))
-    q = phi.conj().T @ phi
+    of all 2^k witness basis states, assembled from its per-class blocks."""
+    columns, members = _class_columns(_qmak_columns(verifier, k),
+                                      verifier.total_qubits - 1, 2**k)
+    members = members[:, :-1]
+    q = np.zeros((2**k + 1, 2**k + 1), dtype=complex)
+    q[members[:, :, None], members[:, None, :]] = _gram(columns)
+    q = q[:-1, :-1]
     return q, float(np.trace(q).real)
 
 
@@ -303,8 +370,8 @@ class QmakDecision(Report):
 def qmak_decide(verifier: QuantumCircuit, k: int) -> QmakDecision:
     """Decide by running the verifier on the maximally mixed witness:
     Pr[accept] = 2^{-k}·Tr(Q), compared against the rescaled thresholds.
-    Tr(Q) sums the witnesses' squared column norms, so Q is never formed."""
-    trace = float(np.sum(_column_norms(_qmak_columns(verifier, k))))
+    Tr(Q) sums every squared accept entry, so Q is never formed."""
+    trace = _accept_mass(_qmak_columns(verifier, k))
     verdict = Verdict.of(trace >= QMAK_YES_TRACE, trace <= QMAK_NO_TRACE)
     return QmakDecision(verdict, trace / 2**k, trace, k)
 
@@ -358,10 +425,10 @@ def decide_weight_qcs_exact(
 ) -> SliceDecision:
     """Maximum acceptance over all weight-k witness states, exactly: the
     largest eigenvalue of the Gram matrix of the weight-k basis's
-    accept-projected columns."""
-    _, blocks = _weight_k_columns(circuit, k, a, b)
-    phi = _stacked_columns(blocks)
-    lam_max = float(full_spectrum(phi.conj().T @ phi)[-1])
+    accept-projected columns, the largest over its per-class blocks."""
+    basis, blocks = _weight_k_columns(circuit, k, a, b)
+    columns, _ = _class_columns(blocks, circuit.total_qubits - 1, len(basis))
+    lam_max = float(np.linalg.eigvalsh(_gram(columns))[:, -1].max())
     return SliceDecision(_slice_verdict(lam_max, a, b), lam_max, a, b, k)
 
 
@@ -373,7 +440,7 @@ def decide_hamming_weight_qcs_exact(
     Each string's acceptance is the squared norm of its accept-projected
     column, the diagonal of the Gram matrix that wqcs diagonalises."""
     basis, blocks = _weight_k_columns(circuit, k, a, b)
-    accept = _column_norms(blocks)
+    accept = _column_norms(blocks, circuit.total_qubits - 1, len(basis))
     table = dict(zip(bit_strings(basis, circuit.witness_qubits), accept.tolist()))
     best = max(table.values())
     return SliceDecision(_slice_verdict(best, a, b), float(best), a, b, k, table)

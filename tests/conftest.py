@@ -231,14 +231,16 @@ def accept_projected_oracle(circuit: QuantumCircuit) -> np.ndarray:
 def accept_projected_columns(circuit: QuantumCircuit,
                              witness_indices: np.ndarray) -> np.ndarray:
     """The library's accept rows of U|w, 0...0⟩ for each witness w, as the
-    columns of one (2^(total-1), W) array: each (labels, block) pair
-    scattered into its own zeroed columns, the blocks side by side."""
-    out = np.zeros((2 ** (circuit.total_qubits - 1), len(witness_indices)),
-                   dtype=complex)
-    start = 0
-    for labels, block in accept_row_blocks(circuit, witness_indices):
-        out[labels, start:start + block.shape[1]] = block
-        start += block.shape[1]
+    columns of one (2^(total-1), W) array: each block's classes unfolded,
+    every witness's entries, those of its block column on its class's
+    rows, scattered into its own zeroed column."""
+    shift = circuit.total_qubits - 1
+    out = np.zeros((2**shift, len(witness_indices)), dtype=complex)
+    for labels, block, owners, _ in accept_row_blocks(circuit, witness_indices):
+        for row in np.flatnonzero(labels >= 0):
+            for column, witness in enumerate(owners[labels[row] >> shift]):
+                if witness < len(witness_indices):
+                    out[labels[row] & (2**shift - 1), witness] = block[row, column]
     return out
 
 

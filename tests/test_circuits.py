@@ -402,11 +402,13 @@ def test_blocks_hold_only_the_rows_their_columns_reach(monkeypatch):
     )
     circuit = QuantumCircuit(3, 9, gates, 4)
     columns, held = 8, []
+    # witness wires 0 and 2 are fixed, so the 8 witnesses share 2 columns
+    (width,) = (b.block.shape[1] for b in accept_row_blocks(circuit, np.arange(8)))
     apply = circuits.apply_gate_matrix
 
     def recording(amplitudes, num_qubits, wires, matrix, out=None):
         if sys._getframe(1).f_code is circuits._evolve.__code__:
-            held.append(amplitudes.size // columns)
+            held.append(amplitudes.size // width)
         return apply(amplitudes, num_qubits, wires, matrix, out=out)
 
     monkeypatch.setattr(circuits, "apply_gate_matrix", recording)
@@ -432,15 +434,176 @@ def test_wide_register_costs_the_rows_reached_not_2_to_the_n():
     circuit = QuantumCircuit(2, 18, tuple(gates), 19)
     tracemalloc.start()
     try:
-        ((labels, block),) = accept_row_blocks(circuit, np.array([0]))
+        ((labels, block, _, _),) = accept_row_blocks(circuit, np.array([0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    labels, block = labels[labels >= 0], block[labels >= 0]
     assert block.shape == (2**10, 1) and labels.shape == (2**10,)
     assert len(np.unique(labels)) == 2**10 and 0 <= labels.min() <= labels.max() < 2**19
     # the last CX copies wire 18, which an H left uniform, into the accept wire
     assert np.sum(np.abs(block) ** 2) == pytest.approx(0.5, abs=1e-12)
     assert peak < 2**20
+
+def _fixed(circuit: QuantumCircuit) -> list[int]:
+    return circuits._fixed_wires(list(_steps(circuit)), circuit.witness_qubits)
+
+
+class TestFixedWires:
+    """The fixed-wire pass on hand-built circuits of 3 witness wires (0-2)
+    and 2 ancillas (3, 4)."""
+
+    @staticmethod
+    def fixed(*gates, accept=4):
+        return _fixed(QuantumCircuit(3, 2, gates, accept))
+
+    def test_controls_and_phases_keep_a_wire_fixed(self):
+        assert self.fixed(
+            Gate("CX", controls=(0,), targets=(3,)),
+            Gate("TOFFOLI", controls=(0, 1), targets=(4,)),
+            Gate("CZ", controls=(1,), targets=(2,)), Gate("T", targets=(2,)),
+            Gate("S", targets=(0,)), Gate("H", targets=(3,)), Gate("H", targets=(4,)),
+        ) == [0, 1, 2]
+
+    def test_flips_keep_a_wire_fixed(self):
+        assert self.fixed(Gate("X", targets=(0,)), Gate("Y", targets=(1,)),
+                          Gate("CX", controls=(2,), targets=(1,)),
+                          Gate("H", targets=(3,))) == [0, 1, 2]
+
+    def test_cx_or_toffoli_from_a_wire_a_later_run_mixes_unfixes(self):
+        assert self.fixed(
+            Gate("CX", controls=(3,), targets=(0,)),
+            Gate("TOFFOLI", controls=(4, 2), targets=(1,)),
+            Gate("H", targets=(3,)), Gate("H", targets=(4,)),
+        ) == [2]
+        # after the run the control's bit no longer changes, so the
+        # target's starting bit stays a function of the two
+        assert self.fixed(Gate("H", targets=(3,)),
+                          Gate("CX", controls=(3,), targets=(0,))) == [0, 1, 2]
+
+    def test_swap_onto_a_later_run_unfixes(self):
+        # SWAP(1, 4) goes out ahead of the run on wire 3, which it misses
+        assert self.fixed(Gate("SWAP", targets=(0, 3)), Gate("H", targets=(3,)),
+                          Gate("SWAP", targets=(1, 4))) == [1, 2]
+        # a SWAP of two witness wires exchanges their supports
+        assert self.fixed(Gate("SWAP", targets=(0, 1)),
+                          Gate("H", targets=(0,))) == [0, 2]
+
+    def test_a_run_off_the_support_keeps_the_wire_fixed(self, rng):
+        assert self.fixed(Gate("CX", controls=(0,), targets=(3,)), _u(rng, 3, 4),
+                          Gate("SWAP", targets=(1, 2)), _u(rng, 4)) == [0, 1, 2]
+        assert self.fixed(_u(rng, 3, 1)) == [0, 2]
+
+    def test_the_accept_wire_can_be_a_witness_wire(self, rng):
+        # witness wire 1 only controls, so it stays fixed though it is the
+        # accept wire; with wire 2 the 8 witnesses fold into 2 columns
+        c = QuantumCircuit(3, 2, (
+            Gate("H", targets=(0,)), Gate("CX", controls=(1,), targets=(3,)),
+            _u(rng, 3, 0), Gate("TOFFOLI", controls=(2, 3), targets=(4,)),
+            _u(rng, 4, 0),
+        ), 1)
+        assert _fixed(c) == [1, 2]
+        assert sum(b.block.shape[1] for b in accept_row_blocks(c, np.arange(8))) == 2
+        expected = accept_projected_oracle(c)
+        reads_one = (np.arange(2**5) >> 3) & 1 == 1
+        got = accept_projected_columns(c, np.arange(8))
+        assert np.allclose(got, expected[reads_one][:, np.arange(8) << 2], atol=1e-12)
+
+
+def test_no_block_holds_more_than_2_to_the_n_labels(rng, monkeypatch):
+    # random cones whose dense gates keep off some witness wires; a label
+    # of the evolved blocks carries its class above bit n, and the class is
+    # a function of the bits below, so no block holds more labels than 2^n
+    evolve, held, folded = circuits._evolve, [], []
+
+    def recording(steps, rows, block, num_qubits, work):
+        rows, block = evolve(steps, rows, block, num_qubits, work)
+        held.append((len(rows), len(np.unique(rows & (2**num_qubits - 1)))))
+        return rows, block
+
+    monkeypatch.setattr(circuits, "_evolve", recording)
+    for trial in range(40):
+        witness, ancilla = int(rng.integers(3, 7)), int(rng.integers(0, 4))
+        total = witness + ancilla
+        dense = [q for q in range(total) if q >= witness or rng.random() < 0.3]
+        gates = []
+        for gate in random_circuit(rng, total, 16).gates:
+            if gate.name in MONOMIAL_GATES:
+                gates.append(gate)
+            elif dense:
+                gates.append(_u(rng, *rng.choice(dense, min(len(dense), 2),
+                                                 replace=False).tolist()))
+        c = QuantumCircuit(witness, ancilla, tuple(gates), int(rng.integers(total)))
+        held.clear()
+        blocks = list(accept_row_blocks(c, np.arange(2**witness)))
+        folded.append(any(len(b.owners) > 1 for b in blocks))
+        # every label is distinct and so is its part below bit n
+        assert all(rows == low <= 2**total for rows, low in held)
+    assert sum(folded) >= 10  # the classes were there to count
+
+
+def _gemm_calls(monkeypatch, run) -> list:
+    """(num_qubits, wires, shape) of each GEMM that :func:`_evolve` makes
+    while ``run()`` runs."""
+    calls, apply = [], circuits.apply_gate_matrix
+
+    def recording(amplitudes, num_qubits, wires, matrix, out=None):
+        if sys._getframe(1).f_code is circuits._evolve.__code__:
+            calls.append((num_qubits, tuple(wires), amplitudes.shape))
+        return apply(amplitudes, num_qubits, wires, matrix, out=out)
+
+    monkeypatch.setattr(circuits, "apply_gate_matrix", recording)
+    run()
+    monkeypatch.setattr(circuits, "apply_gate_matrix", apply)
+    return calls
+
+
+def _unfolded_blocks(circuit: QuantumCircuit, witnesses: np.ndarray) -> None:
+    """The evolution without the fold: one column per witness, in blocks of
+    ``WITNESS_CHUNK`` witnesses in order."""
+    n, steps = circuit.total_qubits, list(_steps(circuit))
+    work = circuits._work(steps, WITNESS_CHUNK, WITNESS_CHUNK, n)
+    for start in range(0, len(witnesses), WITNESS_CHUNK):
+        chunk = witnesses[start:start + WITNESS_CHUNK] << circuit.ancilla_qubits
+        labels, row = np.unique(chunk, return_inverse=True)
+        block = np.zeros((len(labels), len(chunk)), dtype=complex)
+        block[row, np.arange(len(chunk))] = 1
+        circuits._evolve(steps, labels, block, n, work)
+
+
+class TestFoldedGemms:
+    """The GEMMs of the folded blocks against those of one column per
+    witness, as the engine made them before the fold."""
+
+    def test_a_cone_with_no_fixed_wire_makes_the_same_calls(self, rng, monkeypatch):
+        c = QuantumCircuit(7, 2, (
+            *(Gate("H", targets=(q,)) for q in range(7)), _u(rng, 7, 0, 3),
+            Gate("CX", controls=(7,), targets=(8,)), _u(rng, 8, 5),
+            Gate("TOFFOLI", controls=(1, 2), targets=(8,)), _u(rng, 6, 8, 4),
+        ), 8)
+        assert _fixed(c) == []
+        witnesses = np.arange(2**7)
+        folded = _gemm_calls(monkeypatch, lambda: list(accept_row_blocks(c, witnesses)))
+        unfolded = _gemm_calls(monkeypatch, lambda: _unfolded_blocks(c, witnesses))
+        assert len(folded) == 12 and folded == unfolded  # 6 runs, 2 blocks
+
+    def test_three_fixed_wires_of_six_take_8x_fewer_gemm_columns(self, rng,
+                                                                  monkeypatch):
+        # wires 3-5 only control or flip: the 64 witnesses share 8 columns,
+        # on the same rows
+        c = QuantumCircuit(6, 3, (
+            Gate("H", targets=(0,)), Gate("CX", controls=(3,), targets=(6,)),
+            _u(rng, 6, 1), Gate("TOFFOLI", controls=(4, 5), targets=(7,)),
+            Gate("X", targets=(4,)), _u(rng, 7, 2, 8), Gate("SWAP", targets=(3, 5)),
+            Gate("CX", controls=(5,), targets=(8,)), _u(rng, 8, 0, 6),
+        ), 8)
+        assert _fixed(c) == [3, 4, 5]
+        witnesses = np.arange(2**6)
+        folded = _gemm_calls(monkeypatch, lambda: list(accept_row_blocks(c, witnesses)))
+        unfolded = _gemm_calls(monkeypatch, lambda: _unfolded_blocks(c, witnesses))
+        assert [call[:2] for call in folded] == [call[:2] for call in unfolded]
+        assert all(s == 8 * f for (_, _, (_, f)), (_, _, (_, s)) in zip(folded, unfolded))
+
 
 class TestAcceptance:
     def test_x_on_accept(self):

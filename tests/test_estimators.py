@@ -19,6 +19,7 @@ from conftest import (
 )
 from qparam import circuits, estimators
 from qparam.circuits import (
+    AcceptBlock,
     Gate,
     QuantumCircuit,
     accept_light_cone,
@@ -485,8 +486,8 @@ class TestQmak:
             Gate("TOFFOLI", controls=(0, 8), targets=(11,)),
             Gate("T", targets=(11,)), Gate("H", targets=(3,)),
         ), 11)
-        ((labels, _),) = accept_row_blocks(accept_light_cone(verifier),
-                                           np.arange(64))
+        ((labels, *_),) = accept_row_blocks(accept_light_cone(verifier),
+                                            np.arange(64))
         assert len(labels) <= 64
         tracemalloc.start()
         try:
@@ -607,7 +608,7 @@ class TestSliceDeciders:
         circuit = all_kinds_circuit(rng, 6, 1, 6)
         enum = WeightEnumeration(6, 3)
         norms = estimators._column_norms(
-            accept_row_blocks(accept_light_cone(circuit), enum.indices()))
+            accept_row_blocks(accept_light_cone(circuit), enum.indices()), 6, enum.dim)
         expected = json.dumps(dict(zip(enum.strings(), norms.tolist())))
         built, indices = [], WeightEnumeration.indices
 
@@ -690,9 +691,9 @@ class TestSliceDeciders:
 
 
 class TestStackedColumns:
-    """``wqcs`` and ``qmak_operator`` stack the blocks' columns on the sorted
-    union of their accept-row labels; the Gram matrix of the scattered
-    (2^(n-1), W) columns is the reference."""
+    """``wqcs`` and ``qmak_operator`` split the blocks' columns by class, each
+    class on the sorted union of its accept-row labels; the Gram matrix of
+    the scattered (2^(n-1), W) columns is the reference."""
 
     def test_union_of_differing_and_empty_label_sets(self, rng):
         sets = [np.array([5, 1, 9]), np.array([], dtype=np.int64),
@@ -705,16 +706,51 @@ class TestStackedColumns:
         for labels, block in blocks:
             scattered[labels, start:start + block.shape[1]] = block
             start += block.shape[1]
-        phi = estimators._stacked_columns(iter(blocks))
+        starts = np.cumsum([0, 3, 2, 4])
+        blocks = [AcceptBlock(labels, block, first + np.arange(block.shape[1])[None],
+                              np.zeros(1, dtype=np.int64))
+                  for (labels, block), first in zip(blocks, starts)]
+        columns, members = estimators._class_columns(iter(blocks), 4, 10)
+        assert members.tolist() == [list(range(11))]  # 10 pads the unowned column
+        phi = columns[0, :, :10]
         assert phi.shape == (5, 10)  # rows 0, 1, 3, 5 and 9
         assert np.max(np.abs(phi.conj().T @ phi
                              - scattered.conj().T @ scattered)) <= 1e-12
 
+    def test_classes_sharing_a_column_unfold_to_their_own_rows(self, rng):
+        # one block of 2 columns on 4-bit accept rows: class 0 (pattern 0)
+        # holds witnesses 3 and 0 on rows 2 and 7, class 1 (pattern 8)
+        # witness 1 on rows 5 and 9, in column 0 only, so its rows are exact
+        # zeros in column 1; the rows labelled -1 are those Π₁ drops, and
+        # witness 2, in no block, has a zero column
+        labels = np.array([1 << 4 | 5, 2, -1, 1 << 4 | 9, 7, -1])
+        block = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        block[[0, 3], 1] = 0
+        owners = np.array([[3, 0], [1, 4]])
+        blocks = [AcceptBlock(labels, block, owners, np.array([0, 8]))]
+        scattered = np.zeros((16, 4), dtype=complex)
+        scattered[[2, 7], 3] = block[[1, 4], 0]
+        scattered[[2, 7], 0] = block[[1, 4], 1]
+        scattered[[5, 9], 1] = block[[0, 3], 0]
+        gram = scattered.conj().T @ scattered
+        columns, members = estimators._class_columns(iter(blocks), 4, 4)
+        assert columns.shape == (2, 2, 4)
+        assert members.tolist() == [[0, 2, 3, 4], [1, 4, 4, 4]]
+        blocks_gram = estimators._gram(columns)
+        for c, witnesses in enumerate(([0, 2, 3], [1])):
+            got = blocks_gram[c, :len(witnesses), :len(witnesses)]
+            assert np.max(np.abs(got - gram[np.ix_(witnesses, witnesses)])) <= 1e-12
+        norms = estimators._column_norms(iter(blocks), 4, 4)
+        assert np.max(np.abs(norms - np.diag(gram).real)) <= 1e-12 and norms[2] == 0
+
     def test_blocks_on_different_rows_match_the_oracle(self, rng):
         # 9 witness wires and an accept ancilla fed w0 XOR w1, then mixed
-        # with wire 4: the first 64-column block (w0 = w1 = 0) and the next
-        # (w0 = 0, w1 = 1) reach different accept rows
-        circuit = QuantumCircuit(9, 1, (
+        # with wire 4. A CX from the ancilla, still 0, leaves wires 2-8 as
+        # they are, but joins the ancilla to their supports, so only wires 0
+        # and 1 are fixed: the first 64-column block (w2 = 0) and the next
+        # (w2 = 1) reach different accept rows
+        circuit = QuantumCircuit(9, 1, tuple(
+            Gate("CX", controls=(9,), targets=(q,)) for q in (2, 3, 5, 6, 7, 8)) + (
             Gate("H", targets=(4,)), Gate("CX", controls=(0,), targets=(9,)),
             Gate("CX", controls=(1,), targets=(9,)),
             Gate("UNITARY", targets=(4, 9), matrix=random_unitary(rng, 4)),
@@ -737,8 +773,9 @@ class TestStackedColumns:
     def test_dark_accept_rows(self):
         # the accept ancilla is never touched: every block holds (0, W)
         circuit = QuantumCircuit(9, 1, (Gate("H", targets=(3,)),), 9)
-        assert all(labels.shape == (0,) and block.shape[0] == 0
-                   for labels, block in accept_row_blocks(circuit, np.arange(512)))
+        assert all(labels[labels >= 0].shape == (0,)
+                   and block[labels >= 0].shape[0] == 0
+                   for labels, block, _, _ in accept_row_blocks(circuit, np.arange(512)))
         q, trace = qmak_operator(circuit, 9)
         assert q.shape == (512, 512) and not q.any() and trace == 0.0
         assert qmak_decide(circuit, 9).trace == 0.0
@@ -824,3 +861,97 @@ class TestAcceptLightCone:
         # H are multiplied into it, and the run is then applied once to the
         # block's (2, L·W) view
         assert applied == [(1, (0,))] * 3
+
+
+def _u(rng, *wires):
+    return Gate("UNITARY", targets=wires, matrix=random_unitary(rng, 2 ** len(wires)))
+
+
+def _cone_fixed_wires(circuit: QuantumCircuit) -> list[int]:
+    steps = list(circuits._steps(accept_light_cone(circuit)))
+    return circuits._fixed_wires(steps, circuit.witness_qubits)
+
+
+# 6 witness wires and 3 ancillas, the accept wire the last: (gates(rng),
+# the fixed witness wires of the accept wire's cone)
+FOLD_CASES = {
+    "nothing-fixed": (lambda rng: (
+        *(Gate("H", targets=(q,)) for q in range(6)), _u(rng, 0, 1, 6),
+        _u(rng, 2, 3, 7), _u(rng, 4, 5, 8), Gate("CX", controls=(6,), targets=(7,)),
+        Gate("CX", controls=(7,), targets=(8,)), _u(rng, 6, 8),
+    ), []),
+    "some-fixed": (lambda rng: (
+        _u(rng, 0, 6), Gate("CX", controls=(3,), targets=(6,)),
+        Gate("TOFFOLI", controls=(4, 5), targets=(7,)), _u(rng, 1, 7),
+        Gate("CX", controls=(2,), targets=(8,)), Gate("CX", controls=(6,), targets=(8,)),
+        _u(rng, 7, 8), Gate("T", targets=(4,)), Gate("X", targets=(5,)),
+    ), [2, 3, 4, 5]),
+    "every-bit-fixed": (lambda rng: (
+        Gate("CX", controls=(0,), targets=(6,)),
+        Gate("TOFFOLI", controls=(1, 2), targets=(7,)), Gate("H", targets=(6,)),
+        _u(rng, 6, 7, 8), Gate("CX", controls=(3,), targets=(8,)),
+        Gate("SWAP", targets=(4, 5)), Gate("CZ", controls=(5,), targets=(8,)),
+        Gate("CX", controls=(4,), targets=(7,)), _u(rng, 7, 8),
+    ), [0, 1, 2, 3, 4, 5]),
+    # the accept ancilla is never touched: every decider reads 0
+    "dark-accept": (lambda rng: (
+        Gate("H", targets=(0,)), _u(rng, 0, 6), Gate("CX", controls=(1,), targets=(7,)),
+        _u(rng, 7, 2), Gate("CX", controls=(6,), targets=(3,)),
+    ), [0, 1, 2, 3, 4, 5]),
+}
+
+
+def _mixing_circuit(rng, fixed) -> QuantumCircuit:
+    """An H and a run with an ancilla on each witness wire off ``fixed``,
+    a CX from each wire of ``fixed`` into an ancilla, then runs on the
+    ancillas, the accept wire last."""
+    mixed = [q for q in range(6) if q not in fixed]
+    gates = [Gate("H", targets=(q,)) for q in mixed]
+    gates += [_u(rng, q, 6 + i % 3) for i, q in enumerate(mixed)]
+    gates += [Gate("CX", controls=(f,), targets=(6 + i % 3,))
+              for i, f in enumerate(fixed)]
+    return QuantumCircuit(6, 3, (*gates, _u(rng, 6, 7), _u(rng, 7, 8)), 8)
+
+
+class TestFoldedDeciders:
+    """[DERIVED] The deciders on folded columns against the Gram matrix of
+    the dense Π₁U's witness columns, one column per witness."""
+
+    @staticmethod
+    def assert_deciders_match_the_oracle(circuit, ks):
+        n = circuit.witness_qubits
+        phi = accept_projected_oracle(circuit)[:, np.arange(2**n) << circuit.ancilla_qubits]
+        gram = phi.conj().T @ phi
+        assert abs(qmak_decide(circuit, n).trace - np.trace(gram).real) <= 1e-12
+        q, _ = qmak_operator(circuit, n)
+        assert np.max(np.abs(q - gram)) <= 1e-12
+        for k in ks:
+            enum = WeightEnumeration(n, k)
+            sub = gram[np.ix_(enum.indices(), enum.indices())]
+            table = decide_hamming_weight_qcs_exact(circuit, k, 0.0, 1.0).table
+            assert list(table) == list(enum.strings())
+            assert np.max(np.abs(np.array(list(table.values())) - np.diag(sub).real)) <= 1e-12
+            lam_max = decide_weight_qcs_exact(circuit, k, 0.0, 1.0).max_acceptance
+            assert abs(lam_max - np.linalg.eigvalsh(sub)[-1]) <= 1e-12
+        return gram
+
+    @pytest.mark.parametrize("case", list(FOLD_CASES))
+    def test_deciders_match_the_oracle(self, rng, case):
+        gates, fixed = FOLD_CASES[case]
+        circuit = QuantumCircuit(6, 3, gates(rng), 8)
+        assert _cone_fixed_wires(circuit) == fixed
+        gram = self.assert_deciders_match_the_oracle(circuit, (1, 2, 3))
+        assert (case == "dark-accept") == (not gram.any())
+
+    @pytest.mark.parametrize("fixed, columns", [([5], 20), ([4, 5], 14), ([3, 4, 5], 8)])
+    def test_weight_k_witnesses_share_columns_from_two_fixed_bits(self, rng, fixed,
+                                                                  columns):
+        # on one fixed bit the weight-3 witnesses of either class differ in
+        # the weight of their other bits, so no two share a column; on two,
+        # the classes 01 and 10 share the columns of weight-2 other bits
+        circuit = _mixing_circuit(rng, fixed)
+        assert _cone_fixed_wires(circuit) == fixed
+        witnesses = WeightEnumeration(6, 3).indices()
+        blocks = list(accept_row_blocks(accept_light_cone(circuit), witnesses))
+        assert sum(b.block.shape[1] for b in blocks) == columns
+        self.assert_deciders_match_the_oracle(circuit, (3,))
