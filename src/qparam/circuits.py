@@ -281,33 +281,29 @@ def _fixed_wires(steps: list, witness_qubits: int) -> list[int]:
     """The witness wires whose starting bit every label that :func:`_evolve`
     reaches through ``steps`` still determines, ascending.
 
-    Each witness wire keeps its support, a bitmask of the wires whose
-    current bits determine its starting bit: at first the wire itself. A
-    monomial gate only relabels rows: SWAP exchanges its two wires in each
-    support, and X, Y, CX and TOFFOLI, which flip their target where every
-    control reads 1, add their controls to each support that holds the
-    target; a phase gate changes no label. A run fills every pattern of its
-    wires, so a wire whose support meets them is no longer fixed.
+    A witness wire's support, the wires whose current bits determine its
+    starting bit, is at first the wire itself. A monomial gate only
+    relabels rows: SWAP exchanges its two wires in the support, and X, Y,
+    CX and TOFFOLI, which flip their target where every control reads 1,
+    add their controls to a support that holds the target; a phase gate
+    changes no label. A run fills every pattern of its wires, so a wire
+    whose support meets a run is no longer fixed. Walking the steps
+    backwards, ``mixed`` holds the wires that a support must miss there:
+    a run's wires, carried back through each SWAP, and the target of a
+    flip whose controls meet them. So one mask serves every witness wire.
     """
-    support = {w: 1 << w for w in range(witness_qubits)}
-    for step in steps:
-        if not support:
-            break
+    mixed = 0
+    for step in reversed(steps):
         if not isinstance(step, Gate):
-            run = sum(1 << w for w in step[0])
-            support = {w: s for w, s in support.items() if not s & run}
+            mixed |= sum(1 << w for w in step[0])
         elif step.name == "SWAP":
             a, b = step.targets
-            for w, s in support.items():
-                if (s >> a ^ s >> b) & 1:
-                    support[w] = s ^ (1 << a | 1 << b)
-        elif step.name not in _DIAGONAL_PHASE:
-            target = 1 << step.targets[0]
-            controls = sum(1 << c for c in step.controls)
-            for w, s in support.items():
-                if s & target:
-                    support[w] = s | controls
-    return sorted(support)
+            if (mixed >> a ^ mixed >> b) & 1:
+                mixed ^= 1 << a | 1 << b
+        elif step.name not in _DIAGONAL_PHASE \
+                and any(mixed >> c & 1 for c in step.controls):
+            mixed |= 1 << step.targets[0]
+    return [w for w in range(witness_qubits) if not mixed >> w & 1]
 
 
 def _work(steps: list, rows: int, width: int, num_qubits: int) -> np.ndarray:
@@ -407,53 +403,44 @@ def simulate(circuit: QuantumCircuit, input_state: StateVector) -> StateVector:
 class AcceptBlock(NamedTuple):
     """One block of :func:`accept_row_blocks`: the evolved rows of up to
     ``WITNESS_CHUNK`` columns, each column shared by witnesses of distinct
-    classes.
+    classes, their patterns of bits on the fixed wires.
 
-    ``classes`` holds the witnesses' fixed-bit patterns, their bits on the
-    fixed wires, ascending. ``labels[i]`` is −1 where Π₁ zeroes
-    ``block[i]``, and otherwise ``k << (n − 1) | r``: r the accept row,
-    with the accept bit dropped, and k the index of the row's class.
-    ``owners[k, c]`` is the position in the witness indices of the witness
-    of class k in column c, or the number of witness indices where there is
-    none; a column's entries on other classes' rows are exact zeros.
-    ``block`` is a view of the work buffers, valid until the next block is
-    drawn.
+    ``labels[i]`` is −1 where Π₁ zeroes ``block[i]``, and otherwise
+    ``k << (n − 1) | r``: r the accept row, with the accept bit dropped,
+    and k the index of the row's class among the witnesses' classes in
+    ascending order. ``owners[k, c]`` is the position in the witness
+    indices of the witness of class k in column c, or the number of witness
+    indices where there is none; a column's entries on other classes' rows
+    are exact zeros. ``block`` is a view of the work buffers, the reader's
+    to overwrite until the next block is drawn.
     """
 
     labels: np.ndarray
     block: np.ndarray
     owners: np.ndarray
-    classes: np.ndarray
 
 
 def _fold(witness: np.ndarray, fixed: int) -> tuple:
-    """Each witness's column and class index, the (classes, columns) table
-    of the witness in each class and column, and the classes' patterns,
-    the witness bits on the ``fixed`` mask.
+    """Each witness's column and class index, and the (classes, columns)
+    table of the witness in each class and column; a class is a pattern of
+    witness bits on the ``fixed`` mask.
 
-    Witnesses share a column when their other bits agree and, for a
-    repeated index, so do their repeat counts; columns are numbered in the
-    order of their first witness. Where no two share one, nothing is folded.
+    Witnesses share a column when their other bits agree, the columns
+    ascending in those bits. Where no two share one, or an index repeats,
+    nothing is folded: each witness has its own column, in order.
     """
     count = len(witness)
+    own = np.arange(count)
     if fixed:
-        order = np.argsort(witness, kind="stable")
-        ordered = witness[order]
-        repeat = np.empty_like(witness)
-        repeat[order] = np.arange(count) - np.searchsorted(ordered, ordered)
-        mixed = witness & ~fixed
-        _, first, key = np.unique(repeat * (int(mixed.max()) + 1) + mixed,
-                                  return_index=True, return_inverse=True)
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(len(first))
-        column = rank[key]
-    if not fixed or len(first) == count:
-        return np.arange(count), 0, np.arange(count)[None], np.zeros(1, dtype=np.int64)
-    classes = np.unique(witness & fixed)
-    tag = np.searchsorted(classes, witness & fixed)
-    owners = np.full((len(classes), len(first)), count)
-    owners[tag, column] = np.arange(count)
-    return column, tag, owners, classes
+        mixed, column = np.unique(witness & ~fixed, return_inverse=True)
+        if len(mixed) < count:
+            classes, tag = np.unique(witness & fixed, return_inverse=True)
+            owners = np.full((len(classes), len(mixed)), count)
+            owners[tag, column] = own
+            # a repeated index leaves a witness in no column
+            if np.count_nonzero(owners < count) == count:
+                return column, tag, owners
+    return own, 0, own[None]
 
 
 def accept_row_blocks(
@@ -464,15 +451,13 @@ def accept_row_blocks(
 
     A witness bit on a fixed wire (:func:`_fixed_wires`) is a function of
     every label the witness reaches, so witnesses that differ only there
-    reach disjoint rows and share a column: each witness takes the column
-    of its other bits, those of the witnesses before it being the same
-    (a repeated index takes a new one), and carries its class, the index
-    of its fixed bits' pattern, above bit n of its labels. Columns come in
-    the order of their first witness, so a cone with no fixed wire gets one
-    column per witness in order. A block starts at the head of ``work[1]`` on the
-    distinct labels |w, 0...0⟩ of its witnesses, so :func:`_evolve` carries
-    only the rows they reach; runs and relabels act below bit n only. The
-    run matrices and the work buffers are made once.
+    reach disjoint rows and share a column (:func:`_fold`): each carries
+    its class index above bit n of its labels, where runs and relabels
+    never act. Where nothing folds, the blocks are consecutive runs of the
+    witnesses, one column each. A block starts at the head of ``work[1]``
+    on the distinct labels |w, 0...0⟩ of its witnesses, so :func:`_evolve`
+    carries only the rows they reach. The run matrices and the work buffers
+    are made once.
     """
     n = circuit.total_qubits
     low = n - 1 - circuit.accept_qubit
@@ -480,31 +465,34 @@ def accept_row_blocks(
     if not len(witness):
         return
     steps = list(_steps(circuit))
-    # the fold only narrows the runs' GEMMs: a cone without a run has none,
-    # and where no two witnesses share a column the classes only cost
+    # the fold only narrows the runs' GEMMs, and a cone without a run has none
     runs = any(not isinstance(step, Gate) for step in steps)
     fixed = sum(1 << (circuit.witness_qubits - 1 - w)
                 for w in _fixed_wires(steps, circuit.witness_qubits)) if runs else 0
-    column, tag, owners, classes = _fold(witness, fixed)
-    start = tag << n | witness << circuit.ancilla_qubits
+    column, tag, owners = _fold(witness, fixed)
+    start = witness << circuit.ancilla_qubits
     columns = owners.shape[1]
-    order = np.argsort(column, kind="stable")
-    cuts = np.searchsorted(column[order],
-                           np.arange(0, columns + WITNESS_CHUNK, WITNESS_CHUNK))
-    work = _work(steps, int(np.diff(cuts).max()), min(WITNESS_CHUNK, columns), n)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        chunk = order[lo:hi]
-        first = column[chunk[0]]
-        labels, row = np.unique(start[chunk], return_inverse=True)
-        block = work[1, :len(labels) * (column[chunk[-1]] + 1 - first)]
-        block = block.reshape(len(labels), -1)
+    firsts = range(0, columns, WITNESS_CHUNK)
+    # each chunk of columns takes a slice of the witnesses: where nothing
+    # folded, the columns are the witnesses in order
+    cuts, height = [*firsts, columns], min(WITNESS_CHUNK, columns)
+    if columns < len(witness):
+        order = np.argsort(column, kind="stable")
+        start, column = (tag << n | start)[order], column[order]
+        cuts = np.searchsorted(column, cuts).tolist()
+        height = max(hi - lo for lo, hi in zip(cuts, cuts[1:]))
+    work = _work(steps, height, min(WITNESS_CHUNK, columns), n)
+    for first, lo, hi in zip(firsts, cuts, cuts[1:]):
+        width = min(WITNESS_CHUNK, columns - first)
+        labels, row = np.unique(start[lo:hi], return_inverse=True)
+        block = work[1, :len(labels) * width].reshape(len(labels), width)
         block[...] = 0
-        block[row, column[chunk] - first] = 1
+        block[row, column[lo:hi] - first] = 1
         labels, block = _evolve(steps, labels, block, n, work)
-        kept = (labels >> low) & 1 == 1
-        accept = labels >> (low + 1) << low | labels & ((1 << low) - 1)
-        yield AcceptBlock(np.where(kept, accept, -1), block,
-                          owners[:, first:first + block.shape[1]], classes)
+        high = labels >> low  # the accept bit, then the bits above it
+        accept = high >> 1 << low | labels & ((1 << low) - 1)
+        yield AcceptBlock(np.where(high & 1, accept, -1), block,
+                          owners[:, first:first + width])
 
 
 def accept_light_cone(circuit: QuantumCircuit) -> QuantumCircuit:

@@ -27,6 +27,7 @@ from .circuits import (
 )
 from .decision import Report, Verdict
 from .errors import InvalidInputError, require_within
+from .linalg import full_spectrum
 from .weightenum import INDEX_BITS, WeightEnumeration, bit_strings
 
 EXACT_GAP_LIMIT = 20
@@ -262,25 +263,21 @@ def _accept_mass(blocks: _Blocks) -> float:
     # a contiguous complex block viewed as floats holds each row's real and
     # imaginary parts side by side, so the sum of squares makes no |z|²
     # temporary
-    floats = ((labels, block.view(float)) for labels, block, _, _ in blocks)
-    return float(sum(np.einsum("ij,ij->i", f, f)[labels >= 0].sum()
+    floats = ((labels, block.view(float)) for labels, block, _ in blocks)
+    return float(sum(np.einsum("ij,ij->i", f, f) @ (labels >= 0)
                      for labels, f in floats))
 
 
 def _column_norms(blocks: _Blocks, shift: int, count: int) -> np.ndarray:
     """Squared norm of each of the ``count`` witnesses' columns: its block
     column summed over its class's accept rows, one block at a time, as one
-    product of the classes' row indicators (``labels >> shift``) with the
-    squared accept rows."""
+    product of the classes' row indicators (``labels >> shift``; a row that
+    Π₁ drops, labelled −1, is in none) with the block squared in place."""
     norms = np.zeros(count + 1)  # the last one takes the unowned entries
-    for labels, block, owners, _ in blocks:
-        rows = np.flatnonzero(labels >= 0)
-        f = block[rows].view(float)
-        if len(owners) == 1:  # one class: each column's sum is its witness's
-            sums = np.einsum("ij,ij->j", f, f)
-        else:
-            member = np.arange(len(owners))[:, None] == labels[rows] >> shift
-            sums = member.astype(float) @ np.square(f, out=f)
+    for labels, block, owners in blocks:
+        f = block.view(float)
+        member = np.arange(len(owners))[:, None] == labels >> shift
+        sums = member.astype(float) @ np.square(f, out=f)
         norms[owners] = sums.reshape(owners.shape + (2,)).sum(axis=2)
     return norms[:count]
 
@@ -312,36 +309,43 @@ def _class_columns(
     no block reaches is zero in every column and changes no inner product.
     The blocks' accept rows are the one copy."""
     parts, witness_class = [], np.zeros(count + 1, dtype=np.int64)
-    for labels, block, owners, classes in blocks:
+    for labels, block, owners in blocks:
         rows = np.flatnonzero(labels >= 0)
-        tags = labels[rows] >> shift
-        parts.append((classes[tags], labels[rows] & ((1 << shift) - 1), tags,
-                      owners, block[rows]))
-        witness_class[owners] = classes[:, None]
-    known, group = np.unique(witness_class[:count], return_inverse=True)
-    members, place = _grouped(group, len(known), count)
+        parts.append((labels[rows], owners, block[rows]))
+        witness_class[owners] = np.arange(len(owners))[:, None]
+    classes = len(parts[0][1])
+    members, place = _grouped(witness_class[:count], classes, count)
     place = np.append(place, members.shape[1] - 1)
-    keys = [np.searchsorted(known, cls) << shift | row for cls, row, *_ in parts]
-    union = np.unique(np.concatenate(keys))
-    rows, row_place = _grouped(union >> shift, len(known), len(union))
-    out = np.zeros((len(known), rows.shape[1] - 1, members.shape[1]), dtype=complex)
+    # the labels sort by class first, so each class's rows are consecutive
+    union = np.unique(np.concatenate([labels for labels, _, _ in parts]))
+    bounds = np.searchsorted(union, np.arange(classes + 1) << shift)
+    sizes = np.diff(bounds)
+    out = np.zeros((classes, sizes.max(), members.shape[1]), dtype=complex)
     flat = out.reshape(-1, members.shape[1])
-    start = (union >> shift) * out.shape[1] + row_place  # each row's in ``flat``
-    for key, (_, _, tags, owners, values) in zip(keys, parts):
-        at = start[np.searchsorted(union, key)]
-        if len(known) == 1:  # one class: a block's witnesses are consecutive
+    # each row's in ``flat``: its class's first, then its place in the class
+    start = np.arange(len(union)) + np.repeat(
+        np.arange(classes) * out.shape[1] - bounds[:-1], sizes)
+    for labels, owners, values in parts:
+        at = start[np.searchsorted(union, labels)]
+        if classes == 1:  # nothing folded: a block's witnesses are consecutive
             flat[at, owners[0, 0]:owners[0, 0] + values.shape[1]] = values
         else:
-            entry = (at * flat.shape[1])[:, None] + place[owners][tags]
+            entry = (at * flat.shape[1])[:, None] + place[owners][labels >> shift]
             flat.reshape(-1)[entry] = values
     return out, members
 
 
 def _gram(columns: np.ndarray) -> np.ndarray:
     """The per-class Gram blocks of :func:`_class_columns`, without the
-    unowned column."""
-    columns = columns[:, :, :-1]
-    return columns.conj().transpose(0, 2, 1) @ columns
+    unowned column.
+
+    Each block comes from one real product F^T·F of the columns' float
+    view, real and imaginary parts side by side: numpy hands a matrix times
+    its own transpose to BLAS's symmetric product, about half the work of
+    the complex one, and its symmetric result makes the blocks Hermitian."""
+    floats = columns[:, :, :-1].view(float)
+    s = floats.transpose(0, 2, 1) @ floats
+    return s[:, ::2, ::2] + s[:, 1::2, 1::2] + 1j * (s[:, ::2, 1::2] - s[:, 1::2, ::2])
 
 
 def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
@@ -428,7 +432,7 @@ def decide_weight_qcs_exact(
     accept-projected columns, the largest over its per-class blocks."""
     basis, blocks = _weight_k_columns(circuit, k, a, b)
     columns, _ = _class_columns(blocks, circuit.total_qubits - 1, len(basis))
-    lam_max = float(np.linalg.eigvalsh(_gram(columns))[:, -1].max())
+    lam_max = float(full_spectrum(_gram(columns))[:, -1].max())
     return SliceDecision(_slice_verdict(lam_max, a, b), lam_max, a, b, k)
 
 

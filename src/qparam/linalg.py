@@ -36,10 +36,12 @@ def _is_sparse(matrix) -> bool:
 
 
 def _as_operator(matrix):
+    """The matrix as a CSR or complex array; a dense one may also be a
+    stack of square matrices, shape (..., d, d)."""
     if _is_sparse(matrix):
         return matrix.tocsr()
     out = np.asarray(matrix, dtype=complex)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+    if out.ndim < 2 or out.shape[-1] != out.shape[-2]:
         raise InvalidInputError(f"expected a square matrix, got shape {out.shape}")
     return out
 
@@ -49,7 +51,7 @@ def is_hermitian(matrix) -> bool:
     if _is_sparse(m):
         diff = m - m.conj().T
         return abs(diff).max() <= HERMITIAN_TOL if diff.nnz else True
-    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERMITIAN_TOL)
 
 
 def require_hermitian(matrix):
@@ -143,7 +145,8 @@ def min_eigenvalue(matrix, mode: str = "dense") -> float:
 
 
 def full_spectrum(matrix) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending."""
+    """All eigenvalues of a Hermitian matrix, ascending; of a stack of
+    them, shape (..., d, d), each matrix's along the last axis."""
     m = require_hermitian(matrix)
     dense = m.toarray() if _is_sparse(m) else m
     return np.linalg.eigvalsh(dense)

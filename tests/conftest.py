@@ -236,7 +236,7 @@ def accept_projected_columns(circuit: QuantumCircuit,
     rows, scattered into its own zeroed column."""
     shift = circuit.total_qubits - 1
     out = np.zeros((2**shift, len(witness_indices)), dtype=complex)
-    for labels, block, owners, _ in accept_row_blocks(circuit, witness_indices):
+    for labels, block, owners in accept_row_blocks(circuit, witness_indices):
         for row in np.flatnonzero(labels >= 0):
             for column, witness in enumerate(owners[labels[row] >> shift]):
                 if witness < len(witness_indices):

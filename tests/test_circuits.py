@@ -434,7 +434,7 @@ def test_wide_register_costs_the_rows_reached_not_2_to_the_n():
     circuit = QuantumCircuit(2, 18, tuple(gates), 19)
     tracemalloc.start()
     try:
-        ((labels, block, _, _),) = accept_row_blocks(circuit, np.array([0]))
+        ((labels, block, _),) = accept_row_blocks(circuit, np.array([0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -603,6 +603,22 @@ class TestFoldedGemms:
         unfolded = _gemm_calls(monkeypatch, lambda: _unfolded_blocks(c, witnesses))
         assert [call[:2] for call in folded] == [call[:2] for call in unfolded]
         assert all(s == 8 * f for (_, _, (_, f)), (_, _, (_, s)) in zip(folded, unfolded))
+
+    def test_a_repeated_index_folds_nothing(self, rng):
+        # witness wires 2 and 3 only control or flip, so the 16 witnesses
+        # share 4 columns; with witness 5 asked for twice nothing folds,
+        # and both copies read the same column
+        c = QuantumCircuit(4, 2, (
+            Gate("H", targets=(0,)), Gate("CX", controls=(3,), targets=(4,)),
+            _u(rng, 4, 1), Gate("X", targets=(2,)), _u(rng, 5, 0, 4),
+        ), 5)
+        assert _fixed(c) == [2, 3]
+        witnesses = np.array([5, *range(16), 5])
+        assert [b.block.shape[1] for b in accept_row_blocks(c, witnesses)] == [18]
+        assert [b.block.shape[1] for b in accept_row_blocks(c, np.arange(16))] == [4]
+        reads_one = np.arange(2**6) & 1 == 1
+        expected = accept_projected_oracle(c)[reads_one][:, witnesses << 2]
+        assert np.allclose(accept_projected_columns(c, witnesses), expected, atol=1e-12)
 
 
 class TestAcceptance:

@@ -707,8 +707,7 @@ class TestStackedColumns:
             scattered[labels, start:start + block.shape[1]] = block
             start += block.shape[1]
         starts = np.cumsum([0, 3, 2, 4])
-        blocks = [AcceptBlock(labels, block, first + np.arange(block.shape[1])[None],
-                              np.zeros(1, dtype=np.int64))
+        blocks = [AcceptBlock(labels, block, first + np.arange(block.shape[1])[None])
                   for (labels, block), first in zip(blocks, starts)]
         columns, members = estimators._class_columns(iter(blocks), 4, 10)
         assert members.tolist() == [list(range(11))]  # 10 pads the unowned column
@@ -718,16 +717,16 @@ class TestStackedColumns:
                              - scattered.conj().T @ scattered)) <= 1e-12
 
     def test_classes_sharing_a_column_unfold_to_their_own_rows(self, rng):
-        # one block of 2 columns on 4-bit accept rows: class 0 (pattern 0)
-        # holds witnesses 3 and 0 on rows 2 and 7, class 1 (pattern 8)
-        # witness 1 on rows 5 and 9, in column 0 only, so its rows are exact
-        # zeros in column 1; the rows labelled -1 are those Π₁ drops, and
-        # witness 2, in no block, has a zero column
+        # one block of 2 columns on 4-bit accept rows: class 0 holds
+        # witnesses 3 and 0 on rows 2 and 7, class 1 witness 1 on rows 5
+        # and 9, in column 0 only, so its rows are exact zeros in column 1;
+        # the rows labelled -1 are those Π₁ drops, and witness 2, in no
+        # block, has a zero column; the norms, read last, square the block
         labels = np.array([1 << 4 | 5, 2, -1, 1 << 4 | 9, 7, -1])
         block = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
         block[[0, 3], 1] = 0
         owners = np.array([[3, 0], [1, 4]])
-        blocks = [AcceptBlock(labels, block, owners, np.array([0, 8]))]
+        blocks = [AcceptBlock(labels, block, owners)]
         scattered = np.zeros((16, 4), dtype=complex)
         scattered[[2, 7], 3] = block[[1, 4], 0]
         scattered[[2, 7], 0] = block[[1, 4], 1]
@@ -775,7 +774,7 @@ class TestStackedColumns:
         circuit = QuantumCircuit(9, 1, (Gate("H", targets=(3,)),), 9)
         assert all(labels[labels >= 0].shape == (0,)
                    and block[labels >= 0].shape[0] == 0
-                   for labels, block, _, _ in accept_row_blocks(circuit, np.arange(512)))
+                   for labels, block, _ in accept_row_blocks(circuit, np.arange(512)))
         q, trace = qmak_operator(circuit, 9)
         assert q.shape == (512, 512) and not q.any() and trace == 0.0
         assert qmak_decide(circuit, 9).trace == 0.0

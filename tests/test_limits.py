@@ -217,7 +217,6 @@ TEST_ONLY_PUBLIC = {
     "hadamard_test_circuit": "circuits.py",
     "acceptance_probability": "circuits.py",
     "qmak_operator": "estimators.py",
-    "full_spectrum": "linalg.py",
 }
 
 

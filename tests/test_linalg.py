@@ -190,6 +190,23 @@ class TestFullSpectrum:
         permuted = m[np.ix_(perm, perm)]
         assert np.allclose(full_spectrum(m), full_spectrum(permuted))
 
+    def test_stack_gives_each_matrix_its_spectrum(self, rng):
+        stack = np.array([random_hermitian(rng, 5) for _ in range(3)])
+        spectra = full_spectrum(stack)
+        assert spectra.shape == (3, 5)
+        for m, spectrum in zip(stack, spectra):
+            assert np.allclose(spectrum, full_spectrum(m))
+
+    def test_stack_with_one_non_hermitian_matrix_is_refused(self, rng):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        stack[1, 0, 3] += 1e-6
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            full_spectrum(stack)
+
+    def test_stack_of_non_square_matrices_is_refused(self):
+        with pytest.raises(InvalidInputError, match="square matrix"):
+            full_spectrum(np.zeros((2, 3, 4)))
+
 
 class TestSerialization:
     def test_roundtrip(self, rng):
