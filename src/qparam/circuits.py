@@ -7,8 +7,10 @@ the most significant bit of the gate's local matrix index.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from math import comb
 from typing import NamedTuple
 
@@ -56,52 +58,95 @@ WITNESS_CHUNK = 64
 DECODE_QUBIT_LIMIT = 20
 
 
+# the one gate-shape rule: each name's allowed counts of controls and of
+# targets, and its refusal of any other counts; only UNITARY takes a
+# matrix, and it needs one
+_NONE, _ONE, _SOME = range(1), range(1, 2), range(1, sys.maxsize)
+GATE_ARITY = {
+    **{name: (_NONE, _ONE, f"{name} takes exactly one target") for name in NAMED_1Q},
+    "CX": (_ONE, _ONE, "CX: bad wire counts"),
+    "CZ": (_ONE, _ONE, "CZ: bad wire counts"),
+    "SWAP": (_NONE, range(2, 3), "SWAP: bad wire counts"),
+    "TOFFOLI": (range(2, sys.maxsize), _ONE,
+                "TOFFOLI needs at least two controls and one target"),
+    "UNITARY": (_NONE, _SOME, "UNITARY needs targets and a matrix"),
+}
+
+
+def _gate_wires(name: str, controls: tuple, targets: tuple,
+                has_matrix: bool) -> tuple[int, ...]:
+    """The gate's wires, controls first, if they are distinct and
+    non-negative and the gate fits its row of ``GATE_ARITY``."""
+    wires = controls + targets
+    if len(set(wires)) != len(wires) or (wires and min(wires) < 0):
+        raise InvalidInputError(f"gate {name}: invalid wires {wires}")
+    if has_matrix and name != "UNITARY":
+        raise InvalidInputError(f"gate {name} takes no matrix")
+    arity = GATE_ARITY.get(name)
+    if arity is None:
+        raise InvalidInputError(f"unknown gate name {name!r}")
+    allowed_controls, allowed_targets, refusal = arity
+    if len(controls) not in allowed_controls or len(targets) not in allowed_targets \
+            or (name == "UNITARY" and not has_matrix):
+        raise InvalidInputError(refusal)
+    return wires
+
+
+def _fitted(matrix, targets: int) -> np.ndarray:
+    """A UNITARY gate's matrix as a complex array, if it is 2^targets square."""
+    m = np.asarray(matrix, dtype=complex)
+    dim = 2 ** targets
+    if m.shape != (dim, dim):
+        raise InvalidInputError(
+            f"UNITARY matrix shape {m.shape} does not fit {targets} targets")
+    return m
+
+
+def _gate_fields(data: dict) -> tuple:
+    """A gate JSON's name, controls, targets and unread matrix (None where it
+    has none), every wire a JSON integer."""
+    try:
+        name = str(data["name"])
+        controls = tuple(data.get("controls", ()))
+        targets = tuple(data.get("targets", ()))
+        matrix = data.get("matrix")
+    except (KeyError, TypeError) as exc:
+        raise InvalidInputError(f"malformed gate JSON: {exc}") from exc
+    for wire in controls + targets:
+        if type(wire) is not int:  # JSON's wires are ints: skip the call
+            json_int(wire, "gate wire")
+    return name, controls, targets, matrix
+
+
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, which
+    have passed its checks already, so ``__post_init__`` does not run."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One gate: a named gate, a generalized Toffoli, or a unitary block."""
+    """One gate: a named gate, a generalized Toffoli, or a unitary block.
+
+    ``wires`` is controls + targets, made once when the gate is checked.
+    """
 
     name: str
     controls: tuple[int, ...] = ()
     targets: tuple[int, ...] = ()
     matrix: np.ndarray | None = None
+    wires: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(self.controls))
-        object.__setattr__(self, "targets", tuple(self.targets))
-        wires = self.wires
-        if len(set(wires)) != len(wires) or any(w < 0 for w in wires):
-            raise InvalidInputError(f"gate {self.name}: invalid wires {wires}")
-        if self.matrix is not None and self.name != "UNITARY":
-            raise InvalidInputError(f"gate {self.name} takes no matrix")
-        if self.name in NAMED_1Q:
-            if self.controls or len(self.targets) != 1:
-                raise InvalidInputError(f"{self.name} takes exactly one target")
-        elif self.name in NAMED_2Q:
-            ctl = 1 if self.name in ("CX", "CZ") else 0
-            if len(self.controls) != ctl or len(self.targets) != 2 - ctl:
-                raise InvalidInputError(f"{self.name}: bad wire counts")
-        elif self.name == "TOFFOLI":
-            if len(self.controls) < 2 or len(self.targets) != 1:
-                raise InvalidInputError(
-                    "TOFFOLI needs at least two controls and one target"
-                )
-        elif self.name == "UNITARY":
-            if self.controls or not self.targets or self.matrix is None:
-                raise InvalidInputError("UNITARY needs targets and a matrix")
-            m = np.asarray(self.matrix, dtype=complex)
-            dim = 2 ** len(self.targets)
-            if m.shape != (dim, dim):
-                raise InvalidInputError(
-                    f"UNITARY matrix shape {m.shape} does not fit "
-                    f"{len(self.targets)} targets"
-                )
-            object.__setattr__(self, "matrix", require_unitary(m))
-        else:
-            raise InvalidInputError(f"unknown gate name {self.name!r}")
-
-    @property
-    def wires(self) -> tuple[int, ...]:
-        return self.controls + self.targets
+        controls, targets = tuple(self.controls), tuple(self.targets)
+        matrix = self.matrix
+        wires = _gate_wires(self.name, controls, targets, matrix is not None)
+        if matrix is not None:
+            matrix = require_unitary(_fitted(matrix, len(targets)))
+        vars(self).update(controls=controls, targets=targets, matrix=matrix,
+                          wires=wires)
 
     def local_matrix(self) -> np.ndarray:
         if self.name in NAMED_1Q:
@@ -124,18 +169,73 @@ class Gate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Gate":
-        try:
-            name = str(data["name"])
-            controls = tuple(data.get("controls", ()))
-            targets = tuple(data.get("targets", ()))
-            matrix = data.get("matrix")
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed gate JSON: {exc}") from exc
-        return cls(
-            name,
-            tuple(json_int(w, "gate wire") for w in controls),
-            tuple(json_int(w, "gate wire") for w in targets),
-            matrix_from_json(matrix) if matrix is not None else None,
+        """One gate read on its own, its checks in the order a circuit's
+        reader refuses them: the fields, the matrix, then the gate."""
+        name, controls, targets, matrix = _gate_fields(data)
+        return cls(name, controls, targets,
+                   matrix_from_json(matrix) if matrix is not None else None)
+
+
+def _read_gates(entries: list, total: int) -> tuple[list[Gate], Gate | None]:
+    """The gates of a circuit JSON, each checked once, and the first whose
+    wires reach past ``total`` (None if none does).
+
+    One pass checks every gate against ``GATE_ARITY``; the UNITARY matrices
+    are then read and checked for unitarity in one batch per matrix size.
+    Where anything is refused, the gates are read again one at a time by
+    :meth:`Gate.from_json`, so the refusal is the first bad gate's, in
+    reading order, with the message that gate alone gets.
+    """
+    gates, outside, pending = [], None, {}
+    try:
+        for data in entries:
+            name, controls, targets, matrix = _gate_fields(data)
+            wires = _gate_wires(name, controls, targets, matrix is not None)
+            gate = _prechecked(Gate, name=name, controls=controls,
+                               targets=targets, matrix=None, wires=wires)
+            if outside is None and max(wires) >= total:
+                outside = gate
+            if matrix is not None:
+                pending.setdefault(len(targets), []).append((gate, matrix))
+            gates.append(gate)
+        for size, held in pending.items():
+            _read_unitaries(held, 2 ** size)
+    except InvalidInputError:
+        for data in entries:
+            Gate.from_json(data)
+        raise
+    return gates, outside
+
+
+def _read_unitaries(held: list, dim: int) -> None:
+    """Read the matrices of ``held`` (gate, matrix JSON) pairs, every one
+    d × d, into their gates, as one stacked read and one unitarity check."""
+    try:
+        if any(len(matrix) != dim for _, matrix in held):
+            raise InvalidInputError(f"a matrix is not {dim} rows")
+    except TypeError as exc:
+        raise InvalidInputError(f"malformed matrix JSON: {exc}") from exc
+    rows = matrix_from_json(list(chain.from_iterable(m for _, m in held)))
+    if rows.shape[1] != dim:
+        raise InvalidInputError(f"a matrix is not {dim} columns")
+    stack = require_unitary(rows.reshape(len(held), dim, dim))
+    for (gate, _), matrix in zip(held, stack):
+        vars(gate)["matrix"] = matrix
+
+
+def _check_circuit(witness: int, ancilla: int, accept: int,
+                   outside: Gate | None) -> None:
+    """The circuit's own checks, given its first gate whose wires reach past
+    its width (None if none does)."""
+    total = witness + ancilla
+    if witness < 0 or ancilla < 0 or total == 0:
+        raise InvalidInputError("circuit needs at least one qubit")
+    if not 0 <= accept < total:
+        raise InvalidInputError(f"accept qubit {accept} out of range")
+    if outside is not None:
+        raise InvalidInputError(
+            f"gate {outside.name} wires {outside.wires} out of range for "
+            f"{total} qubits"
         )
 
 
@@ -147,18 +247,11 @@ class QuantumCircuit:
     accept_qubit: int
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
         total = self.total_qubits
-        if self.witness_qubits < 0 or self.ancilla_qubits < 0 or total == 0:
-            raise InvalidInputError("circuit needs at least one qubit")
-        if not 0 <= self.accept_qubit < total:
-            raise InvalidInputError(f"accept qubit {self.accept_qubit} out of range")
-        for gate in self.gates:
-            if any(w >= total for w in gate.wires):
-                raise InvalidInputError(
-                    f"gate {gate.name} wires {gate.wires} out of range for "
-                    f"{total} qubits"
-                )
+        _check_circuit(self.witness_qubits, self.ancilla_qubits, self.accept_qubit,
+                       next((g for g in gates if max(g.wires) >= total), None))
 
     @property
     def total_qubits(self) -> int:
@@ -166,18 +259,20 @@ class QuantumCircuit:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuantumCircuit":
+        """The circuit of a circuit JSON, its gates checked in one pass
+        (:func:`_read_gates`), which also finds a wire past the width."""
         keys = ("witness_qubits", "ancilla_qubits", "accept_qubit")
         try:
             witness, ancilla, accept = (data[key] for key in keys)
-            gates = list(data["gates"])
+            entries = list(data["gates"])
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed circuit JSON: {exc}") from exc
-        return cls(
-            json_int(witness, keys[0]),
-            json_int(ancilla, keys[1]),
-            tuple(Gate.from_json(g) for g in gates),
-            json_int(accept, keys[2]),
-        )
+        witness, ancilla = json_int(witness, keys[0]), json_int(ancilla, keys[1])
+        gates, outside = _read_gates(entries, witness + ancilla)
+        accept = json_int(accept, keys[2])
+        _check_circuit(witness, ancilla, accept, outside)
+        return _prechecked(cls, witness_qubits=witness, ancilla_qubits=ancilla,
+                           gates=tuple(gates), accept_qubit=accept)
 
 
 def apply_gate_matrix(
@@ -502,7 +597,8 @@ def accept_light_cone(circuit: QuantumCircuit) -> QuantumCircuit:
     the live set, and its wires then join it; the kept gates stay in order.
     Each dropped gate commutes with every later kept gate and with Π₁, so it
     cancels in U†Π₁U: the accept rows of U|x⟩ change only by a unitary on
-    those rows, which leaves every Gram matrix of them unchanged.
+    those rows, which leaves every Gram matrix of them unchanged. The kept
+    gates were checked against the circuit already, so none is checked again.
     """
     live = {circuit.accept_qubit}
     kept = []
@@ -510,7 +606,9 @@ def accept_light_cone(circuit: QuantumCircuit) -> QuantumCircuit:
         if not live.isdisjoint(gate.wires):
             live.update(gate.wires)
             kept.append(gate)
-    return replace(circuit, gates=tuple(reversed(kept)))
+    return _prechecked(QuantumCircuit, witness_qubits=circuit.witness_qubits,
+                       ancilla_qubits=circuit.ancilla_qubits,
+                       gates=tuple(reversed(kept)), accept_qubit=circuit.accept_qubit)
 
 
 def acceptance_probability(circuit: QuantumCircuit, input_state: StateVector) -> float:

@@ -6,6 +6,12 @@ import enum
 
 from .linalg import matrix_to_json
 
+# a decider counts a value within this of a threshold, times the scale of
+# its values where that is not 1, as on the threshold, so a value that
+# equals one in exact arithmetic gets the same verdict whatever order its
+# sums were taken in
+THRESHOLD_TOL = 1e-12
+
 
 class Verdict(enum.Enum):
     YES = "YES"
@@ -17,6 +23,17 @@ class Verdict(enum.Enum):
         """YES if ``yes`` holds, else NO if ``no`` holds; a value between the
         two thresholds violates the promise."""
         return cls.YES if yes else cls.NO if no else cls.PROMISE_VIOLATED
+
+
+def threshold_verdict(value: float, a: float, b: float, tol: float,
+                      yes_high: bool) -> Verdict:
+    """The one tolerance rule of the slice and Hamiltonian deciders: a value
+    within ``tol`` of a threshold counts as on it. With ``yes_high``, YES at
+    or above b and NO at or below a; otherwise YES at or below a and NO at
+    or above b. The deciders refuse b − a <= 2·tol, so no value is within
+    the tolerance of both thresholds."""
+    high, low = value >= b - tol, value <= a + tol
+    return Verdict.of(high, low) if yes_high else Verdict.of(low, high)
 
 
 class Report:

@@ -25,7 +25,7 @@ from .circuits import (
     hadamard_test_unitary,
     simulate,
 )
-from .decision import Report, Verdict
+from .decision import THRESHOLD_TOL, Report, Verdict, threshold_verdict
 from .errors import InvalidInputError, require_within
 from .linalg import full_spectrum
 from .weightenum import INDEX_BITS, WeightEnumeration, bit_strings
@@ -35,10 +35,6 @@ QMAK_QUBIT_LIMIT = 12
 # maximally-mixed-witness traces 2^k·Pr[accept]: YES at or above, NO at or below
 QMAK_YES_TRACE = 2 / 3
 QMAK_NO_TRACE = 1 / 3
-# the slice deciders count a value within this of b as YES and of a as NO,
-# so a value that equals a threshold exactly, as 1/2 often does, gets the
-# same verdict whatever order its sums were taken in
-THRESHOLD_TOL = 1e-12
 CLASSICAL_GATES = ("X", "CX", "TOFFOLI")
 # bytes that GapInstance.evaluate holds, 256 MiB; refused before any path is drawn
 GAP_ENTRY_LIMIT = 2**28
@@ -419,11 +415,6 @@ def _weight_k_columns(
     return _accept_columns(circuit, enum.indices)
 
 
-def _slice_verdict(value: float, a: float, b: float) -> Verdict:
-    """YES at or above b, NO at or below a, each within ``THRESHOLD_TOL``."""
-    return Verdict.of(value >= b - THRESHOLD_TOL, value <= a + THRESHOLD_TOL)
-
-
 def decide_weight_qcs_exact(
     circuit: QuantumCircuit, k: int, a: float, b: float
 ) -> SliceDecision:
@@ -433,7 +424,8 @@ def decide_weight_qcs_exact(
     basis, blocks = _weight_k_columns(circuit, k, a, b)
     columns, _ = _class_columns(blocks, circuit.total_qubits - 1, len(basis))
     lam_max = float(full_spectrum(_gram(columns))[:, -1].max())
-    return SliceDecision(_slice_verdict(lam_max, a, b), lam_max, a, b, k)
+    return SliceDecision(threshold_verdict(lam_max, a, b, THRESHOLD_TOL, yes_high=True),
+                         lam_max, a, b, k)
 
 
 def decide_hamming_weight_qcs_exact(
@@ -447,4 +439,5 @@ def decide_hamming_weight_qcs_exact(
     accept = _column_norms(blocks, circuit.total_qubits - 1, len(basis))
     table = dict(zip(bit_strings(basis, circuit.witness_qubits), accept.tolist()))
     best = max(table.values())
-    return SliceDecision(_slice_verdict(best, a, b), float(best), a, b, k, table)
+    return SliceDecision(threshold_verdict(best, a, b, THRESHOLD_TOL, yes_high=True),
+                         float(best), a, b, k, table)

@@ -15,10 +15,10 @@ from itertools import combinations
 import numpy as np
 
 from .circuits import apply_gate_matrix
-from .decision import Report, Verdict
+from .decision import THRESHOLD_TOL, Report, Verdict, threshold_verdict
 from .errors import InvalidInputError, require_within
 from .linalg import (is_hermitian, json_finite, json_int, matrix_from_json,
-                     min_eigenvalue)
+                     min_eigenvalue, spectral_scale)
 from .states import StateVector
 from .weightenum import WeightEnumeration
 
@@ -186,8 +186,19 @@ class HamiltonianDecision(Report):
 
 
 def decide_weight_k_local_hamiltonian(h: LocalHamiltonian, k: int) -> HamiltonianDecision:
-    """Exact decision for the weight-k slice from λ_min of the restriction."""
+    """Exact decision for the weight-k slice from λ_min of the restriction:
+    YES at or below a, NO at or above b, each within tol =
+    ``THRESHOLD_TOL``·σ, σ the restriction's :func:`linalg.spectral_scale`,
+    since the eigensolver's last bits grow with |λ| < σ. b − a <= 2·tol is
+    refused after the restriction and before the eigensolve, which reuses σ."""
     restricted = restrict_to_weight(h, k)
-    lam = min_eigenvalue(restricted, mode="iterative")
-    return HamiltonianDecision(Verdict.of(lam <= h.a, lam >= h.b), lam,
-                               restricted.shape[0], h.a, h.b, k)
+    sigma = spectral_scale(restricted)
+    tol = THRESHOLD_TOL * sigma
+    if not h.b - h.a > 2 * tol:
+        raise InvalidInputError(
+            f"need b - a > 2*THRESHOLD_TOL*sigma = {2 * tol:g} (sigma = "
+            f"{sigma:g}, the restriction's largest row sum + 1), "
+            f"got a={h.a}, b={h.b}")
+    lam = min_eigenvalue(restricted, mode="iterative", sigma=sigma)
+    return HamiltonianDecision(threshold_verdict(lam, h.a, h.b, tol, yes_high=False),
+                               lam, restricted.shape[0], h.a, h.b, k)

@@ -194,11 +194,10 @@ class PathModel:
         masks = np.zeros(1, dtype=np.int64)
         heights = np.ones(1, dtype=np.int8)
         for j in range(self.strands):
-            up, down = heights < top, heights > 1
-            if self.closed:
-                left = self.strands - j - 1
-                up &= heights <= left
-                down &= heights - 2 <= left
+            # a closed walk must still get back down to 1 in the steps left
+            # after this one; the steps before already bound a step down
+            ceiling = min(top, self.strands - j) if self.closed else top
+            up, down = heights < ceiling, heights > 1
             walks = int(np.count_nonzero(up)) + int(np.count_nonzero(down))
             columns = 1 if self.closed else walks
             require_within((walks * (1 + columns) + PATH_LETTER_ENTRIES) * steps,

@@ -62,13 +62,15 @@ def require_hermitian(matrix):
 
 
 def require_unitary(matrix) -> np.ndarray:
-    """The matrix as a complex array, if max|U†U − I| <= ``UNITARY_TOL``.
+    """The square matrix, or a stack of them, shape (..., d, d), as a complex
+    array, if max|U†U − I| <= ``UNITARY_TOL`` over every one of them: one
+    batched product for the stack.
 
     Written as ``<=`` so that NaN and Inf entries fail the check.
     """
     m = np.asarray(matrix, dtype=complex)
     with np.errstate(invalid="ignore"):  # Inf entries give NaN products
-        error = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+        error = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max()
     if not error <= UNITARY_TOL:
         raise InvalidInputError(f"matrix is not unitary within {UNITARY_TOL:g}")
     return m
@@ -92,7 +94,14 @@ def _max_row_sum(m) -> float:
     return float(sums.max(initial=0.0))
 
 
-def min_eigenvalue(matrix, mode: str = "dense") -> float:
+def spectral_scale(m) -> float:
+    """σ = max absolute row sum + 1 of a square array or CSR matrix, above
+    |λ| for every eigenvalue λ: the scale of the Lanczos stopping rule and of
+    ``ham-decide``'s threshold tolerance."""
+    return _max_row_sum(m) + 1.0
+
+
+def min_eigenvalue(matrix, mode: str = "dense", sigma: float | None = None) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
     ``mode="iterative"`` runs a three-term Lanczos loop without
@@ -102,8 +111,9 @@ def min_eigenvalue(matrix, mode: str = "dense") -> float:
     and at once if β ≈ 0 (the Krylov space is invariant and the Ritz values
     are exact), it takes the lowest Ritz value θ of the tridiagonal matrix
     with its vector s, and returns θ once β·|s_last| <= ``LANCZOS_TOL``·σ,
-    σ = max absolute row sum + 1. ``mode="dense"``, also used at dim <= 2,
-    computes the lowest eigenvalue only. The two agree to 1e-10.
+    σ = :func:`spectral_scale` of the matrix, or ``sigma`` where the caller
+    has taken it already. ``mode="dense"``, also used at dim <= 2, computes
+    the lowest eigenvalue only. The two agree to 1e-10.
     """
     from scipy.linalg import eigh, eigh_tridiagonal
 
@@ -115,7 +125,7 @@ def min_eigenvalue(matrix, mode: str = "dense") -> float:
         dense = m.toarray() if _is_sparse(m) else m
         vals = eigh(dense, eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0])
-    limit = LANCZOS_TOL * (_max_row_sum(m) + 1.0)
+    limit = LANCZOS_TOL * (spectral_scale(m) if sigma is None else sigma)
     rng = np.random.Generator(np.random.Philox(key=LANCZOS_START_KEY))
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.sqrt(_real_dot(v, v))

@@ -22,7 +22,10 @@ from qparam.hamiltonian import (
     expectation_value,
     restrict_to_weight,
 )
-from qparam.linalg import min_eigenvalue
+from qparam import hamiltonian
+from qparam.cli import main
+from qparam.decision import THRESHOLD_TOL
+from qparam.linalg import matrix_to_json, min_eigenvalue, spectral_scale
 from qparam.states import StateVector
 from qparam.weightenum import WeightEnumeration
 
@@ -65,6 +68,23 @@ def frustration_free(rng, n, k, num_terms, a=0.5, b=1.0):
         q, _ = np.linalg.qr(vecs[:, : int(rng.integers(1, 3))])
         terms.append(LocalTerm((i, j), q @ q.conj().T))
     return LocalHamiltonian(n, 2, a, b, tuple(terms))
+
+
+def ising_chain(n, a, b):
+    """Z on every qubit plus ZZ on each neighbour pair: diagonal, with an
+    integer λ_min in every weight-k sector."""
+    zz = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+    terms = [LocalTerm((q,), Z) for q in range(n)]
+    terms += [LocalTerm((q, q + 1), zz) for q in range(n - 1)]
+    return LocalHamiltonian(n, 2, a, b, tuple(terms))
+
+
+def ising_ground(n, k):
+    # [DERIVED] the chain is diagonal: its least energy over weight-k strings
+    spins = 1 - 2 * ((WeightEnumeration(n, k).indices()[:, None]
+                      >> np.arange(n - 1, -1, -1)) & 1)
+    energy = spins.sum(axis=1) + (spins[:, 1:] * spins[:, :-1]).sum(axis=1)
+    return float(energy.min())
 
 
 def sector_vector(rng, n, idx):
@@ -409,3 +429,61 @@ class TestDecide:
             assert d.lambda_min == pytest.approx(0.0, abs=1e-10)
             assert d.verdict is Verdict.YES
 
+
+
+# (n, k): dims 1 and 2 take the dense path, the rest the Lanczos loop; each
+# Lanczos sector here read λ_min a few ulp off the integer when a and b were
+# compared exactly (16, 1 read 25.000000000000004)
+ISING_SECTORS = [(3, 3), (2, 1), (16, 1), (4, 1), (12, 3), (16, 2), (3, 1), (10, 3)]
+
+
+class TestThresholdTolerance:
+    @pytest.mark.parametrize("n, k", ISING_SECTORS)
+    def test_lambda_min_at_a_is_yes(self, n, k):
+        lam = ising_ground(n, k)
+        d = decide_weight_k_local_hamiltonian(ising_chain(n, lam, lam + 1), k)
+        assert d.verdict is Verdict.YES
+        assert d.lambda_min == pytest.approx(lam, abs=1e-9)
+
+    @pytest.mark.parametrize("n, k", ISING_SECTORS)
+    def test_lambda_min_at_b_is_no(self, n, k):
+        lam = ising_ground(n, k)
+        d = decide_weight_k_local_hamiltonian(ising_chain(n, lam - 1, lam), k)
+        assert d.verdict is Verdict.NO
+
+    def test_tolerance_scales_with_the_restriction(self):
+        h = ising_chain(16, 25.0, 26.0)
+        sigma = spectral_scale(restrict_to_weight(h, 1))
+        assert sigma == 28.0  # the end spin flipped: 14 + 13, + 1
+        tol = THRESHOLD_TOL * sigma
+        lam = decide_weight_k_local_hamiltonian(h, 1).lambda_min
+        assert lam != 25.0 and abs(lam - 25.0) <= tol
+        # 25 + 1.5·tol is past a + tol, and 25 + tol/2 within it
+        assert decide_weight_k_local_hamiltonian(
+            replace(h, a=25.0 - tol / 2, b=27.0), 1).verdict is Verdict.YES
+        assert decide_weight_k_local_hamiltonian(
+            replace(h, a=25.0 - 1.5 * tol, b=27.0), 1).verdict is (
+                Verdict.PROMISE_VIOLATED)
+
+    def test_too_close_thresholds_refused_before_the_eigensolve(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the eigensolve ran")
+
+        monkeypatch.setattr(hamiltonian, "min_eigenvalue", never)
+        tol = THRESHOLD_TOL * 28.0
+        for b in (25.0 + tol, 25.0 + 1.9 * tol):
+            with pytest.raises(InvalidInputError, match="THRESHOLD_TOL"):
+                decide_weight_k_local_hamiltonian(ising_chain(16, 25.0, b), 1)
+
+    def test_too_close_thresholds_exit_3(self, capsys, tmp_path):
+        h = ising_chain(4, 1.0, 1.0 + 1e-12)
+        path = tmp_path / "ham.json"
+        path.write_text(json.dumps({
+            "n": h.n, "locality": h.locality, "a": h.a, "b": h.b,
+            "terms": [{"qubits": list(t.qubits), "matrix": matrix_to_json(t.block)}
+                      for t in h.terms]}))
+        for command in ("ham-decide", "ham-min"):
+            assert main([command, "--input", str(path), "--k", "1"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: need b - a > 2*THRESHOLD_TOL*sigma")
