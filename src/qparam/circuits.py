@@ -176,9 +176,8 @@ class Gate:
                    matrix_from_json(matrix) if matrix is not None else None)
 
 
-def _read_gates(entries: list, total: int) -> tuple[list[Gate], Gate | None]:
-    """The gates of a circuit JSON, each checked once, and the first whose
-    wires reach past ``total`` (None if none does).
+def _read_gates(entries: list) -> list[Gate]:
+    """The gates of a circuit JSON, each checked once.
 
     One pass checks every gate against ``GATE_ARITY``; the UNITARY matrices
     are then read and checked for unitarity in one batch per matrix size.
@@ -186,15 +185,13 @@ def _read_gates(entries: list, total: int) -> tuple[list[Gate], Gate | None]:
     :meth:`Gate.from_json`, so the refusal is the first bad gate's, in
     reading order, with the message that gate alone gets.
     """
-    gates, outside, pending = [], None, {}
+    gates, pending = [], {}
     try:
         for data in entries:
             name, controls, targets, matrix = _gate_fields(data)
             wires = _gate_wires(name, controls, targets, matrix is not None)
             gate = _prechecked(Gate, name=name, controls=controls,
                                targets=targets, matrix=None, wires=wires)
-            if outside is None and max(wires) >= total:
-                outside = gate
             if matrix is not None:
                 pending.setdefault(len(targets), []).append((gate, matrix))
             gates.append(gate)
@@ -204,7 +201,7 @@ def _read_gates(entries: list, total: int) -> tuple[list[Gate], Gate | None]:
         for data in entries:
             Gate.from_json(data)
         raise
-    return gates, outside
+    return gates
 
 
 def _read_unitaries(held: list, dim: int) -> None:
@@ -224,19 +221,19 @@ def _read_unitaries(held: list, dim: int) -> None:
 
 
 def _check_circuit(witness: int, ancilla: int, accept: int,
-                   outside: Gate | None) -> None:
-    """The circuit's own checks, given its first gate whose wires reach past
-    its width (None if none does)."""
+                   gates: Iterable[Gate]) -> None:
+    """The circuit's own checks, its checked gates' wire range last."""
     total = witness + ancilla
     if witness < 0 or ancilla < 0 or total == 0:
         raise InvalidInputError("circuit needs at least one qubit")
     if not 0 <= accept < total:
         raise InvalidInputError(f"accept qubit {accept} out of range")
-    if outside is not None:
-        raise InvalidInputError(
-            f"gate {outside.name} wires {outside.wires} out of range for "
-            f"{total} qubits"
-        )
+    for gate in gates:
+        if max(gate.wires) >= total:
+            raise InvalidInputError(
+                f"gate {gate.name} wires {gate.wires} out of range for "
+                f"{total} qubits"
+            )
 
 
 @dataclass(frozen=True)
@@ -247,11 +244,9 @@ class QuantumCircuit:
     accept_qubit: int
 
     def __post_init__(self):
-        gates = tuple(self.gates)
-        object.__setattr__(self, "gates", gates)
-        total = self.total_qubits
+        object.__setattr__(self, "gates", tuple(self.gates))
         _check_circuit(self.witness_qubits, self.ancilla_qubits, self.accept_qubit,
-                       next((g for g in gates if max(g.wires) >= total), None))
+                       self.gates)
 
     @property
     def total_qubits(self) -> int:
@@ -260,7 +255,8 @@ class QuantumCircuit:
     @classmethod
     def from_json(cls, data: dict) -> "QuantumCircuit":
         """The circuit of a circuit JSON, its gates checked in one pass
-        (:func:`_read_gates`), which also finds a wire past the width."""
+        (:func:`_read_gates`) and then by :func:`_check_circuit`, as a
+        circuit built field by field is."""
         keys = ("witness_qubits", "ancilla_qubits", "accept_qubit")
         try:
             witness, ancilla, accept = (data[key] for key in keys)
@@ -268,9 +264,9 @@ class QuantumCircuit:
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed circuit JSON: {exc}") from exc
         witness, ancilla = json_int(witness, keys[0]), json_int(ancilla, keys[1])
-        gates, outside = _read_gates(entries, witness + ancilla)
+        gates = _read_gates(entries)
         accept = json_int(accept, keys[2])
-        _check_circuit(witness, ancilla, accept, outside)
+        _check_circuit(witness, ancilla, accept, gates)
         return _prechecked(cls, witness_qubits=witness, ancilla_qubits=ancilla,
                            gates=tuple(gates), accept_qubit=accept)
 

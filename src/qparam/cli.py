@@ -36,7 +36,8 @@ from .estimators import (
     exact_gap,
     qmak_decide,
 )
-from .hamiltonian import LocalHamiltonian, decide_weight_k_local_hamiltonian
+from .hamiltonian import (LocalHamiltonian, decide_weight_k_local_hamiltonian,
+                          weight_k_min_eigenvalue)
 from .jones import BraidWord, estimate_jones, jones_exact, writhe
 from .linalg import json_finite, matrix_from_json, matrix_to_json
 
@@ -97,16 +98,12 @@ def _decided(decision) -> tuple[dict, int]:
     return decision.to_json(), _VERDICT_EXIT[decision.verdict]
 
 
-def _ham_decision(args):
-    return decide_weight_k_local_hamiltonian(_read(args, LocalHamiltonian), args.k)
-
-
 def _ham_min(args):
-    return _ham_decision(args).to_json(), EXIT_YES
+    return weight_k_min_eigenvalue(_read(args, LocalHamiltonian), args.k).to_json(), EXIT_YES
 
 
 def _ham_decide(args):
-    return _decided(_ham_decision(args))
+    return _decided(decide_weight_k_local_hamiltonian(_read(args, LocalHamiltonian), args.k))
 
 
 def _amp_estimate(args):

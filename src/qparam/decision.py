@@ -31,7 +31,8 @@ def threshold_verdict(value: float, a: float, b: float, tol: float,
     within ``tol`` of a threshold counts as on it. With ``yes_high``, YES at
     or above b and NO at or below a; otherwise YES at or below a and NO at
     or above b. The deciders refuse b − a <= 2·tol, so no value is within
-    the tolerance of both thresholds."""
+    the tolerance of both thresholds; ``ham-min``, which reports λ_min for
+    any b > a, reads such a value by the YES side."""
     high, low = value >= b - tol, value <= a + tol
     return Verdict.of(high, low) if yes_high else Verdict.of(low, high)
 

@@ -185,20 +185,33 @@ class HamiltonianDecision(Report):
     k: int
 
 
+def weight_k_min_eigenvalue(h: LocalHamiltonian, k: int) -> HamiltonianDecision:
+    """λ_min of the weight-k restriction (``ham-min``), for any b > a, with
+    the verdict of the slice's one rule: YES at or below a, NO at or above b,
+    each within tol = ``THRESHOLD_TOL``·σ, σ the restriction's
+    :func:`linalg.spectral_scale`, since the eigensolver's last bits grow
+    with |λ| < σ. Where b − a <= 2·tol a value within tol of both reads YES."""
+    restricted = restrict_to_weight(h, k)
+    return _slice_decision(h, k, restricted, spectral_scale(restricted))
+
+
 def decide_weight_k_local_hamiltonian(h: LocalHamiltonian, k: int) -> HamiltonianDecision:
-    """Exact decision for the weight-k slice from λ_min of the restriction:
-    YES at or below a, NO at or above b, each within tol =
-    ``THRESHOLD_TOL``·σ, σ the restriction's :func:`linalg.spectral_scale`,
-    since the eigensolver's last bits grow with |λ| < σ. b − a <= 2·tol is
-    refused after the restriction and before the eigensolve, which reuses σ."""
+    """Exact decision for the weight-k slice (``ham-decide``): the verdict of
+    :func:`weight_k_min_eigenvalue`, but b − a <= 2·tol is refused after the
+    restriction and before the eigensolve, so no λ_min is within the
+    tolerance of both thresholds."""
     restricted = restrict_to_weight(h, k)
     sigma = spectral_scale(restricted)
-    tol = THRESHOLD_TOL * sigma
-    if not h.b - h.a > 2 * tol:
+    if not h.b - h.a > 2 * THRESHOLD_TOL * sigma:
         raise InvalidInputError(
-            f"need b - a > 2*THRESHOLD_TOL*sigma = {2 * tol:g} (sigma = "
-            f"{sigma:g}, the restriction's largest row sum + 1), "
+            f"need b - a > 2*THRESHOLD_TOL*sigma = {2 * THRESHOLD_TOL * sigma:g} "
+            f"(sigma = {sigma:g}, the restriction's largest row sum + 1), "
             f"got a={h.a}, b={h.b}")
-    lam = min_eigenvalue(restricted, mode="iterative", sigma=sigma)
-    return HamiltonianDecision(threshold_verdict(lam, h.a, h.b, tol, yes_high=False),
-                               lam, restricted.shape[0], h.a, h.b, k)
+    return _slice_decision(h, k, restricted, sigma)
+
+
+def _slice_decision(h: LocalHamiltonian, k: int, restricted,
+                    sigma: float) -> HamiltonianDecision:
+    lam = min_eigenvalue(restricted, mode="iterative")
+    verdict = threshold_verdict(lam, h.a, h.b, THRESHOLD_TOL * sigma, yes_high=False)
+    return HamiltonianDecision(verdict, lam, restricted.shape[0], h.a, h.b, k)

@@ -97,11 +97,11 @@ def _max_row_sum(m) -> float:
 def spectral_scale(m) -> float:
     """σ = max absolute row sum + 1 of a square array or CSR matrix, above
     |λ| for every eigenvalue λ: the scale of the Lanczos stopping rule and of
-    ``ham-decide``'s threshold tolerance."""
+    the weight-k slice's threshold tolerance."""
     return _max_row_sum(m) + 1.0
 
 
-def min_eigenvalue(matrix, mode: str = "dense", sigma: float | None = None) -> float:
+def min_eigenvalue(matrix, mode: str = "dense") -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
     ``mode="iterative"`` runs a three-term Lanczos loop without
@@ -111,9 +111,8 @@ def min_eigenvalue(matrix, mode: str = "dense", sigma: float | None = None) -> f
     and at once if β ≈ 0 (the Krylov space is invariant and the Ritz values
     are exact), it takes the lowest Ritz value θ of the tridiagonal matrix
     with its vector s, and returns θ once β·|s_last| <= ``LANCZOS_TOL``·σ,
-    σ = :func:`spectral_scale` of the matrix, or ``sigma`` where the caller
-    has taken it already. ``mode="dense"``, also used at dim <= 2, computes
-    the lowest eigenvalue only. The two agree to 1e-10.
+    σ = :func:`spectral_scale` of the matrix. ``mode="dense"``, also used at
+    dim <= 2, computes the lowest eigenvalue only. The two agree to 1e-10.
     """
     from scipy.linalg import eigh, eigh_tridiagonal
 
@@ -125,7 +124,7 @@ def min_eigenvalue(matrix, mode: str = "dense", sigma: float | None = None) -> f
         dense = m.toarray() if _is_sparse(m) else m
         vals = eigh(dense, eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0])
-    limit = LANCZOS_TOL * (spectral_scale(m) if sigma is None else sigma)
+    limit = LANCZOS_TOL * spectral_scale(m)
     rng = np.random.Generator(np.random.Philox(key=LANCZOS_START_KEY))
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.sqrt(_real_dot(v, v))

@@ -457,7 +457,7 @@ class TestThresholdTolerance:
         assert sigma == 28.0  # the end spin flipped: 14 + 13, + 1
         tol = THRESHOLD_TOL * sigma
         lam = decide_weight_k_local_hamiltonian(h, 1).lambda_min
-        assert lam != 25.0 and abs(lam - 25.0) <= tol
+        assert abs(lam - 25.0) <= tol
         # 25 + 1.5·tol is past a + tol, and 25 + tol/2 within it
         assert decide_weight_k_local_hamiltonian(
             replace(h, a=25.0 - tol / 2, b=27.0), 1).verdict is Verdict.YES
@@ -482,8 +482,20 @@ class TestThresholdTolerance:
             "n": h.n, "locality": h.locality, "a": h.a, "b": h.b,
             "terms": [{"qubits": list(t.qubits), "matrix": matrix_to_json(t.block)}
                       for t in h.terms]}))
-        for command in ("ham-decide", "ham-min"):
-            assert main([command, "--input", str(path), "--k", "1"]) == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: need b - a > 2*THRESHOLD_TOL*sigma")
+        assert main(["ham-decide", "--input", str(path), "--k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need b - a > 2*THRESHOLD_TOL*sigma")
+
+    def test_ham_min_reads_any_b_above_a(self, capsys, tmp_path):
+        # ham-min reports λ_min; only ham-decide needs b − a > 2·tol
+        h = ising_chain(4, 1.0, 1.0 + 1e-12)
+        path = tmp_path / "ham.json"
+        path.write_text(json.dumps({
+            "n": h.n, "locality": h.locality, "a": h.a, "b": h.b,
+            "terms": [{"qubits": list(t.qubits), "matrix": matrix_to_json(t.block)}
+                      for t in h.terms]}))
+        assert main(["ham-min", "--input", str(path), "--k", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["lambda_min"] == pytest.approx(ising_ground(4, 1),
+                                                                abs=1e-9)
