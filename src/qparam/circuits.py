@@ -499,11 +499,12 @@ class AcceptBlock(NamedTuple):
     ``labels[i]`` is −1 where Π₁ zeroes ``block[i]``, and otherwise
     ``k << (n − 1) | r``: r the accept row, with the accept bit dropped,
     and k the index of the row's class among the witnesses' classes in
-    ascending order. ``owners[k, c]`` is the position in the witness
-    indices of the witness of class k in column c, or the number of witness
-    indices where there is none; a column's entries on other classes' rows
-    are exact zeros. ``block`` is a view of the work buffers, the reader's
-    to overwrite until the next block is drawn.
+    ascending order. Each row belongs to one class, and column c is the
+    same slot of every class: ``owners[k, c]`` is the position in the
+    witness indices of the witness of class k in column c, or the number of
+    witness indices where the class has no witness there, and then column c
+    is an exact zero on class k's rows. ``block`` is a view of the work
+    buffers, the reader's to overwrite until the next block is drawn.
     """
 
     labels: np.ndarray
@@ -513,25 +514,26 @@ class AcceptBlock(NamedTuple):
 
 def _fold(witness: np.ndarray, fixed: int) -> tuple:
     """Each witness's column and class index, and the (classes, columns)
-    table of the witness in each class and column; a class is a pattern of
-    witness bits on the ``fixed`` mask.
+    table of the witness in each class and column, padded with the number
+    of witnesses; a class is a pattern of witness bits on the ``fixed``
+    mask.
 
-    Witnesses share a column when their other bits agree, the columns
-    ascending in those bits. Where no two share one, or an index repeats,
-    nothing is folded: each witness has its own column, in order.
+    A witness's column is its rank among its class's witnesses, in the
+    order they are given, so there are as many columns as the largest class
+    has witnesses. With no fixed wire there is one class, and each witness
+    has its own column, in order, with no sort.
     """
-    count = len(witness)
-    own = np.arange(count)
-    if fixed:
-        mixed, column = np.unique(witness & ~fixed, return_inverse=True)
-        if len(mixed) < count:
-            classes, tag = np.unique(witness & fixed, return_inverse=True)
-            owners = np.full((len(classes), len(mixed)), count)
-            owners[tag, column] = own
-            # a repeated index leaves a witness in no column
-            if np.count_nonzero(owners < count) == count:
-                return column, tag, owners
-    return own, 0, own[None]
+    if not fixed:
+        own = np.arange(len(witness))
+        return own, np.zeros_like(own), own[None]
+    classes, tag = np.unique(witness & fixed, return_inverse=True)
+    counts = np.bincount(tag)
+    column = np.empty_like(tag)
+    column[np.argsort(tag, kind="stable")] = np.arange(len(tag)) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    owners = np.full((len(classes), counts.max()), len(witness))
+    owners[tag, column] = np.arange(len(witness))
+    return column, tag, owners
 
 
 def accept_row_blocks(
@@ -541,10 +543,10 @@ def accept_row_blocks(
     :class:`AcceptBlock` blocks of at most ``WITNESS_CHUNK`` columns.
 
     A witness bit on a fixed wire (:func:`_fixed_wires`) is a function of
-    every label the witness reaches, so witnesses that differ only there
-    reach disjoint rows and share a column (:func:`_fold`): each carries
-    its class index above bit n of its labels, where runs and relabels
-    never act. Where nothing folds, the blocks are consecutive runs of the
+    every label the witness reaches, so witnesses of distinct classes reach
+    disjoint rows and share a column (:func:`_fold`): each carries its class
+    index above bit n of its labels, where runs and relabels never act.
+    Where there is one class, the blocks are consecutive runs of the
     witnesses, one column each. A block starts at the head of ``work[1]``
     on the distinct labels |w, 0...0⟩ of its witnesses, so :func:`_evolve`
     carries only the rows they reach. The run matrices and the work buffers
@@ -564,8 +566,8 @@ def accept_row_blocks(
     start = witness << circuit.ancilla_qubits
     columns = owners.shape[1]
     firsts = range(0, columns, WITNESS_CHUNK)
-    # each chunk of columns takes a slice of the witnesses: where nothing
-    # folded, the columns are the witnesses in order
+    # each chunk of columns takes a slice of the witnesses: where there is
+    # one class, the columns are the witnesses in order
     cuts, height = [*firsts, columns], min(WITNESS_CHUNK, columns)
     if columns < len(witness):
         order = np.argsort(column, kind="stable")

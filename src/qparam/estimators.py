@@ -278,68 +278,49 @@ def _column_norms(blocks: _Blocks, shift: int, count: int) -> np.ndarray:
     return norms[:count]
 
 
-def _grouped(ids: np.ndarray, groups: int, pad: int) -> tuple[np.ndarray, ...]:
-    """The indices of ``ids`` by group, as a (groups, largest + 1) table
-    padded with ``pad``, and each index's place in its group's row."""
-    order = np.argsort(ids, kind="stable")
-    counts = np.bincount(ids, minlength=groups)
-    place = np.empty_like(ids)
-    place[order] = np.arange(len(ids)) - np.repeat(np.cumsum(counts) - counts,
-                                                   counts)
-    table = np.full((groups, counts.max(initial=0) + 1), pad)
-    table[ids, place] = np.arange(len(ids))
-    return table, place
+def _class_columns(blocks: _Blocks, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """The witnesses' columns split by class: a (classes, rows, columns)
+    array whose [c, :, j] is column j on class c's sorted accept rows, and
+    the (classes, columns) table of the witness in each, padded as the
+    blocks' ``owners`` are; a padded slot's column is zeros.
 
-
-def _class_columns(
-    blocks: _Blocks, shift: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` witnesses' columns split by class: a (classes, rows,
-    members + 1) array whose [c, :, j] is the j-th witness of class c on
-    class c's sorted accept rows, and a (classes, members + 1) table of
-    those witnesses' positions, both padded with zeros and ``count``. The
-    last column of each class takes the unowned entries, exact zeros.
-
+    Each block row belongs to one class, and the block's columns are the
+    same slots of every class, so a block goes in as one row scatter.
     Columns of different classes share no row, so the Gram matrix of all
     the columns is block-diagonal in these per-class blocks, and a row that
     no block reaches is zero in every column and changes no inner product.
     The blocks' accept rows are the one copy."""
-    parts, witness_class = [], np.zeros(count + 1, dtype=np.int64)
+    parts = []
     for labels, block, owners in blocks:
         rows = np.flatnonzero(labels >= 0)
-        parts.append((labels[rows], owners, block[rows]))
-        witness_class[owners] = np.arange(len(owners))[:, None]
-    classes = len(parts[0][1])
-    members, place = _grouped(witness_class[:count], classes, count)
-    place = np.append(place, members.shape[1] - 1)
+        parts.append((labels[rows], block[rows], owners))
+    members = np.concatenate([owners for _, _, owners in parts], axis=1)
+    classes, columns = members.shape
     # the labels sort by class first, so each class's rows are consecutive
     union = np.unique(np.concatenate([labels for labels, _, _ in parts]))
     bounds = np.searchsorted(union, np.arange(classes + 1) << shift)
     sizes = np.diff(bounds)
-    out = np.zeros((classes, sizes.max(), members.shape[1]), dtype=complex)
-    flat = out.reshape(-1, members.shape[1])
-    # each row's in ``flat``: its class's first, then its place in the class
+    out = np.zeros((classes, sizes.max(), columns), dtype=complex)
+    # each label's row of ``flat``: its class's first, then its place in
+    # the class
     start = np.arange(len(union)) + np.repeat(
         np.arange(classes) * out.shape[1] - bounds[:-1], sizes)
-    for labels, owners, values in parts:
+    flat, first = out.reshape(-1, columns), 0
+    for labels, values, _ in parts:
         at = start[np.searchsorted(union, labels)]
-        if classes == 1:  # nothing folded: a block's witnesses are consecutive
-            flat[at, owners[0, 0]:owners[0, 0] + values.shape[1]] = values
-        else:
-            entry = (at * flat.shape[1])[:, None] + place[owners][labels >> shift]
-            flat.reshape(-1)[entry] = values
+        flat[at, first:first + values.shape[1]] = values
+        first += values.shape[1]
     return out, members
 
 
 def _gram(columns: np.ndarray) -> np.ndarray:
-    """The per-class Gram blocks of :func:`_class_columns`, without the
-    unowned column.
+    """The per-class Gram blocks of :func:`_class_columns`.
 
     Each block comes from one real product F^T·F of the columns' float
     view, real and imaginary parts side by side: numpy hands a matrix times
     its own transpose to BLAS's symmetric product, about half the work of
     the complex one, and its symmetric result makes the blocks Hermitian."""
-    floats = columns[:, :, :-1].view(float)
+    floats = columns.view(float)
     s = floats.transpose(0, 2, 1) @ floats
     return s[:, ::2, ::2] + s[:, 1::2, 1::2] + 1j * (s[:, ::2, 1::2] - s[:, 1::2, ::2])
 
@@ -349,13 +330,12 @@ def qmak_operator(verifier: QuantumCircuit, k: int) -> tuple[np.ndarray, float]:
     whose diagonal sums to 2^k times the maximally-mixed acceptance.
 
     Q = ⟨w,0|U†Π₁U|w′,0⟩ is the Gram matrix of the accept-projected columns
-    of all 2^k witness basis states, assembled from its per-class blocks."""
+    of all 2^k witness basis states, assembled from its per-class blocks:
+    every class holds as many of the 2^k witnesses, so no slot is padded."""
     columns, members = _class_columns(_qmak_columns(verifier, k),
-                                      verifier.total_qubits - 1, 2**k)
-    members = members[:, :-1]
-    q = np.zeros((2**k + 1, 2**k + 1), dtype=complex)
+                                      verifier.total_qubits - 1)
+    q = np.zeros((2**k, 2**k), dtype=complex)
     q[members[:, :, None], members[:, None, :]] = _gram(columns)
-    q = q[:-1, :-1]
     return q, float(np.trace(q).real)
 
 
@@ -421,8 +401,8 @@ def decide_weight_qcs_exact(
     """Maximum acceptance over all weight-k witness states, exactly: the
     largest eigenvalue of the Gram matrix of the weight-k basis's
     accept-projected columns, the largest over its per-class blocks."""
-    basis, blocks = _weight_k_columns(circuit, k, a, b)
-    columns, _ = _class_columns(blocks, circuit.total_qubits - 1, len(basis))
+    _, blocks = _weight_k_columns(circuit, k, a, b)
+    columns, _ = _class_columns(blocks, circuit.total_qubits - 1)
     lam_max = float(full_spectrum(_gram(columns))[:, -1].max())
     return SliceDecision(threshold_verdict(lam_max, a, b, THRESHOLD_TOL, yes_high=True),
                          lam_max, a, b, k)

@@ -237,10 +237,12 @@ def accept_projected_columns(circuit: QuantumCircuit,
     shift = circuit.total_qubits - 1
     out = np.zeros((2**shift, len(witness_indices)), dtype=complex)
     for labels, block, owners in accept_row_blocks(circuit, witness_indices):
-        for row in np.flatnonzero(labels >= 0):
-            for column, witness in enumerate(owners[labels[row] >> shift]):
-                if witness < len(witness_indices):
-                    out[labels[row] & (2**shift - 1), witness] = block[row, column]
+        rows = np.flatnonzero(labels >= 0)
+        # the witness that each entry of a row belongs to, by the row's class
+        witness = owners[labels[rows] >> shift]
+        row = np.broadcast_to(labels[rows, None] & (2**shift - 1), witness.shape)
+        owned = witness < len(witness_indices)
+        out[row[owned], witness[owned]] = block[rows][owned]
     return out
 
 

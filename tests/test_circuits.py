@@ -510,6 +510,22 @@ class TestFixedWires:
         assert np.allclose(got, expected[reads_one][:, np.arange(8) << 2], atol=1e-12)
 
 
+def _dense_off_some_witness_wires(rng) -> QuantumCircuit:
+    """A random circuit of 3-6 witness wires and 0-3 ancillas whose dense
+    gates keep off some witness wires, so its cone often has fixed ones."""
+    witness, ancilla = int(rng.integers(3, 7)), int(rng.integers(0, 4))
+    total = witness + ancilla
+    dense = [q for q in range(total) if q >= witness or rng.random() < 0.3]
+    gates = []
+    for gate in random_circuit(rng, total, 16).gates:
+        if gate.name in MONOMIAL_GATES:
+            gates.append(gate)
+        elif dense:
+            gates.append(_u(rng, *rng.choice(dense, min(len(dense), 2),
+                                             replace=False).tolist()))
+    return QuantumCircuit(witness, ancilla, tuple(gates), int(rng.integers(total)))
+
+
 def test_no_block_holds_more_than_2_to_the_n_labels(rng, monkeypatch):
     # random cones whose dense gates keep off some witness wires; a label
     # of the evolved blocks carries its class above bit n, and the class is
@@ -523,19 +539,10 @@ def test_no_block_holds_more_than_2_to_the_n_labels(rng, monkeypatch):
 
     monkeypatch.setattr(circuits, "_evolve", recording)
     for trial in range(40):
-        witness, ancilla = int(rng.integers(3, 7)), int(rng.integers(0, 4))
-        total = witness + ancilla
-        dense = [q for q in range(total) if q >= witness or rng.random() < 0.3]
-        gates = []
-        for gate in random_circuit(rng, total, 16).gates:
-            if gate.name in MONOMIAL_GATES:
-                gates.append(gate)
-            elif dense:
-                gates.append(_u(rng, *rng.choice(dense, min(len(dense), 2),
-                                                 replace=False).tolist()))
-        c = QuantumCircuit(witness, ancilla, tuple(gates), int(rng.integers(total)))
+        c = _dense_off_some_witness_wires(rng)
+        total = c.total_qubits
         held.clear()
-        blocks = list(accept_row_blocks(c, np.arange(2**witness)))
+        blocks = list(accept_row_blocks(c, np.arange(2**c.witness_qubits)))
         folded.append(any(len(b.owners) > 1 for b in blocks))
         # every label is distinct and so is its part below bit n
         assert all(rows == low <= 2**total for rows, low in held)
@@ -604,21 +611,92 @@ class TestFoldedGemms:
         assert [call[:2] for call in folded] == [call[:2] for call in unfolded]
         assert all(s == 8 * f for (_, _, (_, f)), (_, _, (_, s)) in zip(folded, unfolded))
 
-    def test_a_repeated_index_folds_nothing(self, rng):
+    def test_a_repeated_index_takes_a_slot_of_its_class(self, rng):
         # witness wires 2 and 3 only control or flip, so the 16 witnesses
-        # share 4 columns; with witness 5 asked for twice nothing folds,
-        # and both copies read the same column
+        # fall in 4 classes of 4 and share 4 columns; with witness 5 asked
+        # for twice more its class, 01, holds 6 witnesses, so 6 columns,
+        # and every copy reads the same values
         c = QuantumCircuit(4, 2, (
             Gate("H", targets=(0,)), Gate("CX", controls=(3,), targets=(4,)),
             _u(rng, 4, 1), Gate("X", targets=(2,)), _u(rng, 5, 0, 4),
         ), 5)
         assert _fixed(c) == [2, 3]
         witnesses = np.array([5, *range(16), 5])
-        assert [b.block.shape[1] for b in accept_row_blocks(c, witnesses)] == [18]
+        assert [b.block.shape[1] for b in accept_row_blocks(c, witnesses)] == [6]
         assert [b.block.shape[1] for b in accept_row_blocks(c, np.arange(16))] == [4]
         reads_one = np.arange(2**6) & 1 == 1
         expected = accept_projected_oracle(c)[reads_one][:, witnesses << 2]
         assert np.allclose(accept_projected_columns(c, witnesses), expected, atol=1e-12)
+
+
+def _pattern_fold(witness: np.ndarray, fixed: int) -> tuple:
+    """The fold by patterns that the rank fold replaced: a witness's column
+    is the rank of its bits off ``fixed`` among the witnesses' distinct such
+    bits, and nothing folds where no two share a column or an index
+    repeats."""
+    count = len(witness)
+    own = np.arange(count)
+    if fixed:
+        mixed, column = np.unique(witness & ~fixed, return_inverse=True)
+        if len(mixed) < count:
+            classes, tag = np.unique(witness & fixed, return_inverse=True)
+            owners = np.full((len(classes), len(mixed)), count)
+            owners[tag, column] = own
+            if np.count_nonzero(owners < count) == count:
+                return column, tag, owners
+    return own, 0, own[None]
+
+
+class TestRankFold:
+    """:func:`circuits._fold` gives each witness the column of its rank
+    among its class's witnesses, in the order they are given."""
+
+    def test_the_full_set_folds_as_the_patterns_did(self, rng):
+        for k in range(1, 9):
+            witness = np.arange(2**k)
+            for fixed in {0, 2**k - 1, *rng.integers(2**k, size=6).tolist()}:
+                got, expected = circuits._fold(witness, fixed), _pattern_fold(witness, fixed)
+                for a, b in zip(got, expected):
+                    assert np.array_equal(a, np.broadcast_to(b, np.shape(a)))
+
+    def test_weight_k_sets_take_as_many_columns_as_the_largest_class(self, rng):
+        for trial in range(300):
+            n = int(rng.integers(1, 11))
+            basis = WeightEnumeration(n, int(rng.integers(n + 1))).indices()
+            witness = basis
+            if trial % 2:  # unsorted, with repeated indices
+                repeats = rng.choice(basis, size=int(rng.integers(1, len(basis) + 2)))
+                witness = rng.permutation(np.concatenate([basis, repeats]))
+            fixed = int(rng.integers(2**n))
+            column, tag, owners = circuits._fold(witness, fixed)
+            classes, sizes = np.unique(witness & fixed, return_counts=True)
+            assert owners.shape == (len(classes), sizes.max())
+            assert np.array_equal(classes[tag], witness & fixed)
+            assert np.array_equal(owners[tag, column], np.arange(len(witness)))
+            for c, size in enumerate(sizes):  # in the order given, pads last
+                assert owners[c, :size].tolist() == np.flatnonzero(tag == c).tolist()
+                assert (owners[c, size:] == len(witness)).all()
+            assert owners.shape[1] <= _pattern_fold(witness, fixed)[2].shape[1]
+            if not trial % 2:
+                assert owners.shape[1] <= len(np.unique(witness & ~fixed))
+
+    def test_qmak_makes_the_gemm_calls_of_the_fold_by_patterns(self, rng, monkeypatch):
+        from qparam.estimators import qmak_decide
+
+        fold, folded = circuits._fold, 0
+        for trial in range(40):
+            c = _dense_off_some_witness_wires(rng)
+            k = c.witness_qubits
+            traces = []
+            ranked = _gemm_calls(monkeypatch, lambda: traces.append(qmak_decide(c, k).trace))
+            monkeypatch.setattr(circuits, "_fold", _pattern_fold)
+            patterned = _gemm_calls(monkeypatch,
+                                    lambda: traces.append(qmak_decide(c, k).trace))
+            monkeypatch.setattr(circuits, "_fold", fold)
+            assert ranked == patterned and traces[0] == traces[1]
+            blocks = accept_row_blocks(accept_light_cone(c), np.arange(2**k))
+            folded += any(len(b.owners) > 1 and b.block.shape[0] for b in blocks)
+        assert folded >= 10  # the classes were there to fold
 
 
 class TestAcceptance:

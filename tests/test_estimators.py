@@ -709,36 +709,38 @@ class TestStackedColumns:
         starts = np.cumsum([0, 3, 2, 4])
         blocks = [AcceptBlock(labels, block, first + np.arange(block.shape[1])[None])
                   for (labels, block), first in zip(blocks, starts)]
-        columns, members = estimators._class_columns(iter(blocks), 4, 10)
-        assert members.tolist() == [list(range(11))]  # 10 pads the unowned column
-        phi = columns[0, :, :10]
+        columns, members = estimators._class_columns(iter(blocks), 4)
+        assert members.tolist() == [list(range(10))]
+        phi = columns[0]
         assert phi.shape == (5, 10)  # rows 0, 1, 3, 5 and 9
         assert np.max(np.abs(phi.conj().T @ phi
                              - scattered.conj().T @ scattered)) <= 1e-12
 
     def test_classes_sharing_a_column_unfold_to_their_own_rows(self, rng):
         # one block of 2 columns on 4-bit accept rows: class 0 holds
-        # witnesses 3 and 0 on rows 2 and 7, class 1 witness 1 on rows 5
-        # and 9, in column 0 only, so its rows are exact zeros in column 1;
-        # the rows labelled -1 are those Π₁ drops, and witness 2, in no
-        # block, has a zero column; the norms, read last, square the block
+        # witnesses 0 and 3 in its slots 0 and 1, on rows 2 and 7, class 1
+        # witness 1 in slot 0, on rows 5 and 9, and its slot 1 is a pad, so
+        # its rows are exact zeros in column 1; the rows labelled -1 are
+        # those Π₁ drops, and witness 2, in no block, has a zero column; the
+        # norms, read last, square the block
         labels = np.array([1 << 4 | 5, 2, -1, 1 << 4 | 9, 7, -1])
         block = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
         block[[0, 3], 1] = 0
-        owners = np.array([[3, 0], [1, 4]])
+        owners = np.array([[0, 3], [1, 4]])
         blocks = [AcceptBlock(labels, block, owners)]
         scattered = np.zeros((16, 4), dtype=complex)
-        scattered[[2, 7], 3] = block[[1, 4], 0]
-        scattered[[2, 7], 0] = block[[1, 4], 1]
+        scattered[[2, 7], 0] = block[[1, 4], 0]
+        scattered[[2, 7], 3] = block[[1, 4], 1]
         scattered[[5, 9], 1] = block[[0, 3], 0]
         gram = scattered.conj().T @ scattered
-        columns, members = estimators._class_columns(iter(blocks), 4, 4)
-        assert columns.shape == (2, 2, 4)
-        assert members.tolist() == [[0, 2, 3, 4], [1, 4, 4, 4]]
+        columns, members = estimators._class_columns(iter(blocks), 4)
+        assert columns.shape == (2, 2, 2)
+        assert members.tolist() == [[0, 3], [1, 4]]
         blocks_gram = estimators._gram(columns)
-        for c, witnesses in enumerate(([0, 2, 3], [1])):
+        for c, witnesses in enumerate(([0, 3], [1])):
             got = blocks_gram[c, :len(witnesses), :len(witnesses)]
             assert np.max(np.abs(got - gram[np.ix_(witnesses, witnesses)])) <= 1e-12
+        assert not blocks_gram[1, 1].any() and not blocks_gram[1, :, 1].any()
         norms = estimators._column_norms(iter(blocks), 4, 4)
         assert np.max(np.abs(norms - np.diag(gram).real)) <= 1e-12 and norms[2] == 0
 
@@ -942,12 +944,13 @@ class TestFoldedDeciders:
         gram = self.assert_deciders_match_the_oracle(circuit, (1, 2, 3))
         assert (case == "dark-accept") == (not gram.any())
 
-    @pytest.mark.parametrize("fixed, columns", [([5], 20), ([4, 5], 14), ([3, 4, 5], 8)])
+    @pytest.mark.parametrize("fixed, columns", [([5], 10), ([4, 5], 6), ([3, 4, 5], 3)])
     def test_weight_k_witnesses_share_columns_from_two_fixed_bits(self, rng, fixed,
                                                                   columns):
-        # on one fixed bit the weight-3 witnesses of either class differ in
-        # the weight of their other bits, so no two share a column; on two,
-        # the classes 01 and 10 share the columns of weight-2 other bits
+        # a class of the weight-3 witnesses, a pattern p on the f fixed bits,
+        # holds C(6 - f, 3 - |p|) of them, and there are as many columns as
+        # the largest class holds: C(5, 2) = 10 on one fixed bit, C(4, 2) = 6
+        # on two (classes 01 and 10), C(3, 1) = 3 on three
         circuit = _mixing_circuit(rng, fixed)
         assert _cone_fixed_wires(circuit) == fixed
         witnesses = WeightEnumeration(6, 3).indices()
